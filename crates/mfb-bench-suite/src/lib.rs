@@ -99,9 +99,8 @@ pub fn table1_benchmarks() -> Vec<Benchmark> {
 
 /// The dense stress workload **Synthetic5**: 100 operations on a
 /// 10/5/5/4 allocation — twice the paper's largest rung. Deliberately not
-/// part of [`table1_benchmarks`] (Table I stops at 50 operations); `mfb
-/// bench` runs it as a separate congestion axis where the negotiated
-/// router's routability matters.
+/// part of [`table1_benchmarks`] (Table I stops at 50 operations); it
+/// routes only after the flow's retry loop has grown the grid.
 pub fn dense_benchmark() -> Benchmark {
     Benchmark {
         name: "Synthetic5",

@@ -220,17 +220,16 @@ pub fn table1_synthetic(index: u32) -> SequencingGraph {
 
 /// The dense stress assay **Synthetic5**: 100 operations, twice the paper's
 /// largest workload. Not part of Table I — it extends the suite so routers
-/// can be compared on a rung where channel congestion actually bites (the
-/// negotiated router proves its routability there). Seeded like its Table-I
-/// siblings, so every run sees the identical graph.
+/// can be exercised on a rung where channel congestion actually bites.
+/// Seeded like its Table-I siblings, so every run sees the identical graph.
 ///
 /// The depth is pinned at 19 layers: shallower DAGs pack so much
 /// per-layer concurrency (and deeper ones so much cross-layer channel
 /// storage) that no grid size routes them — the congestion sits on the
 /// fixed-size component access rings, which area growth cannot widen.
 /// At depth 19 the assay needs two 4/3 grid-growth steps before the
-/// serial router succeeds, which is exactly the hard-but-routable band
-/// the congestion axis wants.
+/// conflict-aware router succeeds, which is exactly the hard-but-routable band
+/// a congestion stress test wants.
 pub fn synthetic5() -> SequencingGraph {
     SyntheticSpec::new(100, 0x5EF1_0005)
         .depth(19)

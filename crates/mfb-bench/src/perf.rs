@@ -12,15 +12,11 @@
 //!
 //! The per-benchmark kernel rows are deliberately **serial**: timing under
 //! the deterministic thread fan-out would attribute scheduler noise to the
-//! kernels. Two extra axes measure what the rows exclude: [`TemperedPerf`]
-//! times the parallel-tempering annealer (`chains` replicas under the
-//! ambient `MFB_THREADS` fan-out, CI pins 8) against its frozen serial
-//! reference, and [`DenseRoutePerf`] runs the 100-op Synthetic5 rung where
-//! the negotiated-congestion router's routability is the product.
+//! kernels.
 
 use std::time::Instant as WallClock; // the model prelude has its own Instant
 
-use mfb_bench_suite::{dense_benchmark, table1_benchmarks};
+use mfb_bench_suite::table1_benchmarks;
 use mfb_core::flow::Synthesizer;
 use mfb_model::prelude::*;
 use mfb_place::prelude::*;
@@ -76,66 +72,6 @@ pub struct PerfRow {
     pub window_retries: u64,
     /// Rip-up evictions performed by one routing run.
     pub rips: u64,
-    /// Negotiation sweeps run (0: the row kernel is the DCSA router; the
-    /// negotiated router is timed on the [`DenseRoutePerf`] axis).
-    pub negotiation_iters: u64,
-    /// Worker threads the row's kernels ran under. Always 1: the kernel
-    /// rows are timed serially by design (see the module docs); the
-    /// multi-thread axis is [`TemperedPerf`].
-    pub kernel_threads: usize,
-}
-
-/// The multi-thread flagship axis: the parallel-tempering annealer
-/// (`chains` replicas fanned out over `threads` workers) against the
-/// frozen serial tempered reference on identical inputs.
-/// `tests/tempering_equiv.rs` pins both sides bitwise-identical for any
-/// `MFB_THREADS`, so the ratio is pure wall-clock, not an accuracy trade.
-#[derive(Debug, Clone, Serialize)]
-pub struct TemperedPerf {
-    /// The benchmark timed (the headline flagship).
-    pub benchmark: String,
-    /// Tempering chains (replicas) on both sides of the ratio.
-    pub chains: u32,
-    /// Worker threads the optimized side fanned out over: the ambient
-    /// `MFB_THREADS` limit capped at `chains`. CI pins `MFB_THREADS=8`.
-    pub threads: usize,
-    /// Optimized (incremental-energy, parallel super-round) wall time.
-    pub sa_ms: f64,
-    /// Frozen serial clone-per-proposal tempered reference wall time.
-    pub sa_reference_ms: f64,
-    /// `sa_reference_ms / sa_ms` — the CI multi-thread gate reads this.
-    pub sa_speedup: f64,
-}
-
-/// The dense routability axis: the 100-op Synthetic5 rung, where channel
-/// congestion concentrates on the fixed-size component access rings and
-/// the negotiated-congestion router has to resolve it. Routability here is
-/// the product; the wall times are tracked alongside for regressions.
-#[derive(Debug, Clone, Serialize)]
-pub struct DenseRoutePerf {
-    /// The dense benchmark's name (`"Synthetic5"`).
-    pub benchmark: String,
-    /// Operations in the assay.
-    pub ops: usize,
-    /// Transport tasks routed.
-    pub transports: usize,
-    /// Cells of the grid both routers were timed on.
-    pub grid_cells: u64,
-    /// Whether the negotiated router routes the rung (the acceptance bar).
-    pub negotiated_ok: bool,
-    /// Whether serial DCSA routes the same grid.
-    pub dcsa_ok: bool,
-    /// Negotiated-congestion routing wall time.
-    pub negotiated_ms: f64,
-    /// Serial DCSA routing wall time on the same inputs.
-    pub dcsa_ms: f64,
-    /// Negotiation sweeps the negotiated run needed.
-    pub negotiation_iters: u64,
-    /// Parked-path window retries of the negotiated run.
-    pub window_retries: u64,
-    /// Rip-up evictions of the negotiated run (non-zero only when it had
-    /// to fall back to the serial conflict-aware router).
-    pub rips: u64,
 }
 
 /// The headline numbers the PR acceptance gate reads: speedups on the
@@ -158,18 +94,12 @@ pub struct PerfReport {
     /// The `MFB_THREADS` worker limit the batch axis ran under (the kernel
     /// rows are serial by design; see the module docs).
     pub threads: usize,
-    /// Physical cores available to the run. Worker pools cap at this, so
-    /// when `cores < threads` the multi-thread axes are core-bound — the
-    /// tempered CI gate assumes the multi-core CI runners.
+    /// Cores available to the run; `threads` never exceeds it.
     pub cores: usize,
     /// Headline speedups (largest routable benchmark).
     pub headline: PerfHeadline,
     /// One row per Table-I benchmark.
     pub rows: Vec<PerfRow>,
-    /// The multi-thread parallel-tempering axis on the flagship benchmark.
-    pub tempered: TemperedPerf,
-    /// The dense Synthetic5 routability axis.
-    pub dense: DenseRoutePerf,
     /// Per-stage span timings from one traced end-to-end synthesis of the
     /// flagship benchmark (the `mfb-obs` observability axis). Empty when
     /// the `obs-trace` feature is compiled out.
@@ -230,10 +160,7 @@ fn routable_grid(
 ) -> (GridSpec, bool) {
     let base = auto_grid(comps);
     for step in 0..=3u32 {
-        let f = 4u64.pow(step);
-        let d = 3u64.pow(step);
-        let side = |v: u32| ((u64::from(v) * f / d).min(u64::from(u32::MAX)) as u32).max(v);
-        let grid = GridSpec::new(side(base.width), side(base.height), base.pitch_mm);
+        let grid = grown_grid(base, step);
         let Ok(p) = place_sa(comps, nets, grid, sa_cfg) else {
             continue;
         };
@@ -339,8 +266,6 @@ pub fn perf_report(repeats: u32) -> PerfReport {
                 astar_expansions_per_sec: rate(route_stats.expansions, route_s),
                 window_retries: route_stats.window_retries,
                 rips: route_stats.rips,
-                negotiation_iters: route_stats.negotiation_iters,
-                kernel_threads: 1,
             }
         })
         .collect();
@@ -360,8 +285,6 @@ pub fn perf_report(repeats: u32) -> PerfReport {
     };
 
     let (stage_trace, trace_counters) = traced_flagship(&headline.benchmark);
-    let tempered = tempered_perf(repeats, &headline.benchmark);
-    let dense = dense_perf(repeats);
 
     PerfReport {
         repeats,
@@ -369,127 +292,9 @@ pub fn perf_report(repeats: u32) -> PerfReport {
         cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         headline,
         rows,
-        tempered,
-        dense,
         stage_trace,
         trace_counters,
         batch: crate::throughput::throughput_report(repeats),
-    }
-}
-
-/// Times the parallel-tempering annealer against the frozen serial
-/// tempered reference on `benchmark` (the flagship). Eight chains — the
-/// tracked configuration — under whatever `MFB_THREADS` fan-out is
-/// ambient, so CI controls the thread axis from the job environment.
-fn tempered_perf(repeats: u32, benchmark: &str) -> TemperedPerf {
-    use mfb_place::reference::place_sa_tempered_reference;
-
-    const CHAINS: u32 = 8;
-    let lib = ComponentLibrary::default();
-    let wash = LogLinearWash::paper_calibrated();
-    let benchmarks = table1_benchmarks();
-    let b = benchmarks
-        .iter()
-        .find(|b| b.name == benchmark)
-        .unwrap_or_else(|| benchmarks.last().expect("Table I is non-empty"));
-    let comps = b.components(&lib);
-    let s = schedule(&b.graph, &comps, &wash, &SchedulerConfig::paper_dcsa())
-        .expect("Table-I benchmarks schedule");
-    let nets = NetList::build(&s, &b.graph, &wash, 0.6, 0.4);
-    let sa_cfg = SaConfig::paper().with_chains(CHAINS);
-    let router_cfg = RouterConfig::paper();
-    let (grid, _) = routable_grid(
-        &comps,
-        &nets,
-        &SaConfig::paper(),
-        &s,
-        &b.graph,
-        &wash,
-        &router_cfg,
-    );
-
-    let (sa_s, sa_ref_s, _) = best_of_pair(
-        repeats,
-        || {
-            place_sa_tempered(&comps, &nets, grid, &sa_cfg, &DefectMap::pristine())
-                .expect("flagship places")
-        },
-        || {
-            place_sa_tempered_reference(&comps, &nets, grid, &sa_cfg, &DefectMap::pristine())
-                .expect("flagship places");
-        },
-    );
-    TemperedPerf {
-        benchmark: b.name.to_string(),
-        chains: CHAINS,
-        threads: mfb_model::par::thread_limit().max(1).min(CHAINS as usize),
-        sa_ms: ms(sa_s),
-        sa_reference_ms: ms(sa_ref_s),
-        sa_speedup: sa_ref_s / sa_s,
-    }
-}
-
-/// Times the negotiated-congestion router against serial DCSA on the dense
-/// Synthetic5 rung, on the smallest recovery-ladder grid DCSA routes.
-fn dense_perf(repeats: u32) -> DenseRoutePerf {
-    let lib = ComponentLibrary::default();
-    let wash = LogLinearWash::paper_calibrated();
-    let b = dense_benchmark();
-    let comps = b.components(&lib);
-    let sa_cfg = SaConfig::paper();
-    let router_cfg = RouterConfig::paper();
-    let s = schedule(&b.graph, &comps, &wash, &SchedulerConfig::paper_dcsa())
-        .expect("Synthetic5 schedules");
-    let nets = NetList::build(&s, &b.graph, &wash, 0.6, 0.4);
-    let (grid, dcsa_ladder_ok) =
-        routable_grid(&comps, &nets, &sa_cfg, &s, &b.graph, &wash, &router_cfg);
-    let p = place_sa(&comps, &nets, grid, &sa_cfg).expect("Synthetic5 places on its ladder grid");
-
-    let mut negotiated_ok = false;
-    let mut dcsa_ok = dcsa_ladder_ok;
-    let mut stats = SearchStats::default();
-    let (neg_s, dcsa_s, ()) = best_of_pair(
-        repeats,
-        || {
-            let mut scratch = SearchScratch::new();
-            negotiated_ok = route_negotiated_with_scratch(
-                &s,
-                &b.graph,
-                &p,
-                &wash,
-                &router_cfg,
-                &DefectMap::pristine(),
-                &mut scratch,
-            )
-            .is_ok();
-            stats = scratch.stats;
-        },
-        || {
-            let mut scratch = SearchScratch::new();
-            dcsa_ok = route_dcsa_with_scratch(
-                &s,
-                &b.graph,
-                &p,
-                &wash,
-                &router_cfg,
-                &DefectMap::pristine(),
-                &mut scratch,
-            )
-            .is_ok();
-        },
-    );
-    DenseRoutePerf {
-        benchmark: b.name.to_string(),
-        ops: b.graph.len(),
-        transports: s.transports().count(),
-        grid_cells: u64::from(grid.width) * u64::from(grid.height),
-        negotiated_ok,
-        dcsa_ok,
-        negotiated_ms: ms(neg_s),
-        dcsa_ms: ms(dcsa_s),
-        negotiation_iters: stats.negotiation_iters,
-        window_retries: stats.window_retries,
-        rips: stats.rips,
     }
 }
 
@@ -565,27 +370,6 @@ pub fn perf_text(report: &PerfReport) -> String {
         report.headline.route_speedup,
         report.repeats
     );
-    let t = &report.tempered;
-    let _ = writeln!(
-        out,
-        "tempered ({}, {} chains, {} threads): {:.2} ms vs reference {:.2} ms ({:.2}x)",
-        t.benchmark, t.chains, t.threads, t.sa_ms, t.sa_reference_ms, t.sa_speedup
-    );
-    let d = &report.dense;
-    let _ = writeln!(
-        out,
-        "dense ({}, {} ops, {} transports, {} cells): negotiated {:.2} ms \
-         ({} sweeps){}, dcsa {:.2} ms{}",
-        d.benchmark,
-        d.ops,
-        d.transports,
-        d.grid_cells,
-        d.negotiated_ms,
-        d.negotiation_iters,
-        if d.negotiated_ok { "" } else { " UNROUTABLE" },
-        d.dcsa_ms,
-        if d.dcsa_ok { "" } else { " UNROUTABLE" }
-    );
     let b = &report.batch;
     let _ = writeln!(
         out,
@@ -634,18 +418,11 @@ mod tests {
             assert!(row.astar_queries > 0, "{}", row.benchmark);
         }
         assert!(r.rows.iter().any(|row| row.route_ok));
-        assert!(r.rows.iter().all(|row| row.kernel_threads == 1));
-        assert_eq!(r.tempered.chains, 8);
-        assert!(r.tempered.threads >= 1);
-        assert!(r.tempered.sa_speedup > 0.0);
-        assert!(r.dense.negotiated_ok, "Synthetic5 must route negotiated");
-        assert!(r.dense.dcsa_ok, "Synthetic5 ladder grid must route serial");
-        assert!(r.dense.transports > 0);
         assert_eq!(r.batch.jobs, 2 * r.rows.len());
         assert!(r.batch.warm_identical, "warm batch diverged from cold");
         assert_eq!(r.batch.warm_cache.misses(), 0);
         assert!(r.batch.warm_speedup > 1.0);
-        assert!(r.threads >= 1);
+        assert!(r.threads >= 1 && r.threads <= r.cores);
         if cfg!(feature = "obs-trace") {
             let names: Vec<&str> = r.stage_trace.iter().map(|s| s.name.as_str()).collect();
             assert!(names.contains(&"flow.synthesize"), "{names:?}");

@@ -628,16 +628,16 @@ impl BaseKeys {
                 h.write_u32(cfg.sa.i_max);
                 h.write_u64(seed);
                 write_spacing(&mut h, cfg.sa.spacing);
-                // Tempering inputs: a different chain count or ladder is a
-                // different placement, so it must be a different key.
-                h.write_u32(cfg.sa.chains);
-                h.write_f64(cfg.sa.ladder);
+                // The single-chain count and ladder ratio the key carried
+                // when tempering was configurable; kept so keys (and
+                // persisted snapshots) stay valid.
+                h.write_u32(1);
+                h.write_f64(1.6);
             }
             PlacementStrategy::Constructive => {
                 h.write_str("constructive");
                 write_spacing(&mut h, SpacingParams::default_routing());
             }
-            PlacementStrategy::ForceDirected => h.write_str("force-directed"),
         }
         h.finish()
     }
@@ -658,18 +658,10 @@ impl BaseKeys {
         h.write_str(match cfg.routing {
             RoutingStrategy::ConflictAware => "conflict-aware",
             RoutingStrategy::ConstructionByCorrection => "corrected",
-            RoutingStrategy::Negotiated => "negotiated",
         });
         h.write_u64(cfg.router.w_e.as_ticks());
         h.write_bool(cfg.router.wash_aware_weights);
         h.write_u32(cfg.router.plug_cells);
-        if cfg.routing == RoutingStrategy::Negotiated {
-            // Negotiation inputs: a different penalty schedule can converge
-            // on a different routing, so it must be a different key.
-            h.write_u32(cfg.router.negotiation.max_iters);
-            h.write_u64(cfg.router.negotiation.present_step_ticks);
-            h.write_u64(cfg.router.negotiation.history_step_ticks);
-        }
         h.finish()
     }
 
@@ -969,6 +961,44 @@ mod tests {
         assert_eq!(calls.load(Ordering::SeqCst), 2);
         let stats = cache.stats();
         assert_eq!((stats.schedule_misses, stats.schedule_hits), (2, 0));
+    }
+
+    /// Pins the stage keys of the two paper configurations, so any change
+    /// to the key layout or to the config bytes it hashes shows up here
+    /// (and would leave persisted serve snapshots cold).
+    #[test]
+    fn paper_stage_keys_are_pinned_for_pcr() {
+        let bench = mfb_bench_suite::benchmark_by_name("PCR").unwrap();
+        let comps = bench.components(&ComponentLibrary::default());
+        let wash = LogLinearWash::paper_calibrated();
+        let keys = BaseKeys::new(&bench.graph, &comps, &wash, &DefectMap::pristine());
+        let grid = mfb_place::prelude::auto_grid(&comps);
+        // Fixed stand-ins for the upstream stage outputs: the pins cover
+        // the key layout and the configuration bytes, not the stages.
+        let (netlist_key, schedule_h, place_h) = (
+            ContentHash::from_u64(1),
+            ContentHash::from_u64(2),
+            ContentHash::from_u64(3),
+        );
+        let hex = |cfg: &SynthesisConfig| {
+            let sched_cfg = SchedulerConfig {
+                t_c: cfg.t_c,
+                rule: cfg.binding,
+            };
+            [
+                keys.schedule_key(&sched_cfg).to_hex(),
+                keys.place_key(netlist_key, grid, cfg, cfg.sa.seed).to_hex(),
+                keys.route_key(schedule_h, place_h, cfg).to_hex(),
+            ]
+        };
+        assert_eq!(
+            hex(&SynthesisConfig::paper_dcsa()),
+            ["75f75ad7f09ad09f", "a7332ef49f312d30", "fe49b1e4f720d31e"]
+        );
+        assert_eq!(
+            hex(&SynthesisConfig::paper_baseline()),
+            ["f568a7cd3fd1054a", "1d083c842b7322c6", "dd7626fea07bea3d"]
+        );
     }
 
     #[test]

@@ -397,86 +397,21 @@ impl Synthesizer {
         // in any order — or concurrently — without changing any result.
         let attempt_once =
             |attempt: u32| -> Result<(Placement, Routing, ContentHash), AttemptError> {
-                // Grow the grid every eighth attempt (4/3 linear each step),
-                // capped so the factor arithmetic cannot overflow however large
-                // the caller sets `max_placement_attempts`.
-                let growth = (attempt / 8).min(8);
-                let side = |s: u32| {
-                    let grown = u64::from(s) * 4u64.pow(growth) / 3u64.pow(growth);
-                    (grown.min(u64::from(u32::MAX)) as u32).max(s)
-                };
-                let grid = GridSpec::new(
-                    side(base_grid.width),
-                    side(base_grid.height),
-                    base_grid.pitch_mm,
-                );
-
+                let grid = grown_grid(base_grid, attempt / 8);
                 budget.check().map_err(AttemptError::Interrupt)?;
                 let seed = cfg.sa.seed.wrapping_add(u64::from(attempt));
                 let (placement, place_h) = {
                     let _span = mfb_obs::obs_span!("stage.place", attempt = attempt, seed = seed);
-                    ctx.place(netlist_key, grid, cfg, seed, || match cfg.placement {
-                        PlacementStrategy::SimulatedAnnealing => {
-                            // Delegates to the plain single-chain loop when
-                            // `cfg.sa.chains <= 1` (the paper configuration).
-                            let sa = SaConfig { seed, ..cfg.sa };
-                            place_sa_tempered_budgeted(
-                                components, &netlist, grid, &sa, defects, budget,
-                            )
-                            .map(|(p, _)| p)
-                        }
-                        PlacementStrategy::Constructive => place_constructive_with_defects(
-                            components,
-                            &netlist,
-                            grid,
-                            SpacingParams::default_routing(),
-                            defects,
-                        ),
-                        PlacementStrategy::ForceDirected => {
-                            place_force_directed_with_defects(components, &netlist, grid, defects)
-                        }
+                    ctx.place(netlist_key, grid, cfg, seed, || {
+                        place_stage(cfg, components, &netlist, grid, seed, defects, budget)
                     })
                     .map_err(AttemptError::Place)?
                 };
 
                 let _route_span = mfb_obs::obs_span!("stage.route", attempt = attempt);
-                let (routed, route_key) =
-                    ctx.route(schedule_h, place_h, cfg, || match cfg.routing {
-                        RoutingStrategy::ConflictAware => {
-                            let mut scratch = SearchScratch::new();
-                            route_dcsa_budgeted(
-                                &schedule,
-                                graph,
-                                &placement,
-                                wash,
-                                &cfg.router,
-                                defects,
-                                &mut scratch,
-                                budget,
-                            )
-                        }
-                        RoutingStrategy::ConstructionByCorrection => route_corrected_with_defects(
-                            &schedule,
-                            graph,
-                            &placement,
-                            wash,
-                            &cfg.router,
-                            defects,
-                        ),
-                        RoutingStrategy::Negotiated => {
-                            let mut scratch = SearchScratch::new();
-                            route_negotiated_budgeted(
-                                &schedule,
-                                graph,
-                                &placement,
-                                wash,
-                                &cfg.router,
-                                defects,
-                                &mut scratch,
-                                budget,
-                            )
-                        }
-                    });
+                let (routed, route_key) = ctx.route(schedule_h, place_h, cfg, || {
+                    route_stage(cfg, &schedule, graph, &placement, wash, defects, budget)
+                });
                 match routed {
                     Ok(routing) => Ok((placement, routing, route_key)),
                     Err(e) => Err(AttemptError::Route(e)),
@@ -576,6 +511,61 @@ enum AttemptError {
     Place(PlaceError),
     Route(RouteError),
     Interrupt(BudgetExceeded),
+}
+
+/// Runs the configured placer for one attempt on `grid` with annealing
+/// seed `seed` — the one placement dispatch shared by the retry loop and
+/// the recovery ladder.
+pub(crate) fn place_stage(
+    cfg: &SynthesisConfig,
+    components: &ComponentSet,
+    netlist: &NetList,
+    grid: GridSpec,
+    seed: u64,
+    defects: &DefectMap,
+    budget: &Budget,
+) -> Result<Placement, PlaceError> {
+    match cfg.placement {
+        PlacementStrategy::SimulatedAnnealing => {
+            let sa = SaConfig { seed, ..cfg.sa };
+            place_sa_budgeted(components, netlist, grid, &sa, defects, budget).map(|(p, _)| p)
+        }
+        PlacementStrategy::Constructive => place_constructive_with_defects(
+            components,
+            netlist,
+            grid,
+            SpacingParams::default_routing(),
+            defects,
+        ),
+    }
+}
+
+/// Runs the configured router on one placement — the one routing dispatch
+/// shared by the retry loop and the recovery ladder.
+pub(crate) fn route_stage(
+    cfg: &SynthesisConfig,
+    schedule: &Schedule,
+    graph: &SequencingGraph,
+    placement: &Placement,
+    wash: &dyn WashModel,
+    defects: &DefectMap,
+    budget: &Budget,
+) -> Result<Routing, RouteError> {
+    match cfg.routing {
+        RoutingStrategy::ConflictAware => route_dcsa_budgeted(
+            schedule,
+            graph,
+            placement,
+            wash,
+            &cfg.router,
+            defects,
+            &mut SearchScratch::new(),
+            budget,
+        ),
+        RoutingStrategy::ConstructionByCorrection => {
+            route_corrected_with_defects(schedule, graph, placement, wash, &cfg.router, defects)
+        }
+    }
 }
 
 /// True when re-placing with a different seed or grid cannot change the

@@ -31,9 +31,11 @@
 //! [`DegradedSolution`].
 
 use crate::cache::{StageCache, StageCtx};
-use crate::config::{PlacementStrategy, RoutingStrategy, SynthesisConfig};
+use crate::config::SynthesisConfig;
 use crate::error::SynthesisError;
-use crate::flow::{route_error_is_placement_independent, Solution, Synthesizer};
+use crate::flow::{
+    place_stage, route_error_is_placement_independent, route_stage, Solution, Synthesizer,
+};
 use mfb_model::prelude::*;
 use mfb_place::prelude::*;
 use mfb_route::prelude::*;
@@ -299,20 +301,7 @@ impl Synthesizer {
         );
         let cfg = self.config();
         let base_grid = cfg.grid.unwrap_or_else(|| auto_grid(components));
-        let grown = |g: u32| -> GridSpec {
-            let g = g.min(8);
-            let side = |s: u32| {
-                let f = 4u64.pow(g);
-                let d = 3u64.pow(g);
-                ((u64::from(s) * f / d).min(u64::from(u32::MAX)) as u32).max(s)
-            };
-            GridSpec::new(
-                side(base_grid.width),
-                side(base_grid.height),
-                base_grid.pitch_mm,
-            )
-        };
-        let max_grid = grown(policy.grow_steps);
+        let max_grid = grown_grid(base_grid, policy.grow_steps);
 
         let mut trace = RecoveryTrace::default();
         let mut partial = Partial::default();
@@ -407,7 +396,7 @@ impl Synthesizer {
                     break 'ladder;
                 }
                 attempt_no += 1;
-                let grid = grown(g);
+                let grid = grown_grid(base_grid, g);
                 let seed = cfg
                     .sa
                     .seed
@@ -716,63 +705,16 @@ fn attempt_inner(
     });
 
     let (placement, place_h) = guard("place", catch, || {
-        ctx.place(netlist_key, grid, cfg, seed, || match cfg.placement {
-            PlacementStrategy::SimulatedAnnealing => {
-                let sa = SaConfig { seed, ..cfg.sa };
-                place_sa_tempered_budgeted(components, &netlist, grid, &sa, defects, budget)
-                    .map(|(p, _)| p)
-            }
-            PlacementStrategy::Constructive => place_constructive_with_defects(
-                components,
-                &netlist,
-                grid,
-                SpacingParams::default_routing(),
-                defects,
-            ),
-            PlacementStrategy::ForceDirected => {
-                place_force_directed_with_defects(components, &netlist, grid, defects)
-            }
+        ctx.place(netlist_key, grid, cfg, seed, || {
+            place_stage(cfg, components, &netlist, grid, seed, defects, budget)
         })
         .map_err(Into::into)
     })?;
     partial.placement = Some(placement.clone());
 
     let routing = guard("route", catch, || {
-        let (routed, route_key) = ctx.route(schedule_h, place_h, cfg, || match cfg.routing {
-            RoutingStrategy::ConflictAware => {
-                let mut scratch = SearchScratch::new();
-                route_dcsa_budgeted(
-                    &schedule,
-                    graph,
-                    &placement,
-                    wash,
-                    &cfg.router,
-                    defects,
-                    &mut scratch,
-                    budget,
-                )
-            }
-            RoutingStrategy::ConstructionByCorrection => route_corrected_with_defects(
-                &schedule,
-                graph,
-                &placement,
-                wash,
-                &cfg.router,
-                defects,
-            ),
-            RoutingStrategy::Negotiated => {
-                let mut scratch = SearchScratch::new();
-                route_negotiated_budgeted(
-                    &schedule,
-                    graph,
-                    &placement,
-                    wash,
-                    &cfg.router,
-                    defects,
-                    &mut scratch,
-                    budget,
-                )
-            }
+        let (routed, route_key) = ctx.route(schedule_h, place_h, cfg, || {
+            route_stage(cfg, &schedule, graph, &placement, wash, defects, budget)
         });
         let mut routing = routed.map_err(|e| SynthesisError::Route {
             last: e,

@@ -30,7 +30,6 @@ proptest! {
         for strategy in [
             PlacementStrategy::SimulatedAnnealing,
             PlacementStrategy::Constructive,
-            PlacementStrategy::ForceDirected,
         ] {
             let mut cfg = SynthesisConfig::paper_dcsa();
             cfg.placement = strategy;
@@ -45,7 +44,7 @@ proptest! {
                     );
                 }
                 // The annealer's seed retries make routability effectively
-                // total; the deterministic placers get no such entropy, so
+                // total; the deterministic placer gets no such entropy, so
                 // an occasional unroutable layout is a legitimate outcome —
                 // it must surface as a clean error, never a panic or an
                 // invalid solution.

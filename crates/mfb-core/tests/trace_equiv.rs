@@ -4,8 +4,10 @@
 //! with a collector installed has to produce a **byte-identical**
 //! [`Solution`] to an untraced run — on every benchmark exercised here and
 //! under both the serial (`MFB_THREADS=1`) and fan-out (`MFB_THREADS=8`)
-//! executors. A second test pins the recovery-ladder event contract: one
-//! `recovery.rung` instant per failed attempt, mirroring the
+//! executors — and the fan-out never runs more placement attempts than
+//! the serial loop plus one extra per additional core, however large
+//! `MFB_THREADS` is set. A second test pins the recovery-ladder event
+//! contract: one `recovery.rung` instant per failed attempt, mirroring the
 //! [`RecoveryTrace`] exactly, plus a final `recovered` event naming the
 //! rung that succeeded.
 //!
@@ -24,8 +26,9 @@ fn wash() -> LogLinearWash {
 }
 
 /// Serialized DCSA solution for `bench`, optionally run under an installed
-/// trace collector. Returns the solution JSON and the finished trace.
-fn solve_json(threads: &str, bench: &str, traced: bool) -> (String, mfb_obs::Trace) {
+/// trace collector. Returns the solution JSON, the attempts the solution
+/// reports, and the finished trace.
+fn solve_json(threads: &str, bench: &str, traced: bool) -> (String, u32, mfb_obs::Trace) {
     std::env::set_var("MFB_THREADS", threads);
     let b = benchmark_by_name(bench).expect("Table-I benchmark must exist");
     let comps = b.components(&ComponentLibrary::default());
@@ -38,20 +41,23 @@ fn solve_json(threads: &str, bench: &str, traced: bool) -> (String, mfb_obs::Tra
     };
     (
         serde_json::to_string(&solution).expect("Solution serializes"),
+        solution.attempts,
         collector.finish(),
     )
 }
 
 #[test]
 fn tracing_on_or_off_yields_byte_identical_solutions() {
-    for bench in ["PCR", "IVD", "Synthetic1"] {
-        let (untraced_1, empty) = solve_json("1", bench, false);
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    // Synthetic4 needs retries, so its retry batches exercise the fan-out.
+    for bench in ["PCR", "IVD", "Synthetic1", "Synthetic4"] {
+        let (untraced_1, _, empty) = solve_json("1", bench, false);
         assert!(
             empty.events.is_empty(),
             "{bench}: no events without an installed collector"
         );
         for threads in ["1", "8"] {
-            let (traced, trace) = solve_json(threads, bench, true);
+            let (traced, attempts, trace) = solve_json(threads, bench, true);
             assert_eq!(
                 untraced_1, traced,
                 "{bench}: Solution must not depend on tracing or MFB_THREADS={threads}"
@@ -62,6 +68,14 @@ fn tracing_on_or_off_yields_byte_identical_solutions() {
                     && trace.spans_named("stage.place").count() >= 1
                     && trace.spans_named("stage.route").count() >= 1,
                 "{bench}: traced run records the stage spans"
+            );
+            // A retry batch is no larger than the worker pool, so at most
+            // `cores - 1` speculative attempts run past the winning one.
+            let placed = trace.spans_named("stage.place").count();
+            assert!(
+                placed < attempts as usize + cores,
+                "{bench}: {placed} placements for {attempts} attempts on {cores} cores \
+                 at MFB_THREADS={threads}"
             );
             mfb_obs::export::check_events(&trace.events).expect("well-formed trace");
         }

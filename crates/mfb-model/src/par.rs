@@ -10,9 +10,9 @@
 //!
 //! Worker count comes from [`thread_limit`] — the `MFB_THREADS` environment
 //! variable when set (clamped to ≥ 1), otherwise
-//! [`std::thread::available_parallelism`] — further capped at the machine's
-//! core count: oversubscribing CPU-bound workers only costs wall time, and
-//! the ordered reassembly makes worker count invisible in the output.
+//! [`std::thread::available_parallelism`] — capped at the machine's core
+//! count: oversubscribing CPU-bound workers only costs wall time, and the
+//! ordered reassembly makes worker count invisible in the output.
 //! `MFB_THREADS=1` short-circuits to a plain serial loop — exactly the
 //! pre-parallelism code path.
 //!
@@ -26,15 +26,20 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-/// Maximum number of worker threads a deterministic sweep may use.
+/// The number of worker threads a deterministic sweep uses.
 ///
-/// Resolution order: `MFB_THREADS` (parsed as `usize`, values `< 1` clamp to
-/// `1`), else [`std::thread::available_parallelism`], else `1`.
+/// `MFB_THREADS` (parsed as `usize`, values `< 1` clamp to `1`) when set,
+/// else every core; either way capped at
+/// [`std::thread::available_parallelism`] (or `1` when that is unknown).
+/// `MFB_THREADS` is a cap, not a demand: more CPU-bound workers than cores
+/// only add oversubscription, and callers that size work batches by this
+/// value would otherwise run batches larger than the pool.
 #[must_use]
 pub fn thread_limit() -> usize {
+    let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     match std::env::var("MFB_THREADS") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).clamp(1, cores),
+        Err(_) => cores,
     }
 }
 
@@ -50,13 +55,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    // `MFB_THREADS` is a cap, not a demand: spawning more CPU-bound workers
-    // than the machine has cores only adds oversubscription overhead (the
-    // super-round-per-call users of this function pay it per call), and the
-    // ordered reassembly below makes the worker count invisible in the
-    // output anyway.
-    let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let workers = thread_limit().min(cores).min(len);
+    let workers = thread_limit().min(len);
     if workers <= 1 {
         return (0..len).map(f).collect();
     }

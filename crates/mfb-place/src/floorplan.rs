@@ -206,8 +206,7 @@ pub fn rect_gap(a: CellRect, b: CellRect) -> u32 {
 }
 
 /// Deterministic left-to-right, bottom-to-top row packing with clearance —
-/// the shared fallback start for the annealer and the force-directed
-/// placer.
+/// the annealer's fallback start on a crowded grid.
 pub(crate) fn packed_placement(
     components: &ComponentSet,
     grid: GridSpec,
@@ -299,12 +298,36 @@ pub fn auto_grid(components: &ComponentSet) -> GridSpec {
     GridSpec::square(side.max(12))
 }
 
+/// `base` grown `steps` times by 4/3 per side: the grid the retry loops
+/// fall back to when placements keep failing to route. Steps beyond eight
+/// count as eight, so the factor arithmetic cannot overflow, and a side
+/// saturates at `u32::MAX`.
+pub fn grown_grid(base: GridSpec, steps: u32) -> GridSpec {
+    let steps = steps.min(8);
+    let side = |s: u32| {
+        let grown = u64::from(s) * 4u64.pow(steps) / 3u64.pow(steps);
+        (grown.min(u64::from(u32::MAX)) as u32).max(s)
+    };
+    GridSpec::new(side(base.width), side(base.height), base.pitch_mm)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn grid() -> GridSpec {
         GridSpec::square(16)
+    }
+
+    #[test]
+    fn grown_grid_steps_by_four_thirds_and_caps() {
+        let base = GridSpec::new(12, 30, 10.0);
+        assert_eq!(grown_grid(base, 0), base);
+        assert_eq!(grown_grid(base, 1), GridSpec::new(16, 40, 10.0));
+        assert_eq!(grown_grid(base, 2), GridSpec::new(21, 53, 10.0));
+        assert_eq!(grown_grid(base, 8), grown_grid(base, 1000));
+        let huge = grown_grid(GridSpec::new(u32::MAX, 1, 10.0), 8);
+        assert_eq!((huge.width, huge.height), (u32::MAX, 9));
     }
 
     #[test]

@@ -39,11 +39,9 @@
 pub mod baseline;
 pub mod error;
 pub mod floorplan;
-pub mod force;
 pub mod nets;
 pub mod reference;
 pub mod sa;
-pub mod tempering;
 
 /// One-stop import of the placement API.
 pub mod prelude {
@@ -52,13 +50,12 @@ pub mod prelude {
     };
     pub use crate::error::PlaceError;
     pub use crate::floorplan::{
-        auto_grid, rect_avoids_defects, rect_gap, Placement, PlacementViolation, CLEARANCE,
+        auto_grid, grown_grid, rect_avoids_defects, rect_gap, Placement, PlacementViolation,
+        CLEARANCE,
     };
-    pub use crate::force::{place_force_directed, place_force_directed_with_defects};
     pub use crate::nets::{energy, energy_with_spacing, Net, NetList, SpacingParams};
     pub use crate::sa::{
         place_sa, place_sa_auto, place_sa_budgeted, place_sa_with_defects, place_sa_with_stats,
         place_sa_with_stats_and_defects, Move, SaConfig, SaStats,
     };
-    pub use crate::tempering::{place_sa_tempered, place_sa_tempered_budgeted};
 }

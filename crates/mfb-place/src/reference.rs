@@ -14,7 +14,6 @@ use crate::error::PlaceError;
 use crate::floorplan::{rect_avoids_defects, Placement};
 use crate::nets::{energy, NetList, SpacingParams};
 use crate::sa::{initial_placement, SaConfig};
-use crate::tempering::{chain_seed, EXCHANGE_SEED_XOR};
 use mfb_model::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -78,101 +77,6 @@ pub fn place_sa_reference_with_defects(
         }
         t *= config.alpha;
     }
-    debug_assert!(best.is_legal());
-    Ok(best)
-}
-
-/// Serial clone-per-proposal parallel tempering: the same replica-exchange
-/// algorithm as [`crate::tempering::place_sa_tempered_budgeted`], executed
-/// one chain after another over this module's frozen proposer and full
-/// energy recompute. The optimized tempering loop must stay bitwise equal
-/// to this function (`tests/tempering_equiv.rs`), and `mfb bench` times the
-/// two side by side for the multi-thread speedup row. Do not "improve" it.
-///
-/// # Errors
-///
-/// Same as [`place_sa_reference`].
-pub fn place_sa_tempered_reference(
-    components: &ComponentSet,
-    nets: &NetList,
-    grid: GridSpec,
-    config: &SaConfig,
-    defects: &DefectMap,
-) -> Result<Placement, PlaceError> {
-    if config.chains <= 1 || components.len() < 2 {
-        return place_sa_reference_with_defects(components, nets, grid, config, defects);
-    }
-    let k = config.chains as usize;
-    let cost = |p: &Placement| energy_with_spacing_reference(p, nets, config.spacing);
-
-    struct RefChain {
-        placement: Placement,
-        rng: StdRng,
-        current: f64,
-        best: Placement,
-        best_energy: f64,
-    }
-    let mut chains: Vec<RefChain> = Vec::with_capacity(k);
-    for i in 0..config.chains {
-        let mut rng = StdRng::seed_from_u64(chain_seed(config.seed, i));
-        let placement = initial_placement(components, grid, &mut rng, defects)?;
-        let current = cost(&placement);
-        chains.push(RefChain {
-            best: placement.clone(),
-            placement,
-            rng,
-            current,
-            best_energy: current,
-        });
-    }
-
-    let mut xrng = StdRng::seed_from_u64(config.seed ^ EXCHANGE_SEED_XOR);
-    let mut t = config.t0;
-    let mut rounds = 0u64;
-    while t > config.t_min {
-        for (i, c) in chains.iter_mut().enumerate() {
-            let t_i = t * config.ladder.powi(i as i32);
-            for _ in 0..config.i_max {
-                let saved = c.placement.clone();
-                if !propose(&mut c.placement, components, &mut c.rng, defects) {
-                    continue;
-                }
-                let candidate = cost(&c.placement);
-                let delta = candidate - c.current;
-                if delta < 0.0 || c.rng.gen::<f64>() < (-delta / t_i).exp() {
-                    c.current = candidate;
-                    if c.current < c.best_energy {
-                        c.best_energy = c.current;
-                        c.best = c.placement.clone();
-                    }
-                } else {
-                    c.placement = saved;
-                }
-            }
-        }
-        let start = (rounds % 2) as usize;
-        for i in (start..k.saturating_sub(1)).step_by(2) {
-            let u: f64 = xrng.gen();
-            let t_i = t * config.ladder.powi(i as i32);
-            let t_j = t * config.ladder.powi(i as i32 + 1);
-            let log_accept = (1.0 / t_i - 1.0 / t_j) * (chains[i].current - chains[i + 1].current);
-            if log_accept >= 0.0 || u < log_accept.exp() {
-                let (a, b) = chains.split_at_mut(i + 1);
-                std::mem::swap(&mut a[i].placement, &mut b[0].placement);
-                std::mem::swap(&mut a[i].current, &mut b[0].current);
-            }
-        }
-        t *= config.alpha;
-        rounds += 1;
-    }
-
-    let mut winner = 0usize;
-    for i in 1..k {
-        if chains[i].best_energy < chains[winner].best_energy {
-            winner = i;
-        }
-    }
-    let best = chains.swap_remove(winner).best;
     debug_assert!(best.is_legal());
     Ok(best)
 }

@@ -34,18 +34,11 @@ pub struct SaConfig {
     /// [`SpacingParams`]. Use [`SpacingParams::off`] for the paper's plain
     /// energy.
     pub spacing: SpacingParams,
-    /// Parallel-tempering chain count (see [`crate::tempering`]). `1` (the
-    /// paper's single-chain anneal) runs the plain loop below; `K > 1` runs
-    /// `K` temperature-laddered replicas with deterministic exchange.
-    pub chains: u32,
-    /// Temperature ratio between adjacent tempering chains: chain `i` runs
-    /// at `T · ladder^i`. Ignored when `chains <= 1`.
-    pub ladder: f64,
 }
 
 impl SaConfig {
     /// The paper's parameters: `T_0 = 10000`, `T_min = 1.0`, `α = 0.9`,
-    /// `I_max = 150` — single chain, the published algorithm.
+    /// `I_max = 150`.
     pub fn paper() -> Self {
         SaConfig {
             t0: 10_000.0,
@@ -54,20 +47,12 @@ impl SaConfig {
             i_max: 150,
             seed: 0xD1CE,
             spacing: SpacingParams::default_routing(),
-            chains: 1,
-            ladder: 1.6,
         }
     }
 
     /// Same schedule, different seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Same schedule, `chains` tempering replicas.
-    pub fn with_chains(mut self, chains: u32) -> Self {
-        self.chains = chains;
         self
     }
 }
@@ -365,7 +350,7 @@ impl Move {
 /// defect map, so a pristine map reproduces the historical placements
 /// exactly. The draw sequence and accept/reject decisions match the
 /// clone-based [`crate::reference`] proposer bit for bit.
-pub(crate) fn propose_move(
+fn propose_move(
     placement: &mut Placement,
     components: &ComponentSet,
     rng: &mut StdRng,
@@ -506,10 +491,6 @@ fn swap_stays_legal(
 /// result bitwise identical to [`energy_with_spacing`] — floating-point
 /// addition is order-sensitive, so a running delta would drift and change
 /// Metropolis decisions.
-///
-/// `Clone` is derived so [`crate::tempering`] can step a snapshot of each
-/// chain inside the `Fn`-bounded parallel map.
-#[derive(Clone)]
 pub(crate) struct IncrementalEnergy<'a> {
     nets: &'a NetList,
     spacing: SpacingParams,
@@ -605,12 +586,6 @@ impl<'a> IncrementalEnergy<'a> {
             saved_pairs: Vec::with_capacity(2 * n),
             saved_ports: Vec::with_capacity(2),
         }
-    }
-
-    /// The spacing parameters this energy was built with (for the
-    /// tempering loop's debug cross-check).
-    pub(crate) fn spacing(&self) -> SpacingParams {
-        self.spacing
     }
 
     /// Flips slot `idx`'s non-zero bit when its value crossed zero.

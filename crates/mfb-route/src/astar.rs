@@ -59,9 +59,6 @@ pub struct SearchStats {
     /// Rip-up-and-reroute evictions performed by the conflict-aware router
     /// (each blocker torn out of the grid counts once).
     pub rips: u64,
-    /// Negotiation sweeps run by the negotiated-congestion router
-    /// ([`crate::negotiate`]).
-    pub negotiation_iters: u64,
 }
 
 /// Reusable search arena: one per router, shared by every net.
@@ -396,183 +393,6 @@ pub fn find_path_with(
             // was either never feasible (dist = MAX, test passes) or
             // already relaxed cheaper — skipping the feasibility probe and
             // the heap push either way is outcome-identical.
-            let ng = g + cell_cost(nb, nidx);
-            let known = if visit_stamp[nidx] == epoch {
-                dist[nidx]
-            } else {
-                u64::MAX
-            };
-            if ng >= known || !feasible(nb, nidx) {
-                continue;
-            }
-            visit_stamp[nidx] = epoch;
-            dist[nidx] = ng;
-            prev[nidx] = Some(cell);
-            heap.push(Reverse((ng + h(nb, nidx), pack(ng, nb))));
-            stats.heap_pushes += 1;
-        }
-    }
-    None
-}
-
-/// A* with **soft** occupancy: time-window conflicts do not gate
-/// expansion at all — instead each cell pays an extra `congestion(cell)`
-/// cost on top of length, ring tax and wash weights. This is the search
-/// primitive of the PathFinder-style negotiated router
-/// ([`crate::negotiate`]): structural constraints (`RoutingGrid::is_routable`
-/// plus the caller's `hard_ok` mask, used for foreign-ring tail bans) stay
-/// hard, while sharing a contested cell merely becomes expensive.
-///
-/// Deterministic tie-breaking is inherited unchanged from
-/// [`find_path_with`]: heap keys are `(f, g·2³² | y·2¹⁶ | x)`, so equal-cost
-/// frontiers pop in a fixed coordinate order regardless of insertion
-/// history. `congestion` must be pure within one query (it is memoized
-/// per cell alongside the base step cost).
-///
-/// Returns the cell sequence (source first), or `None` when the structural
-/// grid admits no path at all.
-#[allow(clippy::too_many_arguments)]
-pub fn find_path_soft(
-    scratch: &mut SearchScratch,
-    grid: &RoutingGrid,
-    sources: &[CellPos],
-    targets: &[CellPos],
-    hard_ok: impl Fn(CellPos) -> bool + Copy,
-    congestion: impl Fn(CellPos) -> u64 + Copy,
-    options: AstarOptions,
-) -> Option<Vec<CellPos>> {
-    if sources.is_empty() || targets.is_empty() {
-        return None;
-    }
-    let spec = grid.spec();
-    if !targets.iter().any(|&t| spec.contains(t)) {
-        return None;
-    }
-    let n = spec.cell_count() as usize;
-    scratch.begin(n);
-    let SearchScratch {
-        epoch,
-        visit_stamp,
-        dist,
-        prev,
-        target_stamp,
-        h_stamp,
-        h_val,
-        feas_stamp,
-        feas_val,
-        cost_stamp,
-        cost_val,
-        heap,
-        budget,
-        interrupted,
-        stats,
-        ..
-    } = scratch;
-    let epoch = *epoch;
-    for &t in targets {
-        if spec.contains(t) {
-            target_stamp[spec.index(t)] = epoch;
-        }
-    }
-    let bx0 = targets.iter().map(|t| t.x).min().unwrap_or(0);
-    let bx1 = targets.iter().map(|t| t.x).max().unwrap_or(0);
-    let by0 = targets.iter().map(|t| t.y).min().unwrap_or(0);
-    let by1 = targets.iter().map(|t| t.y).max().unwrap_or(0);
-
-    let mut h = |cell: CellPos, idx: usize| -> u64 {
-        if h_stamp[idx] == epoch {
-            return h_val[idx];
-        }
-        let dx = u64::from(cell.x.clamp(bx0, bx1).abs_diff(cell.x));
-        let dy = u64::from(cell.y.clamp(by0, by1).abs_diff(cell.y));
-        let bound = dx + dy;
-        let mut min = u64::MAX;
-        for &t in targets {
-            min = min.min(u64::from(cell.manhattan(t)));
-            if min == bound {
-                break;
-            }
-        }
-        // Per-cell cost is at least LENGTH_COST (congestion only adds), so
-        // the plain Manhattan bound stays admissible.
-        let v = min * LENGTH_COST;
-        h_stamp[idx] = epoch;
-        h_val[idx] = v;
-        v
-    };
-    let mut cell_cost = |cell: CellPos, idx: usize| -> u64 {
-        if cost_stamp[idx] == epoch {
-            return cost_val[idx];
-        }
-        let c = LENGTH_COST
-            + if grid.is_ring(cell) { RING_TAX } else { 0 }
-            + if options.use_weights {
-                grid.weight(cell).as_ticks()
-            } else {
-                0
-            }
-            + congestion(cell);
-        cost_stamp[idx] = epoch;
-        cost_val[idx] = c;
-        c
-    };
-    let mut feasible = |cell: CellPos, idx: usize| -> bool {
-        if feas_stamp[idx] == epoch {
-            return feas_val[idx];
-        }
-        let f = grid.is_routable(cell) && hard_ok(cell);
-        feas_stamp[idx] = epoch;
-        feas_val[idx] = f;
-        f
-    };
-
-    for &s in sources {
-        let idx = spec.index(s);
-        if !feasible(s, idx) {
-            continue;
-        }
-        let g = cell_cost(s, idx);
-        let known = if visit_stamp[idx] == epoch {
-            dist[idx]
-        } else {
-            u64::MAX
-        };
-        if g < known {
-            visit_stamp[idx] = epoch;
-            dist[idx] = g;
-            prev[idx] = None;
-            heap.push(Reverse((g + h(s, idx), pack(g, s))));
-            stats.heap_pushes += 1;
-        }
-    }
-
-    while let Some(Reverse((_, key))) = heap.pop() {
-        let (g, cell) = unpack(key);
-        let idx = spec.index(cell);
-        if g > dist[idx] {
-            continue;
-        }
-        stats.expansions += 1;
-        if stats.expansions & BUDGET_CHECK_MASK == 0 {
-            if let Some(b) = budget {
-                if let Err(why) = b.check() {
-                    *interrupted = Some(why);
-                    return None;
-                }
-            }
-        }
-        if target_stamp[idx] == epoch {
-            let mut path = vec![cell];
-            let mut cur = cell;
-            while let Some(p) = prev[spec.index(cur)] {
-                path.push(p);
-                cur = p;
-            }
-            path.reverse();
-            return Some(path);
-        }
-        for nb in cell.neighbours(spec.width, spec.height) {
-            let nidx = spec.index(nb);
             let ng = g + cell_cost(nb, nidx);
             let known = if visit_stamp[nidx] == epoch {
                 dist[nidx]

@@ -24,7 +24,6 @@ pub mod astar;
 pub mod baseline;
 pub mod error;
 pub mod grid;
-pub mod negotiate;
 pub mod optimize;
 pub mod reference;
 pub mod router;
@@ -33,16 +32,11 @@ pub mod washplan;
 /// One-stop import of the routing API.
 pub mod prelude {
     pub use crate::astar::{
-        dijkstra_map_with, find_path, find_path_soft, find_path_with, AstarOptions, SearchScratch,
-        SearchStats,
+        dijkstra_map_with, find_path, find_path_with, AstarOptions, SearchScratch, SearchStats,
     };
     pub use crate::baseline::{route_corrected, route_corrected_with_defects};
     pub use crate::error::RouteError;
     pub use crate::grid::{ChannelWash, Reservation, RoutingGrid};
-    pub use crate::negotiate::{
-        route_negotiated, route_negotiated_budgeted, route_negotiated_with_scratch,
-        NegotiationParams,
-    };
     pub use crate::optimize::{optimize_channel_length, optimize_channel_length_with_defects};
     pub use crate::router::{
         ports, route_dcsa, route_dcsa_budgeted, route_dcsa_with_defects, route_dcsa_with_scratch,

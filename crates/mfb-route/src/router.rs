@@ -32,10 +32,6 @@ pub struct RouterConfig {
     /// window; cells merely passed through are occupied for the transport
     /// leg only. Values below 1 are treated as 1.
     pub plug_cells: u32,
-    /// Congestion-negotiation schedule, used only by the PathFinder-style
-    /// [`crate::negotiate::route_negotiated`] family; the conflict-aware
-    /// and baseline routers ignore it.
-    pub negotiation: crate::negotiate::NegotiationParams,
 }
 
 impl RouterConfig {
@@ -46,7 +42,6 @@ impl RouterConfig {
             w_e: Duration::from_secs(10),
             wash_aware_weights: true,
             plug_cells: 1,
-            negotiation: crate::negotiate::NegotiationParams::paper_tuned(),
         }
     }
 }

@@ -125,11 +125,11 @@ proptest! {
         }
     }
 
-    /// The negotiated-congestion router, whenever it routes a random
-    /// synthetic assay at all, produces a pairwise conflict-free path set
-    /// and is deterministic under re-run.
+    /// The conflict-aware router, whenever it routes a random synthetic
+    /// assay at all, produces a pairwise conflict-free path set and is
+    /// deterministic under re-run.
     #[test]
-    fn negotiated_routing_is_conflict_free_and_deterministic(
+    fn dcsa_routing_is_conflict_free_and_deterministic(
         ops in 5usize..16,
         seed in 0u64..1_000,
     ) {
@@ -150,7 +150,7 @@ proptest! {
         let cfg = RouterConfig::paper();
         // An Err outcome is fine: congestion beyond this grid is the
         // flow's (grid-growing) concern, not this property's.
-        if let Ok(r) = route_negotiated(&s, &g, &p, &wash, &cfg) {
+        if let Ok(r) = route_dcsa(&s, &g, &p, &wash, &cfg) {
             for i in 0..r.paths.len() {
                 for j in (i + 1)..r.paths.len() {
                     prop_assert!(
@@ -159,9 +159,9 @@ proptest! {
                     );
                 }
             }
-            let again = route_negotiated(&s, &g, &p, &wash, &cfg)
+            let again = route_dcsa(&s, &g, &p, &wash, &cfg)
                 .expect("second run must also route");
-            prop_assert_eq!(r, again, "negotiated routing not deterministic");
+            prop_assert_eq!(r, again, "conflict-aware routing not deterministic");
         }
     }
 

@@ -919,6 +919,72 @@ mod tests {
         assert_ne!(backoff(1, 1), backoff(2, 1));
     }
 
+    /// Sends one protocol line through `dispatch` and parses the reply.
+    fn call(shared: &Arc<Shared>, line: &str) -> serde_json::Value {
+        let req = crate::protocol::parse_request(line).expect("valid request");
+        serde_json::from_str(&dispatch(shared, req)).expect("reply is JSON")
+    }
+
+    fn field<'a>(v: &'a serde_json::Value, key: &str) -> Option<&'a str> {
+        v.get(key).and_then(serde_json::Value::as_str)
+    }
+
+    /// Admission control, premature results and cancellation, on a server
+    /// that was bound but never run: with no worker threads every admitted
+    /// job stays queued until the test itself runs it, so no outcome
+    /// depends on how fast synthesis is.
+    #[test]
+    fn cancel_is_typed_and_admission_control_rejects() {
+        let server = Server::bind(ServerConfig {
+            workers: 1,
+            queue_cap: 3,
+            client_cap: 1,
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        let shared = &server.shared;
+
+        let a = call(
+            shared,
+            r#"{"op":"submit","job":{"bench":"PCR"},"client":"a"}"#,
+        );
+        assert_eq!(field(&a, "id"), Some("j1"), "{a:?}");
+
+        // Per-client cap: client "b" may hold one slot; its second submit
+        // is a typed client_saturated rejection while the first is queued.
+        let b1 = call(
+            shared,
+            r#"{"op":"submit","job":{"bench":"PCR"},"client":"b"}"#,
+        );
+        assert_eq!(field(&b1, "id"), Some("j2"), "{b1:?}");
+        let b2 = call(
+            shared,
+            r#"{"op":"submit","job":{"bench":"PCR"},"client":"b"}"#,
+        );
+        assert_eq!(field(&b2, "error"), Some("client_saturated"), "{b2:?}");
+
+        // A queued job has no result yet.
+        let premature = call(shared, r#"{"op":"result","id":"j2"}"#);
+        assert_eq!(
+            field(&premature, "error"),
+            Some("not_ready"),
+            "{premature:?}"
+        );
+
+        // A cancelled job stops at its first budget checkpoint and reports
+        // the typed `cancelled` state.
+        let cancel = call(shared, r#"{"op":"cancel","id":"j1"}"#);
+        assert_eq!(field(&cancel, "state"), Some("queued"), "{cancel:?}");
+        run_job(shared, 1);
+        let result = call(shared, r#"{"op":"result","id":"j1"}"#);
+        assert_eq!(field(&result, "state"), Some("cancelled"), "{result:?}");
+        assert_eq!(
+            field(&result, "error_kind"),
+            Some("cancelled"),
+            "{result:?}"
+        );
+    }
+
     #[test]
     fn default_config_is_sane() {
         let cfg = ServerConfig::default();
