@@ -7,8 +7,9 @@
 //!
 //! * **prep** — scheduling and netlist construction, pushed into the cache
 //!   via [`Synthesizer::prepare_cached`];
-//! * **solve** — the full cached flow, which picks the prepped stages up
-//!   warm and spends its time on placement SA and routing.
+//! * **solve** — the full flow, [`Synthesizer::synthesize_with`] on the
+//!   shared cache, which picks the prepped stages up warm and spends its
+//!   time on placement SA and routing.
 //!
 //! Workers prefer the lowest-index prepped job and otherwise pull the next
 //! prep task, so the solve of job *i* overlaps the prep of job *i+1* — and

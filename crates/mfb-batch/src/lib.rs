@@ -17,8 +17,8 @@
 //! per-stage cache hit/miss counters. The non-negotiable invariant is
 //! determinism: for any `MFB_THREADS`, a batch's solutions are
 //! byte-identical to running each job through serial, uncached
-//! [`mfb_core::prelude::Synthesizer::synthesize`] — pinned by the golden
-//! and property tests in `tests/`.
+//! [`mfb_core::prelude::Synthesizer::synthesize_with`] on its own defect
+//! map — pinned by the golden and property tests in `tests/`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -27,7 +27,14 @@ fn reference_json(jobs: &[BatchJob]) -> Vec<String> {
         .map(|job| {
             let solution = job
                 .synthesizer()
-                .synthesize_with_defects(&job.graph, &job.components, &*job.wash, &job.defects)
+                .synthesize_with(
+                    &job.graph,
+                    &job.components,
+                    &*job.wash,
+                    &job.defects,
+                    None,
+                    &Budget::unlimited(),
+                )
                 .expect("reference jobs must synthesize");
             serde_json::to_string(&solution).expect("Solution serializes")
         })

@@ -47,7 +47,14 @@ proptest! {
             .map(|j| {
                 let r = j
                     .synthesizer()
-                    .synthesize_with_defects(&j.graph, &j.components, &*j.wash, &j.defects);
+                    .synthesize_with(
+                        &j.graph,
+                        &j.components,
+                        &*j.wash,
+                        &j.defects,
+                        None,
+                        &Budget::unlimited(),
+                    );
                 format!("{r:?}")
             })
             .collect();

@@ -164,18 +164,7 @@ fn routable_grid(
         let Ok(p) = place_sa(comps, nets, grid, sa_cfg) else {
             continue;
         };
-        let mut scratch = SearchScratch::new();
-        if route_dcsa_with_scratch(
-            s,
-            graph,
-            &p,
-            wash,
-            router_cfg,
-            &DefectMap::pristine(),
-            &mut scratch,
-        )
-        .is_ok()
-        {
+        if route_dcsa(s, graph, &p, wash, router_cfg).is_ok() {
             return (grid, true);
         }
     }
@@ -217,8 +206,15 @@ pub fn perf_report(repeats: u32) -> PerfReport {
             let (sa_s, sa_ref_s, (p, sa_stats)) = best_of_pair(
                 repeats,
                 || {
-                    place_sa_with_stats(&comps, &nets, grid, &sa_cfg)
-                        .expect("Table-I benchmarks place")
+                    place_sa_budgeted(
+                        &comps,
+                        &nets,
+                        grid,
+                        &sa_cfg,
+                        &DefectMap::pristine(),
+                        &Budget::unlimited(),
+                    )
+                    .expect("Table-I benchmarks place")
                 },
                 || {
                     place_sa_reference(&comps, &nets, grid, &sa_cfg)
@@ -231,7 +227,7 @@ pub fn perf_report(repeats: u32) -> PerfReport {
                 repeats,
                 || {
                     let mut scratch = SearchScratch::new();
-                    let _ = route_dcsa_with_scratch(
+                    let _ = route_dcsa_budgeted(
                         &s,
                         &b.graph,
                         &p,
@@ -239,6 +235,7 @@ pub fn perf_report(repeats: u32) -> PerfReport {
                         &router_cfg,
                         &DefectMap::pristine(),
                         &mut scratch,
+                        &Budget::unlimited(),
                     );
                     route_stats = scratch.stats;
                 },

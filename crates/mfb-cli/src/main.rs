@@ -825,7 +825,14 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
     let synth = Synthesizer::new(config_for_flow(flow.as_deref(), &t.flow)?);
     let router = synth.config().router;
     let solution = synth
-        .synthesize_with_defects(&t.graph, &t.comps, &wash(), &t.defects)
+        .synthesize_with(
+            &t.graph,
+            &t.comps,
+            &wash(),
+            &t.defects,
+            None,
+            &Budget::unlimited(),
+        )
         .map_err(|e| e.to_string())?;
     let report = solution.drc_with(&t.graph, &t.comps, &wash(), router, &registry);
 
@@ -899,7 +906,14 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     let synth = Synthesizer::new(config_for_flow(flow.as_deref(), &t.flow)?);
     let router = synth.config().router;
     let mut solution = synth
-        .synthesize_with_defects(&t.graph, &t.comps, &wash(), &t.defects)
+        .synthesize_with(
+            &t.graph,
+            &t.comps,
+            &wash(),
+            &t.defects,
+            None,
+            &Budget::unlimited(),
+        )
         .map_err(|e| e.to_string())?;
     if let Some(kind) = &inject {
         inject_defect(&mut solution, kind)?;
@@ -1089,20 +1103,15 @@ fn cmd_faults(args: &[String]) -> Result<(), String> {
                 // its own start) and a private cache; an expired trial
                 // simply yields no survivor, so the sweep's accounting
                 // stays well-defined under `--timeout`.
-                let outcome = match timeout {
-                    Some(secs) => synth.synthesize_resilient_budgeted(
-                        &b.graph,
-                        &comps,
-                        &wash(),
-                        &defects,
-                        &policy,
-                        &StageCache::new(),
-                        &budget_for(Some(secs)),
-                    ),
-                    None => {
-                        synth.synthesize_resilient(&b.graph, &comps, &wash(), &defects, &policy)
-                    }
-                };
+                let outcome = synth.synthesize_resilient(
+                    &b.graph,
+                    &comps,
+                    &wash(),
+                    &defects,
+                    &policy,
+                    None,
+                    &budget_for(timeout),
+                );
                 let survivor = outcome.solution().map(|sol| {
                     let completion = sol.routing.completion().as_secs_f64();
                     let degradation =

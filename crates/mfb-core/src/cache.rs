@@ -60,9 +60,15 @@
 use crate::config::{PlacementStrategy, RoutingStrategy, SynthesisConfig};
 use mfb_model::hash::{content_hash, wash_fingerprint, ContentHash, StableHasher};
 use mfb_model::prelude::*;
-use mfb_place::prelude::{NetList, PlaceError, Placement, SpacingParams};
-use mfb_route::prelude::{RouteError, Routing};
-use mfb_sched::prelude::{validate, SchedError, Schedule, SchedulerConfig};
+use mfb_place::prelude::{
+    place_constructive_with_defects, place_sa_budgeted, NetList, PlaceError, Placement, SaConfig,
+    SpacingParams,
+};
+use mfb_route::prelude::{
+    optimize_channel_length_with_defects, route_corrected_with_defects, route_dcsa_budgeted,
+    RouteError, Routing, SearchScratch,
+};
+use mfb_sched::prelude::{schedule_with_defects, validate, SchedError, Schedule, SchedulerConfig};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -217,8 +223,9 @@ struct CacheState {
 /// The shared content-addressed stage cache. See the [module docs](self).
 ///
 /// Create one per batch (or reuse across calls for a warm cache) and pass
-/// it to [`Synthesizer::synthesize_cached`](crate::flow::Synthesizer::synthesize_cached)
-/// or the resilient driver. Entries live until the cache is dropped.
+/// it to [`Synthesizer::synthesize_with`](crate::flow::Synthesizer::synthesize_with)
+/// or [`Synthesizer::synthesize_resilient`](crate::flow::Synthesizer::synthesize_resilient).
+/// Entries live until the cache is dropped.
 pub struct StageCache {
     state: Mutex<CacheState>,
     ready: Condvar,
@@ -636,7 +643,7 @@ impl BaseKeys {
             }
             PlacementStrategy::Constructive => {
                 h.write_str("constructive");
-                write_spacing(&mut h, SpacingParams::default_routing());
+                write_spacing(&mut h, constructive_spacing());
             }
         }
         h.finish()
@@ -678,37 +685,75 @@ fn write_spacing(h: &mut StableHasher, spacing: SpacingParams) {
     h.write_f64(spacing.weight);
 }
 
-/// Per-run stage adapter: either passes compute closures straight through
-/// (uncached — zero hashing overhead, byte-for-byte the pre-cache flow) or
-/// wraps them in [`StageCache`] lookups keyed off the precomputed
-/// [`BaseKeys`].
+/// Algorithm 1's configuration under `cfg` with transport time `t_c` (the
+/// recovery ladder's relax rung varies `t_c`; every other caller passes
+/// `cfg.t_c`).
+pub(crate) fn scheduler_config(cfg: &SynthesisConfig, t_c: Duration) -> SchedulerConfig {
+    SchedulerConfig {
+        t_c,
+        rule: cfg.binding,
+    }
+}
+
+/// The congestion guard the constructive placer runs with. It is not part
+/// of [`SynthesisConfig`], so the placement stage and its key both read it
+/// from here.
+fn constructive_spacing() -> SpacingParams {
+    SpacingParams::default_routing()
+}
+
+/// The pipeline's stages, each run exactly one way. A `StageCtx` holds
+/// every input the stages read — assay, chip, wash model, defect map,
+/// configuration, budget — and each method both calls its stage function
+/// and, when a [`StageCache`] is attached, derives the stage key from the
+/// same inputs. Uncached, the [`BaseKeys`] are never built, so an
+/// uncached run hashes nothing.
 pub(crate) struct StageCtx<'a> {
+    graph: &'a SequencingGraph,
+    components: &'a ComponentSet,
+    wash: &'a dyn WashModel,
+    defects: &'a DefectMap,
+    pub(crate) cfg: &'a SynthesisConfig,
+    pub(crate) budget: &'a Budget,
     cache: Option<(&'a StageCache, BaseKeys)>,
 }
 
 impl<'a> StageCtx<'a> {
     pub(crate) fn new(
         cache: Option<&'a StageCache>,
-        graph: &SequencingGraph,
-        components: &ComponentSet,
-        wash: &dyn WashModel,
-        defects: &DefectMap,
+        graph: &'a SequencingGraph,
+        components: &'a ComponentSet,
+        wash: &'a dyn WashModel,
+        defects: &'a DefectMap,
+        cfg: &'a SynthesisConfig,
+        budget: &'a Budget,
     ) -> Self {
         StageCtx {
+            graph,
+            components,
+            wash,
+            defects,
+            cfg,
+            budget,
             cache: cache.map(|c| (c, BaseKeys::new(graph, components, wash, defects))),
         }
     }
 
-    /// The scheduling stage. Returns the schedule and its output content
-    /// hash (zero when uncached — nothing downstream reads it then).
-    /// Cached schedules are validated once per distinct output hash.
-    pub(crate) fn schedule(
-        &self,
-        sched_cfg: &SchedulerConfig,
-        graph: &SequencingGraph,
-        components: &ComponentSet,
-        compute: impl FnOnce() -> Result<Schedule, SchedError>,
-    ) -> Result<(Schedule, ContentHash), SchedError> {
+    /// Algorithm 1 at transport time `t_c`. Returns the schedule and its
+    /// output content hash (zero when uncached — nothing downstream reads
+    /// it then). Cached schedules are validated once per distinct output
+    /// hash.
+    pub(crate) fn schedule(&self, t_c: Duration) -> Result<(Schedule, ContentHash), SchedError> {
+        let sched_cfg = scheduler_config(self.cfg, t_c);
+        let compute = || {
+            schedule_with_defects(
+                self.graph,
+                self.components,
+                self.wash,
+                &sched_cfg,
+                self.defects,
+            )
+        };
         let Some((cache, keys)) = &self.cache else {
             return compute().map(|s| (s, ContentHash::from_u64(0)));
         };
@@ -716,7 +761,7 @@ impl<'a> StageCtx<'a> {
             "schedule",
             |s| &mut s.schedules,
             count_schedule,
-            keys.schedule_key(sched_cfg),
+            keys.schedule_key(&sched_cfg),
             |_| true,
             || {
                 compute().map(|schedule| {
@@ -727,7 +772,7 @@ impl<'a> StageCtx<'a> {
         );
         let (schedule, schedule_h) = entry?;
         cache.validate_once(schedule_h, || {
-            let violations = validate(&schedule, graph, components);
+            let violations = validate(&schedule, self.graph, self.components);
             assert!(
                 violations.is_empty(),
                 "bound schedule failed post-binding validation: {violations:?}"
@@ -736,16 +781,17 @@ impl<'a> StageCtx<'a> {
         Ok(((*schedule).clone(), schedule_h))
     }
 
-    /// The netlist stage. Returns the netlist and the netlist *key* (not
-    /// an output hash — the key is already fully content-addressed, so
-    /// downstream keys build on it without serializing the netlist).
+    /// The Eq. (4) netlist of `schedule` (output hash `schedule_h`).
+    /// Returns the netlist and the netlist *key* (not an output hash — the
+    /// key is already fully content-addressed, so downstream keys build on
+    /// it without serializing the netlist).
     pub(crate) fn netlist(
         &self,
+        schedule: &Schedule,
         schedule_h: ContentHash,
-        beta: f64,
-        gamma: f64,
-        compute: impl FnOnce() -> NetList,
     ) -> (NetList, ContentHash) {
+        let (beta, gamma) = (self.cfg.beta, self.cfg.gamma);
+        let compute = || NetList::build(schedule, self.graph, self.wash, beta, gamma);
         let Some((cache, keys)) = &self.cache else {
             return (compute(), ContentHash::from_u64(0));
         };
@@ -761,16 +807,31 @@ impl<'a> StageCtx<'a> {
         ((*netlist).clone(), key)
     }
 
-    /// The placement stage for one attempt. `seed` must be the effective
-    /// SA seed of this attempt (ignored by seedless strategies).
+    /// The configured placer on `grid`; `seed` is the attempt's effective
+    /// SA seed (ignored by the seedless constructive placer). Returns the
+    /// placement and its output content hash.
     pub(crate) fn place(
         &self,
+        netlist: &NetList,
         netlist_key: ContentHash,
         grid: GridSpec,
-        cfg: &SynthesisConfig,
         seed: u64,
-        compute: impl FnOnce() -> Result<Placement, PlaceError>,
     ) -> Result<(Placement, ContentHash), PlaceError> {
+        let (cfg, components, defects) = (self.cfg, self.components, self.defects);
+        let compute = || match cfg.placement {
+            PlacementStrategy::SimulatedAnnealing => {
+                let sa = SaConfig { seed, ..cfg.sa };
+                place_sa_budgeted(components, netlist, grid, &sa, defects, self.budget)
+                    .map(|(p, _)| p)
+            }
+            PlacementStrategy::Constructive => place_constructive_with_defects(
+                components,
+                netlist,
+                grid,
+                constructive_spacing(),
+                defects,
+            ),
+        };
         let Some((cache, keys)) = &self.cache else {
             return compute().map(|p| (p, ContentHash::from_u64(0)));
         };
@@ -791,16 +852,32 @@ impl<'a> StageCtx<'a> {
         entry.map(|(placement, h)| ((*placement).clone(), h))
     }
 
-    /// The routing stage. Returns the routing and the routing *key* (for
-    /// [`optimize`](StageCtx::optimize)); errors come back without an
-    /// attempt number — the caller stamps its own.
+    /// The configured router on one placement. Returns the routing and the
+    /// routing *key* (for [`optimize`](StageCtx::optimize)); errors come
+    /// back without an attempt number — the caller stamps its own.
     pub(crate) fn route(
         &self,
+        schedule: &Schedule,
         schedule_h: ContentHash,
+        placement: &Placement,
         place_h: ContentHash,
-        cfg: &SynthesisConfig,
-        compute: impl FnOnce() -> Result<Routing, RouteError>,
     ) -> (Result<Routing, RouteError>, ContentHash) {
+        let (cfg, graph, wash, defects) = (self.cfg, self.graph, self.wash, self.defects);
+        let compute = || match cfg.routing {
+            RoutingStrategy::ConflictAware => route_dcsa_budgeted(
+                schedule,
+                graph,
+                placement,
+                wash,
+                &cfg.router,
+                defects,
+                &mut SearchScratch::new(),
+                self.budget,
+            ),
+            RoutingStrategy::ConstructionByCorrection => {
+                route_corrected_with_defects(schedule, graph, placement, wash, &cfg.router, defects)
+            }
+        };
         let Some((cache, keys)) = &self.cache else {
             return (compute(), ContentHash::from_u64(0));
         };
@@ -817,12 +894,26 @@ impl<'a> StageCtx<'a> {
         (entry.map(|routing| (*routing).clone()), key)
     }
 
-    /// The channel-length optimization stage, keyed off the routing key.
+    /// Channel-length optimization of `routing`, keyed off its routing key
+    /// (which already pins the routed solution and every optimizer input).
     pub(crate) fn optimize(
         &self,
+        routing: &Routing,
         route_key: ContentHash,
-        compute: impl FnOnce() -> Routing,
+        schedule: &Schedule,
+        placement: &Placement,
     ) -> Routing {
+        let compute = || {
+            optimize_channel_length_with_defects(
+                routing,
+                schedule,
+                self.graph,
+                placement,
+                self.wash,
+                &self.cfg.router,
+                self.defects,
+            )
+        };
         let Some((cache, keys)) = &self.cache else {
             return compute();
         };

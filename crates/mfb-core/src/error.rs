@@ -59,9 +59,7 @@ impl SynthesisError {
             // `GridTooSmall` and `DefectBlocked` certify that no layout
             // exists, by area or by exhaustive scan.
             SynthesisError::Place(_) => true,
-            SynthesisError::Route { last, .. } => {
-                matches!(last, RouteError::InconsistentSchedule { .. })
-            }
+            SynthesisError::Route { last, .. } => route_error_is_placement_independent(last),
             SynthesisError::StagePanic { .. } => false,
             SynthesisError::DeadlineExceeded | SynthesisError::Cancelled => false,
         }
@@ -82,6 +80,12 @@ impl SynthesisError {
             _ => None,
         }
     }
+}
+
+/// True when re-placing with a different seed or grid cannot change the
+/// routing outcome: the error is a property of the schedule, not the layout.
+pub(crate) fn route_error_is_placement_independent(e: &RouteError) -> bool {
+    matches!(e, RouteError::InconsistentSchedule { .. })
 }
 
 impl fmt::Display for SynthesisError {

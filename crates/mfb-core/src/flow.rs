@@ -1,9 +1,9 @@
 //! The top-down synthesis flow: scheduling → placement → routing, with
 //! routing-feedback placement retries.
 
-use crate::cache::{BaseKeys, StageCache, StageCtx};
-use crate::config::{PlacementStrategy, RoutingStrategy, SynthesisConfig};
-use crate::error::SynthesisError;
+use crate::cache::{scheduler_config, BaseKeys, StageCache, StageCtx};
+use crate::config::SynthesisConfig;
+use crate::error::{route_error_is_placement_independent, SynthesisError};
 use mfb_analyze::prelude::{AnalysisInput, Analyzer};
 use mfb_model::hash::ContentHash;
 use mfb_model::prelude::*;
@@ -12,6 +12,7 @@ use mfb_route::prelude::*;
 use mfb_sched::prelude::*;
 use mfb_sim::prelude::{replay, SimReport};
 use mfb_verify::prelude::{RuleRegistry, VerifyInput, VerifyReport};
+use std::ops::ControlFlow::{self, Break, Continue};
 
 /// A complete flow-layer physical design for one bioassay.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -195,44 +196,41 @@ impl Synthesizer {
         components: &ComponentSet,
         wash: &dyn WashModel,
     ) -> Result<Solution, SynthesisError> {
-        self.synthesize_with_defects(graph, components, wash, &DefectMap::pristine())
+        self.synthesize_with(
+            graph,
+            components,
+            wash,
+            &DefectMap::pristine(),
+            None,
+            &Budget::unlimited(),
+        )
     }
 
-    /// [`synthesize`](Synthesizer::synthesize) on a damaged chip: dead
-    /// components are excluded from binding, blocked cells from placement
-    /// footprints and from every routed or parked path, and degraded cells
-    /// pay their extra wash weight in the router's Eq. (5) cost. With a
-    /// pristine map this is exactly the plain flow.
+    /// The fully general flat flow: any defect map, an optional shared
+    /// [`StageCache`], and an execution [`Budget`].
+    ///
+    /// * **Defects** — dead components are excluded from binding, blocked
+    ///   cells from placement footprints and from every routed or parked
+    ///   path, and degraded cells pay their extra wash weight in the
+    ///   router's Eq. (5) cost. A pristine map is exactly the plain flow.
+    /// * **Cache** — every stage result is looked up by the content hash
+    ///   of its inputs before being computed, so related jobs (a perturbed
+    ///   seed, a warm batch) skip unchanged stages. Cached results, errors
+    ///   included, are byte-identical to uncached synthesis; `None` hashes
+    ///   nothing.
+    /// * **Budget** — polled at stage boundaries and inside the placement
+    ///   and routing inner loops (the annealer once per temperature epoch,
+    ///   the router every few thousand A* expansions), so an expired
+    ///   deadline or a flipped [`CancelToken`] stops the run promptly. A
+    ///   checkpoint only ever *aborts*: a run that finishes within its
+    ///   budget is byte-identical to an unlimited run, and interrupted
+    ///   stage results are never stored in the cache.
     ///
     /// The retry loop **fails fast** on errors that re-placing cannot fix
     /// (see [`SynthesisError::is_deterministic`]) instead of burning the
     /// whole attempt budget; for escalation beyond fresh seeds — larger
     /// grids, relaxed `t_c`, rebinding around broken components — see
     /// [`synthesize_resilient`](Synthesizer::synthesize_resilient).
-    ///
-    /// # Errors
-    ///
-    /// Any stage error; see [`SynthesisError`].
-    pub fn synthesize_with_defects(
-        &self,
-        graph: &SequencingGraph,
-        components: &ComponentSet,
-        wash: &dyn WashModel,
-        defects: &DefectMap,
-    ) -> Result<Solution, SynthesisError> {
-        self.synthesize_inner(graph, components, wash, defects, None, &Budget::unlimited())
-    }
-
-    /// The fully general entry point: any defect map, an optional shared
-    /// [`StageCache`], and an execution [`Budget`].
-    ///
-    /// The budget is polled at stage boundaries and inside the placement
-    /// and routing inner loops (the annealer once per temperature epoch,
-    /// the router every few thousand A* expansions), so an expired
-    /// deadline or a flipped [`CancelToken`] stops the run promptly. A
-    /// checkpoint only ever *aborts*: a run that finishes within its
-    /// budget is byte-identical to an unlimited run, and interrupted
-    /// stage results are never stored in the cache.
     ///
     /// # Errors
     ///
@@ -247,63 +245,103 @@ impl Synthesizer {
         cache: Option<&StageCache>,
         budget: &Budget,
     ) -> Result<Solution, SynthesisError> {
-        self.synthesize_inner(graph, components, wash, defects, cache, budget)
-    }
+        let _flow_span = mfb_obs::obs_span!(
+            "flow.synthesize",
+            ops = graph.ops().count() as u64,
+            components = components.len() as u64,
+            cached = cache.is_some(),
+        );
+        let cfg = &self.config;
+        let ctx = StageCtx::new(cache, graph, components, wash, defects, cfg, budget);
+        budget.check().map_err(SynthesisError::from)?;
+        let (schedule, schedule_h) = {
+            let _span = mfb_obs::obs_span!("stage.schedule");
+            ctx.schedule(cfg.t_c)?
+        };
+        budget.check().map_err(SynthesisError::from)?;
+        let (netlist, netlist_key) = {
+            let _span = mfb_obs::obs_span!("stage.netlist");
+            ctx.netlist(&schedule, schedule_h)
+        };
 
-    /// [`synthesize`](Synthesizer::synthesize) through a shared
-    /// [`StageCache`]: every stage result is looked up by the content hash
-    /// of its inputs before being computed, so repeated synthesis of
-    /// related jobs (same assay with a perturbed seed, ladder rungs reusing
-    /// a schedule, a warm batch) skips unchanged stages entirely. Cached
-    /// results are byte-identical to uncached synthesis.
-    ///
-    /// # Errors
-    ///
-    /// Any stage error; see [`SynthesisError`]. Errors are cached and
-    /// replayed identically too.
-    pub fn synthesize_cached(
-        &self,
-        graph: &SequencingGraph,
-        components: &ComponentSet,
-        wash: &dyn WashModel,
-        cache: &StageCache,
-    ) -> Result<Solution, SynthesisError> {
-        self.synthesize_inner(
-            graph,
-            components,
-            wash,
-            &DefectMap::pristine(),
-            Some(cache),
-            &Budget::unlimited(),
-        )
-    }
+        let base_grid = cfg.grid.unwrap_or_else(|| auto_grid(components));
+        let attempts = cfg.max_placement_attempts.max(1);
 
-    /// [`synthesize_cached`](Synthesizer::synthesize_cached) on a damaged
-    /// chip — the defect map participates in every cache key.
-    ///
-    /// # Errors
-    ///
-    /// Any stage error; see [`SynthesisError`].
-    pub fn synthesize_cached_with_defects(
-        &self,
-        graph: &SequencingGraph,
-        components: &ComponentSet,
-        wash: &dyn WashModel,
-        defects: &DefectMap,
-        cache: &StageCache,
-    ) -> Result<Solution, SynthesisError> {
-        self.synthesize_inner(
-            graph,
-            components,
-            wash,
-            defects,
-            Some(cache),
-            &Budget::unlimited(),
-        )
+        // One place-and-route attempt: a pure function of the attempt index
+        // (the SA seed and grid growth derive from it), so attempts can run
+        // in any order — or concurrently — without changing any result.
+        let attempt_once =
+            |attempt: u32| -> Result<(Placement, Routing, ContentHash), AttemptError> {
+                let grid = grown_grid(base_grid, attempt / 8);
+                budget.check().map_err(AttemptError::Interrupt)?;
+                let seed = cfg.sa.seed.wrapping_add(u64::from(attempt));
+                let (placement, place_h) = {
+                    let _span = mfb_obs::obs_span!("stage.place", attempt = attempt, seed = seed);
+                    ctx.place(&netlist, netlist_key, grid, seed)
+                        .map_err(AttemptError::Place)?
+                };
+
+                let _route_span = mfb_obs::obs_span!("stage.route", attempt = attempt);
+                let (routed, route_key) = ctx.route(&schedule, schedule_h, &placement, place_h);
+                match routed {
+                    Ok(routing) => Ok((placement, routing, route_key)),
+                    Err(e) => Err(AttemptError::Route(e)),
+                }
+            };
+
+        let mut last_route_err = None;
+        let found = search_attempts(attempts, budget, attempt_once, |attempt, res| match res {
+            Ok((placement, routing, route_key)) => {
+                Break(Ok((attempt, placement, routing, route_key)))
+            }
+            // A budget interrupt in any stage of any attempt ends the
+            // whole run with the flow-level typed error — later attempts
+            // would only trip the same checkpoint.
+            Err(AttemptError::Interrupt(why)) => Break(Err(why.into())),
+            Err(AttemptError::Place(PlaceError::Interrupted(why))) => Break(Err(why.into())),
+            Err(AttemptError::Route(RouteError::Interrupted(why))) => Break(Err(why.into())),
+            Err(AttemptError::Place(e)) => Break(Err(e.into())),
+            // A placement-independent routing error (e.g. a schedule the
+            // router cannot account for) reproduces identically on every
+            // placement — return it now instead of burning the remaining
+            // attempt budget on a foregone conclusion.
+            Err(AttemptError::Route(e)) if route_error_is_placement_independent(&e) => {
+                Break(Err(SynthesisError::Route {
+                    last: e,
+                    attempts: attempt + 1,
+                }))
+            }
+            Err(AttemptError::Route(e)) => {
+                last_route_err = Some(e);
+                Continue(())
+            }
+        })
+        .map_err(SynthesisError::from)?;
+
+        let Some(found) = found else {
+            let last = match last_route_err {
+                Some(e) => e,
+                None => unreachable!("attempts >= 1 and every iteration records or returns"),
+            };
+            return Err(SynthesisError::Route { last, attempts });
+        };
+        let (attempt, placement, mut routing, route_key) = found?;
+        budget.check().map_err(SynthesisError::from)?;
+        if cfg.optimize_channels {
+            let _span = mfb_obs::obs_span!("stage.optimize");
+            routing = ctx.optimize(&routing, route_key, &schedule, &placement);
+        }
+        Ok(Solution {
+            schedule,
+            netlist,
+            placement,
+            routing,
+            attempts: attempt + 1,
+        })
     }
 
     /// Runs only the scheduling and netlist stages, leaving their results
-    /// in `cache` for a later [`synthesize_cached`](Synthesizer::synthesize_cached)
+    /// in `cache` for a later cached [`synthesize_with`](Synthesizer::synthesize_with)
     /// to pick up warm. This is the "stage A" of the pipelined batch
     /// executor: scheduling of job *i+1* overlaps placement and routing of
     /// job *i*.
@@ -320,18 +358,11 @@ impl Synthesizer {
         defects: &DefectMap,
         cache: &StageCache,
     ) -> Result<(), SynthesisError> {
+        let budget = Budget::unlimited();
         let cfg = &self.config;
-        let sched_cfg = SchedulerConfig {
-            t_c: cfg.t_c,
-            rule: cfg.binding,
-        };
-        let ctx = StageCtx::new(Some(cache), graph, components, wash, defects);
-        let (schedule, schedule_h) = ctx.schedule(&sched_cfg, graph, components, || {
-            schedule_with_defects(graph, components, wash, &sched_cfg, defects)
-        })?;
-        ctx.netlist(schedule_h, cfg.beta, cfg.gamma, || {
-            NetList::build(&schedule, graph, wash, cfg.beta, cfg.gamma)
-        });
+        let ctx = StageCtx::new(Some(cache), graph, components, wash, defects, cfg, &budget);
+        let (schedule, schedule_h) = ctx.schedule(cfg.t_c)?;
+        ctx.netlist(&schedule, schedule_h);
         Ok(())
     }
 
@@ -346,160 +377,8 @@ impl Synthesizer {
         wash: &dyn WashModel,
         defects: &DefectMap,
     ) -> ContentHash {
-        let sched_cfg = SchedulerConfig {
-            t_c: self.config.t_c,
-            rule: self.config.binding,
-        };
-        BaseKeys::new(graph, components, wash, defects).schedule_key(&sched_cfg)
-    }
-
-    fn synthesize_inner(
-        &self,
-        graph: &SequencingGraph,
-        components: &ComponentSet,
-        wash: &dyn WashModel,
-        defects: &DefectMap,
-        cache: Option<&StageCache>,
-        budget: &Budget,
-    ) -> Result<Solution, SynthesisError> {
-        let _flow_span = mfb_obs::obs_span!(
-            "flow.synthesize",
-            ops = graph.ops().count() as u64,
-            components = components.len() as u64,
-            cached = cache.is_some(),
-        );
-        let cfg = &self.config;
-        let sched_cfg = SchedulerConfig {
-            t_c: cfg.t_c,
-            rule: cfg.binding,
-        };
-        let ctx = StageCtx::new(cache, graph, components, wash, defects);
-        budget.check().map_err(SynthesisError::from)?;
-        let (schedule, schedule_h) = {
-            let _span = mfb_obs::obs_span!("stage.schedule");
-            ctx.schedule(&sched_cfg, graph, components, || {
-                schedule_with_defects(graph, components, wash, &sched_cfg, defects)
-            })?
-        };
-        budget.check().map_err(SynthesisError::from)?;
-        let (netlist, netlist_key) = {
-            let _span = mfb_obs::obs_span!("stage.netlist");
-            ctx.netlist(schedule_h, cfg.beta, cfg.gamma, || {
-                NetList::build(&schedule, graph, wash, cfg.beta, cfg.gamma)
-            })
-        };
-
-        let base_grid = cfg.grid.unwrap_or_else(|| auto_grid(components));
-        let attempts = cfg.max_placement_attempts.max(1);
-
-        // One place-and-route attempt: a pure function of the attempt index
-        // (the SA seed and grid growth derive from it), so attempts can run
-        // in any order — or concurrently — without changing any result.
-        let attempt_once =
-            |attempt: u32| -> Result<(Placement, Routing, ContentHash), AttemptError> {
-                let grid = grown_grid(base_grid, attempt / 8);
-                budget.check().map_err(AttemptError::Interrupt)?;
-                let seed = cfg.sa.seed.wrapping_add(u64::from(attempt));
-                let (placement, place_h) = {
-                    let _span = mfb_obs::obs_span!("stage.place", attempt = attempt, seed = seed);
-                    ctx.place(netlist_key, grid, cfg, seed, || {
-                        place_stage(cfg, components, &netlist, grid, seed, defects, budget)
-                    })
-                    .map_err(AttemptError::Place)?
-                };
-
-                let _route_span = mfb_obs::obs_span!("stage.route", attempt = attempt);
-                let (routed, route_key) = ctx.route(schedule_h, place_h, cfg, || {
-                    route_stage(cfg, &schedule, graph, &placement, wash, defects, budget)
-                });
-                match routed {
-                    Ok(routing) => Ok((placement, routing, route_key)),
-                    Err(e) => Err(AttemptError::Route(e)),
-                }
-            };
-
-        // Attempt 0 runs alone (the common case routes first try); retry
-        // batches then fan out across threads. Results are consumed in
-        // attempt order, so the outcome — which attempt wins, which error
-        // surfaces, the exact `attempts` count — is byte-identical to the
-        // serial loop regardless of `MFB_THREADS`.
-        let batch = mfb_model::par::thread_limit().max(1) as u32;
-        let mut last_route_err = None;
-        let mut chosen: Option<(u32, Placement, Routing, ContentHash)> = None;
-        let mut start = 0u32;
-        'search: while start < attempts {
-            budget.check().map_err(SynthesisError::from)?;
-            let chunk = if start == 0 {
-                1
-            } else {
-                (attempts - start).min(batch)
-            };
-            let results =
-                mfb_model::par::par_map_ordered(chunk as usize, |k| attempt_once(start + k as u32));
-            for (k, res) in results.into_iter().enumerate() {
-                let attempt = start + k as u32;
-                match res {
-                    Ok((placement, routing, route_key)) => {
-                        chosen = Some((attempt, placement, routing, route_key));
-                        break 'search;
-                    }
-                    // A budget interrupt in any stage of any attempt ends the
-                    // whole run with the flow-level typed error — later
-                    // attempts would only trip the same checkpoint.
-                    Err(AttemptError::Interrupt(why)) => return Err(why.into()),
-                    Err(AttemptError::Place(PlaceError::Interrupted(why))) => {
-                        return Err(why.into());
-                    }
-                    Err(AttemptError::Route(RouteError::Interrupted(why))) => {
-                        return Err(why.into());
-                    }
-                    Err(AttemptError::Place(e)) => return Err(e.into()),
-                    // A placement-independent routing error (e.g. a schedule
-                    // the router cannot account for) reproduces identically
-                    // on every placement — return it now instead of burning
-                    // the remaining attempt budget on a foregone conclusion.
-                    Err(AttemptError::Route(e)) if route_error_is_placement_independent(&e) => {
-                        return Err(SynthesisError::Route {
-                            last: e,
-                            attempts: attempt + 1,
-                        });
-                    }
-                    Err(AttemptError::Route(e)) => last_route_err = Some(e),
-                }
-            }
-            start += chunk;
-        }
-
-        let Some((attempt, placement, mut routing, route_key)) = chosen else {
-            let last = match last_route_err {
-                Some(e) => e,
-                None => unreachable!("attempts >= 1 and every iteration records or returns"),
-            };
-            return Err(SynthesisError::Route { last, attempts });
-        };
-        budget.check().map_err(SynthesisError::from)?;
-        if cfg.optimize_channels {
-            let _span = mfb_obs::obs_span!("stage.optimize");
-            let optimized = ctx.optimize(route_key, || {
-                optimize_channel_length_with_defects(
-                    &routing,
-                    &schedule,
-                    graph,
-                    &placement,
-                    wash,
-                    &cfg.router,
-                    defects,
-                )
-            });
-            routing = optimized;
-        }
-        Ok(Solution {
-            schedule,
-            netlist,
-            placement,
-            routing,
-            attempts: attempt + 1,
-        })
+        BaseKeys::new(graph, components, wash, defects)
+            .schedule_key(&scheduler_config(&self.config, self.config.t_c))
     }
 }
 
@@ -513,65 +392,44 @@ enum AttemptError {
     Interrupt(BudgetExceeded),
 }
 
-/// Runs the configured placer for one attempt on `grid` with annealing
-/// seed `seed` — the one placement dispatch shared by the retry loop and
-/// the recovery ladder.
-pub(crate) fn place_stage(
-    cfg: &SynthesisConfig,
-    components: &ComponentSet,
-    netlist: &NetList,
-    grid: GridSpec,
-    seed: u64,
-    defects: &DefectMap,
+/// The attempt search shared by the flat retry loop and the recovery
+/// ladder's reseed rung: runs `run(i)` for `i` in `0..attempts` and hands
+/// each result to `visit` in index order until it breaks.
+///
+/// Attempt 0 runs alone (the common case succeeds first try, and a
+/// deterministic error must surface after exactly one run); later attempts
+/// fan out in [`thread_limit`](mfb_model::par::thread_limit)-sized chunks.
+/// `run` must be a pure function of the index, so the outcome — which
+/// attempt wins, which error surfaces, how many attempts are counted — is
+/// byte-identical to the serial loop for any `MFB_THREADS`. The budget is
+/// checked before each chunk.
+///
+/// Returns the visitor's break value, `None` when every attempt was
+/// visited, or the interrupt when the budget tripped between chunks.
+pub(crate) fn search_attempts<T: Send, B>(
+    attempts: u32,
     budget: &Budget,
-) -> Result<Placement, PlaceError> {
-    match cfg.placement {
-        PlacementStrategy::SimulatedAnnealing => {
-            let sa = SaConfig { seed, ..cfg.sa };
-            place_sa_budgeted(components, netlist, grid, &sa, defects, budget).map(|(p, _)| p)
+    run: impl Fn(u32) -> T + Sync,
+    mut visit: impl FnMut(u32, T) -> ControlFlow<B>,
+) -> Result<Option<B>, BudgetExceeded> {
+    let batch = mfb_model::par::thread_limit().max(1) as u32;
+    let mut start = 0u32;
+    while start < attempts {
+        budget.check()?;
+        let chunk = if start == 0 {
+            1
+        } else {
+            (attempts - start).min(batch)
+        };
+        let results = mfb_model::par::par_map_ordered(chunk as usize, |k| run(start + k as u32));
+        for (k, res) in results.into_iter().enumerate() {
+            if let Break(b) = visit(start + k as u32, res) {
+                return Ok(Some(b));
+            }
         }
-        PlacementStrategy::Constructive => place_constructive_with_defects(
-            components,
-            netlist,
-            grid,
-            SpacingParams::default_routing(),
-            defects,
-        ),
+        start += chunk;
     }
-}
-
-/// Runs the configured router on one placement — the one routing dispatch
-/// shared by the retry loop and the recovery ladder.
-pub(crate) fn route_stage(
-    cfg: &SynthesisConfig,
-    schedule: &Schedule,
-    graph: &SequencingGraph,
-    placement: &Placement,
-    wash: &dyn WashModel,
-    defects: &DefectMap,
-    budget: &Budget,
-) -> Result<Routing, RouteError> {
-    match cfg.routing {
-        RoutingStrategy::ConflictAware => route_dcsa_budgeted(
-            schedule,
-            graph,
-            placement,
-            wash,
-            &cfg.router,
-            defects,
-            &mut SearchScratch::new(),
-            budget,
-        ),
-        RoutingStrategy::ConstructionByCorrection => {
-            route_corrected_with_defects(schedule, graph, placement, wash, &cfg.router, defects)
-        }
-    }
-}
-
-/// True when re-placing with a different seed or grid cannot change the
-/// routing outcome: the error is a property of the schedule, not the layout.
-pub(crate) fn route_error_is_placement_independent(e: &RouteError) -> bool {
-    matches!(e, RouteError::InconsistentSchedule { .. })
+    Ok(None)
 }
 
 #[cfg(test)]

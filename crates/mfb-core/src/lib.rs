@@ -48,6 +48,17 @@
 //! assert!(solution.verify(&assay, &chip, &wash).is_valid());
 //! assert!(metrics.execution_time > Duration::ZERO);
 //! ```
+//!
+//! # Entry points
+//!
+//! [`synthesize`](flow::Synthesizer::synthesize) is the paper's flow on a
+//! pristine chip. [`synthesize_with`](flow::Synthesizer::synthesize_with)
+//! is the same flat retry loop with a defect map, an optional shared
+//! [`StageCache`](cache::StageCache) and an execution budget.
+//! [`synthesize_resilient`](flow::Synthesizer::synthesize_resilient) climbs
+//! the escalation ladder of [`recovery`] instead, and
+//! [`prepare_cached`](flow::Synthesizer::prepare_cached) only warms a cache
+//! with the schedule and netlist.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

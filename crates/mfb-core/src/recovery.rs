@@ -31,15 +31,13 @@
 //! [`DegradedSolution`].
 
 use crate::cache::{StageCache, StageCtx};
-use crate::config::SynthesisConfig;
-use crate::error::SynthesisError;
-use crate::flow::{
-    place_stage, route_error_is_placement_independent, route_stage, Solution, Synthesizer,
-};
+use crate::error::{route_error_is_placement_independent, SynthesisError};
+use crate::flow::{search_attempts, Solution, Synthesizer};
 use mfb_model::prelude::*;
 use mfb_place::prelude::*;
 use mfb_route::prelude::*;
 use mfb_sched::prelude::*;
+use std::ops::ControlFlow::{Break, Continue};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One rung of the escalation ladder.
@@ -227,6 +225,24 @@ impl Synthesizer {
     /// a stage bug (with `catch_panics` set) and never returns empty-handed:
     /// an exhausted ladder still reports its failure history and best
     /// partial artifacts.
+    ///
+    /// The ladder always climbs through a stage cache — `cache`, or a
+    /// fresh one when `None` — so rungs that vary only one lever (a fresh
+    /// SA seed, a grown grid) reuse the bound schedule and netlist of
+    /// earlier rungs, and validation runs once per distinct schedule. A
+    /// caller-owned cache lets batch drivers share warm stage results
+    /// across ladder runs; the ladder's behavior — which rungs climb, the
+    /// recorded trace, the result — is byte-identical with any cache
+    /// state.
+    ///
+    /// The budget is polled at every rung boundary and inside each
+    /// attempt's stages; when it trips, the ladder stops climbing and the
+    /// outcome carries [`SynthesisError::DeadlineExceeded`] or
+    /// [`SynthesisError::Cancelled`] **plus** the trace and best partial
+    /// artifacts accumulated so far — an expired job still reports how far
+    /// it got. A run that finishes within its budget is byte-identical to
+    /// an unlimited run.
+    #[allow(clippy::too_many_arguments)]
     pub fn synthesize_resilient(
         &self,
         graph: &SequencingGraph,
@@ -234,64 +250,7 @@ impl Synthesizer {
         wash: &dyn WashModel,
         defects: &DefectMap,
         policy: &RecoveryPolicy,
-    ) -> ResilientOutcome {
-        // The ladder always climbs through a stage cache: rungs that vary
-        // only one lever (a fresh SA seed, a grown grid) reuse the bound
-        // schedule and netlist of earlier rungs instead of recomputing
-        // them, and validation runs once per distinct schedule.
-        self.synthesize_resilient_cached(
-            graph,
-            components,
-            wash,
-            defects,
-            policy,
-            &StageCache::new(),
-        )
-    }
-
-    /// [`synthesize_resilient`](Synthesizer::synthesize_resilient) through
-    /// a caller-owned [`StageCache`], so batch drivers can share warm stage
-    /// results across ladder runs. The ladder's behavior — which rungs
-    /// climb, the recorded trace, the result — is byte-identical with any
-    /// cache state; only the work skipped differs.
-    pub fn synthesize_resilient_cached(
-        &self,
-        graph: &SequencingGraph,
-        components: &ComponentSet,
-        wash: &dyn WashModel,
-        defects: &DefectMap,
-        policy: &RecoveryPolicy,
-        cache: &StageCache,
-    ) -> ResilientOutcome {
-        self.synthesize_resilient_budgeted(
-            graph,
-            components,
-            wash,
-            defects,
-            policy,
-            cache,
-            &Budget::unlimited(),
-        )
-    }
-
-    /// [`synthesize_resilient_cached`](Synthesizer::synthesize_resilient_cached)
-    /// under an execution [`Budget`]. The budget is polled at every rung
-    /// boundary and inside each attempt's stages; when it trips, the ladder
-    /// stops climbing and the outcome carries
-    /// [`SynthesisError::DeadlineExceeded`] or
-    /// [`SynthesisError::Cancelled`] **plus** the trace and best partial
-    /// artifacts accumulated so far — an expired job still reports how far
-    /// it got. A run that finishes within its budget is byte-identical to
-    /// an unlimited run.
-    #[allow(clippy::too_many_arguments)]
-    pub fn synthesize_resilient_budgeted(
-        &self,
-        graph: &SequencingGraph,
-        components: &ComponentSet,
-        wash: &dyn WashModel,
-        defects: &DefectMap,
-        policy: &RecoveryPolicy,
-        cache: &StageCache,
+        cache: Option<&StageCache>,
         budget: &Budget,
     ) -> ResilientOutcome {
         let _span = mfb_obs::obs_span!(
@@ -299,9 +258,12 @@ impl Synthesizer {
             ops = graph.ops().count() as u64,
             components = components.len() as u64,
         );
+        let fresh = StageCache::new();
+        let cache = cache.unwrap_or(&fresh);
         let cfg = self.config();
         let base_grid = cfg.grid.unwrap_or_else(|| auto_grid(components));
         let max_grid = grown_grid(base_grid, policy.grow_steps);
+        let catch = policy.catch_panics;
 
         let mut trace = RecoveryTrace::default();
         let mut partial = Partial::default();
@@ -313,80 +275,59 @@ impl Synthesizer {
         // can possibly help; `break 'ladder` is the "provably hopeless"
         // exit, falling off the block end the "budgets exhausted" one.
         'ladder: {
+            // Rungs 1–3 keep the caller's defect map and share one stage
+            // context; the rebind rung builds a fresh one after each kill,
+            // since the defect map participates in every stage key.
+            let ctx = StageCtx::new(
+                Some(cache),
+                graph,
+                components,
+                wash,
+                &defects_now,
+                cfg,
+                budget,
+            );
+
             // ---- Rung 1: fresh seeds on the original grid. ----
-            // Attempt 0 runs alone (it usually succeeds, and a
-            // deterministic error must escalate after exactly one try);
-            // subsequent reseeds fan out in thread-sized batches. Each
-            // attempt is a pure function of its seed, and results are
-            // consumed in seed order, so the outcome and the recorded trace
-            // are byte-identical to the serial rung for any `MFB_THREADS`.
-            let reseeds = policy.reseed_attempts.max(1);
-            let reseed_batch = mfb_model::par::thread_limit().max(1) as u32;
-            let mut next = 0u32;
-            'rung1: while next < reseeds {
-                if let Err(why) = budget.check() {
+            // Each attempt is a pure function of its seed, so the shared
+            // attempt search may fan reseeds out across threads and still
+            // record a trace byte-identical to the serial rung.
+            let seed_of = |i: u32| cfg.sa.seed.wrapping_add(u64::from(i));
+            let reseeded = search_attempts(
+                policy.reseed_attempts.max(1),
+                budget,
+                |i| attempt_once(&ctx, base_grid, seed_of(i), cfg.t_c, catch, i + 1),
+                |i, (res, artifacts)| {
+                    attempt_no = i + 1;
+                    partial.absorb(artifacts);
+                    let e = match res {
+                        Ok(s) => return Break(Some(s)),
+                        Err(e) => e,
+                    };
+                    // The seed is the only thing this rung varies: an error
+                    // that does not depend on it escalates without burning
+                    // the rest of the budget.
+                    let deterministic = e.is_deterministic();
+                    let (w, h) = (base_grid.width, base_grid.height);
+                    let detail = format!("seed {} on {w}x{h} grid", seed_of(i));
+                    let rung = Rung::Reseed;
+                    if record_failure(&mut trace, &mut last_err, rung, attempt_no, detail, e)
+                        || deterministic
+                    {
+                        Break(None)
+                    } else {
+                        Continue(())
+                    }
+                },
+            );
+            match reseeded {
+                Err(why) => {
                     last_err = Some(why.into());
                     break 'ladder;
                 }
-                let chunk = if next == 0 {
-                    1
-                } else {
-                    (reseeds - next).min(reseed_batch)
-                };
-                let results = mfb_model::par::par_map_ordered(chunk as usize, |k| {
-                    let i = next + k as u32;
-                    attempt_once(
-                        cfg,
-                        graph,
-                        components,
-                        wash,
-                        base_grid,
-                        cfg.sa.seed.wrapping_add(u64::from(i)),
-                        cfg.t_c,
-                        &defects_now,
-                        cache,
-                        policy.catch_panics,
-                        i + 1,
-                        budget,
-                    )
-                });
-                for (k, (res, artifacts)) in results.into_iter().enumerate() {
-                    let i = next + k as u32;
-                    attempt_no = i + 1;
-                    let seed = cfg.sa.seed.wrapping_add(u64::from(i));
-                    partial.absorb(artifacts);
-                    match res {
-                        Ok(s) => return success(s, trace, Rung::Reseed, attempt_no),
-                        Err(e) => {
-                            record_attempt(
-                                &mut trace,
-                                RungAttempt {
-                                    rung: Rung::Reseed,
-                                    attempt: attempt_no,
-                                    detail: format!(
-                                        "seed {seed} on {}x{} grid",
-                                        base_grid.width, base_grid.height
-                                    ),
-                                    error: e.to_string(),
-                                },
-                            );
-                            let deterministic = e.is_deterministic();
-                            let fatal = globally_fatal(&e);
-                            last_err = Some(e);
-                            if fatal {
-                                break 'ladder;
-                            }
-                            if deterministic {
-                                // The seed is the only thing this rung
-                                // varies and the error does not depend on
-                                // it: escalate without burning the rest of
-                                // the budget.
-                                break 'rung1;
-                            }
-                        }
-                    }
-                }
-                next += chunk;
+                Ok(Some(Some(s))) => return success(s, trace, Rung::Reseed, attempt_no),
+                Ok(_) if last_err.as_ref().is_some_and(globally_fatal) => break 'ladder,
+                Ok(_) => {}
             }
 
             // ---- Rung 2: grow the grid. ----
@@ -397,43 +338,23 @@ impl Synthesizer {
                 }
                 attempt_no += 1;
                 let grid = grown_grid(base_grid, g);
-                let seed = cfg
-                    .sa
-                    .seed
-                    .wrapping_add(u64::from(policy.reseed_attempts.max(1) + g));
-                let (res, artifacts) = attempt_once(
-                    cfg,
-                    graph,
-                    components,
-                    wash,
-                    grid,
-                    seed,
-                    cfg.t_c,
-                    &defects_now,
-                    cache,
-                    policy.catch_panics,
-                    attempt_no,
-                    budget,
-                );
+                let seed = seed_of(policy.reseed_attempts.max(1) + g);
+                let (res, artifacts) = attempt_once(&ctx, grid, seed, cfg.t_c, catch, attempt_no);
                 partial.absorb(artifacts);
-                match res {
+                let e = match res {
                     Ok(s) => return success(s, trace, Rung::GrowGrid, attempt_no),
-                    Err(e) => {
-                        record_attempt(
-                            &mut trace,
-                            RungAttempt {
-                                rung: Rung::GrowGrid,
-                                attempt: attempt_no,
-                                detail: format!("grown to {}x{} grid", grid.width, grid.height),
-                                error: e.to_string(),
-                            },
-                        );
-                        let fatal = globally_fatal(&e);
-                        last_err = Some(e);
-                        if fatal {
-                            break 'ladder;
-                        }
-                    }
+                    Err(e) => e,
+                };
+                let detail = format!("grown to {}x{} grid", grid.width, grid.height);
+                if record_failure(
+                    &mut trace,
+                    &mut last_err,
+                    Rung::GrowGrid,
+                    attempt_no,
+                    detail,
+                    e,
+                ) {
+                    break 'ladder;
                 }
             }
 
@@ -445,39 +366,23 @@ impl Synthesizer {
                 }
                 attempt_no += 1;
                 let t_c = cfg.t_c + Duration::from_secs(u64::from(k));
-                let (res, artifacts) = attempt_once(
-                    cfg,
-                    graph,
-                    components,
-                    wash,
-                    max_grid,
-                    cfg.sa.seed,
-                    t_c,
-                    &defects_now,
-                    cache,
-                    policy.catch_panics,
-                    attempt_no,
-                    budget,
-                );
+                let (res, artifacts) =
+                    attempt_once(&ctx, max_grid, cfg.sa.seed, t_c, catch, attempt_no);
                 partial.absorb(artifacts);
-                match res {
+                let e = match res {
                     Ok(s) => return success(s, trace, Rung::RelaxTc, attempt_no),
-                    Err(e) => {
-                        record_attempt(
-                            &mut trace,
-                            RungAttempt {
-                                rung: Rung::RelaxTc,
-                                attempt: attempt_no,
-                                detail: format!("t_c relaxed to {t_c}"),
-                                error: e.to_string(),
-                            },
-                        );
-                        let fatal = globally_fatal(&e);
-                        last_err = Some(e);
-                        if fatal {
-                            break 'ladder;
-                        }
-                    }
+                    Err(e) => e,
+                };
+                let detail = format!("t_c relaxed to {t_c}");
+                if record_failure(
+                    &mut trace,
+                    &mut last_err,
+                    Rung::RelaxTc,
+                    attempt_no,
+                    detail,
+                    e,
+                ) {
+                    break 'ladder;
                 }
             }
 
@@ -497,39 +402,32 @@ impl Synthesizer {
                 };
                 defects_now.kill_component(victim);
                 attempt_no += 1;
-                let (res, artifacts) = attempt_once(
-                    cfg,
+                let rebound = StageCtx::new(
+                    Some(cache),
                     graph,
                     components,
                     wash,
-                    max_grid,
-                    cfg.sa.seed,
-                    cfg.t_c,
                     &defects_now,
-                    cache,
-                    policy.catch_panics,
-                    attempt_no,
+                    cfg,
                     budget,
                 );
+                let (res, artifacts) =
+                    attempt_once(&rebound, max_grid, cfg.sa.seed, cfg.t_c, catch, attempt_no);
                 partial.absorb(artifacts);
-                match res {
+                let e = match res {
                     Ok(s) => return success(s, trace, Rung::Rebind, attempt_no),
-                    Err(e) => {
-                        record_attempt(
-                            &mut trace,
-                            RungAttempt {
-                                rung: Rung::Rebind,
-                                attempt: attempt_no,
-                                detail: format!("component {victim} marked dead, rebound"),
-                                error: e.to_string(),
-                            },
-                        );
-                        let fatal = globally_fatal(&e);
-                        last_err = Some(e);
-                        if fatal {
-                            break 'ladder;
-                        }
-                    }
+                    Err(e) => e,
+                };
+                let detail = format!("component {victim} marked dead, rebound");
+                if record_failure(
+                    &mut trace,
+                    &mut last_err,
+                    Rung::Rebind,
+                    attempt_no,
+                    detail,
+                    e,
+                ) {
+                    break 'ladder;
                 }
             }
         }
@@ -563,17 +461,34 @@ fn success(solution: Solution, trace: RecoveryTrace, rung: Rung, attempt: u32) -
     }
 }
 
-/// Records one failed rung attempt in the trace and mirrors it as a
-/// `recovery.rung` instant event.
-fn record_attempt(trace: &mut RecoveryTrace, attempt: RungAttempt) {
+/// Records one failed rung attempt in the trace, mirrors it as a
+/// `recovery.rung` instant event, and keeps its error as the ladder's
+/// latest. Returns true when the error is globally fatal.
+fn record_failure(
+    trace: &mut RecoveryTrace,
+    last_err: &mut Option<SynthesisError>,
+    rung: Rung,
+    attempt: u32,
+    detail: String,
+    e: SynthesisError,
+) -> bool {
+    let error = e.to_string();
     mfb_obs::obs_instant!(
         "recovery.rung",
-        rung = attempt.rung.to_string(),
-        attempt = attempt.attempt,
+        rung = rung.to_string(),
+        attempt = attempt,
         outcome = "failed",
-        error = attempt.error.clone(),
+        error = error.clone(),
     );
-    trace.attempts.push(attempt);
+    trace.attempts.push(RungAttempt {
+        rung,
+        attempt,
+        detail,
+        error,
+    });
+    let fatal = globally_fatal(&e);
+    *last_err = Some(e);
+    fatal
 }
 
 /// True when no rung of the ladder can change the outcome: the error is an
@@ -627,37 +542,16 @@ fn implicated_component(
 /// panic-guarded. Returns the attempt's own artifacts alongside the result
 /// (instead of mutating shared state) so attempts can run concurrently and
 /// be folded into [`Partial`] in attempt order.
-#[allow(clippy::too_many_arguments)]
 fn attempt_once(
-    cfg: &SynthesisConfig,
-    graph: &SequencingGraph,
-    components: &ComponentSet,
-    wash: &dyn WashModel,
+    ctx: &StageCtx<'_>,
     grid: GridSpec,
     seed: u64,
     t_c: Duration,
-    defects: &DefectMap,
-    cache: &StageCache,
     catch: bool,
     attempt_no: u32,
-    budget: &Budget,
 ) -> (Result<Solution, SynthesisError>, Partial) {
     let mut partial = Partial::default();
-    let result = attempt_inner(
-        cfg,
-        graph,
-        components,
-        wash,
-        grid,
-        seed,
-        t_c,
-        defects,
-        cache,
-        catch,
-        attempt_no,
-        budget,
-        &mut partial,
-    );
+    let result = attempt_inner(ctx, grid, seed, t_c, catch, attempt_no, &mut partial);
     // Normalize stage-level interrupts (`PlaceError::Interrupted`,
     // `RouteError::Interrupted`) to the flow-level typed error so the
     // ladder and the trace see one canonical shape.
@@ -669,70 +563,35 @@ fn attempt_once(
 }
 
 /// The `?`-friendly body of [`attempt_once`].
-#[allow(clippy::too_many_arguments)]
 fn attempt_inner(
-    cfg: &SynthesisConfig,
-    graph: &SequencingGraph,
-    components: &ComponentSet,
-    wash: &dyn WashModel,
+    ctx: &StageCtx<'_>,
     grid: GridSpec,
     seed: u64,
     t_c: Duration,
-    defects: &DefectMap,
-    cache: &StageCache,
     catch: bool,
     attempt_no: u32,
-    budget: &Budget,
     partial: &mut Partial,
 ) -> Result<Solution, SynthesisError> {
-    budget.check().map_err(SynthesisError::from)?;
-    let sched_cfg = SchedulerConfig {
-        t_c,
-        rule: cfg.binding,
-    };
-    // Rebuilt per attempt because the rebind rung mutates the defect map,
-    // which participates in every stage key.
-    let ctx = StageCtx::new(Some(cache), graph, components, wash, defects);
-    let (schedule, schedule_h) = guard("schedule", catch, || {
-        ctx.schedule(&sched_cfg, graph, components, || {
-            schedule_with_defects(graph, components, wash, &sched_cfg, defects)
-        })
-        .map_err(Into::into)
-    })?;
+    ctx.budget.check().map_err(SynthesisError::from)?;
+    let (schedule, schedule_h) =
+        guard("schedule", catch, || ctx.schedule(t_c).map_err(Into::into))?;
     partial.schedule = Some(schedule.clone());
-    let (netlist, netlist_key) = ctx.netlist(schedule_h, cfg.beta, cfg.gamma, || {
-        NetList::build(&schedule, graph, wash, cfg.beta, cfg.gamma)
-    });
+    let (netlist, netlist_key) = ctx.netlist(&schedule, schedule_h);
 
     let (placement, place_h) = guard("place", catch, || {
-        ctx.place(netlist_key, grid, cfg, seed, || {
-            place_stage(cfg, components, &netlist, grid, seed, defects, budget)
-        })
-        .map_err(Into::into)
+        ctx.place(&netlist, netlist_key, grid, seed)
+            .map_err(Into::into)
     })?;
     partial.placement = Some(placement.clone());
 
     let routing = guard("route", catch, || {
-        let (routed, route_key) = ctx.route(schedule_h, place_h, cfg, || {
-            route_stage(cfg, &schedule, graph, &placement, wash, defects, budget)
-        });
+        let (routed, route_key) = ctx.route(&schedule, schedule_h, &placement, place_h);
         let mut routing = routed.map_err(|e| SynthesisError::Route {
             last: e,
             attempts: attempt_no,
         })?;
-        if cfg.optimize_channels {
-            let optimized = ctx.optimize(route_key, || {
-                optimize_channel_length_with_defects(
-                    &routing,
-                    &schedule,
-                    graph,
-                    &placement,
-                    wash,
-                    &cfg.router,
-                    defects,
-                )
-            });
-            routing = optimized;
+        if ctx.cfg.optimize_channels {
+            routing = ctx.optimize(&routing, route_key, &schedule, &placement);
         }
         Ok(routing)
     })?;
@@ -772,6 +631,7 @@ fn guard<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SynthesisConfig;
 
     fn wash() -> LogLinearWash {
         LogLinearWash::paper_calibrated()
@@ -799,6 +659,8 @@ mod tests {
             &wash(),
             &DefectMap::pristine(),
             &RecoveryPolicy::standard(),
+            None,
+            &Budget::unlimited(),
         );
         assert!(out.is_success());
         assert!(out.trace.is_empty());
@@ -826,6 +688,8 @@ mod tests {
             &wash(),
             &DefectMap::pristine(),
             &RecoveryPolicy::reseed_only(8),
+            None,
+            &Budget::unlimited(),
         );
         assert!(!reseed_only.is_success());
         // ...but the grid-growth rung does.
@@ -835,6 +699,8 @@ mod tests {
             &wash(),
             &DefectMap::pristine(),
             &RecoveryPolicy::standard(),
+            None,
+            &Budget::unlimited(),
         );
         assert!(out.is_success(), "{:?}", out.result);
         assert!(out.trace.rungs_tried().contains(&Rung::GrowGrid));
@@ -865,6 +731,8 @@ mod tests {
             &wash(),
             &DefectMap::pristine(),
             &RecoveryPolicy::standard(),
+            None,
+            &Budget::unlimited(),
         );
         assert!(matches!(out.result, Err(SynthesisError::Sched(_))));
         // A scheduling infeasibility proof aborts the ladder after one
@@ -888,6 +756,8 @@ mod tests {
             &wash(),
             &defects,
             &RecoveryPolicy::standard(),
+            None,
+            &Budget::unlimited(),
         );
         assert!(matches!(out.result, Err(SynthesisError::Sched(_))));
     }

@@ -22,11 +22,50 @@ fn setup(bench: &str) -> (SequencingGraph, ComponentSet) {
     (b.graph, comps)
 }
 
+/// `syn` on a pristine chip through `cache`, with an unlimited budget.
+fn cached(
+    syn: &Synthesizer,
+    graph: &SequencingGraph,
+    comps: &ComponentSet,
+    cache: &StageCache,
+) -> Result<Solution, SynthesisError> {
+    let pristine = DefectMap::pristine();
+    syn.synthesize_with(
+        graph,
+        comps,
+        &wash(),
+        &pristine,
+        Some(cache),
+        &Budget::unlimited(),
+    )
+}
+
+/// The paper flow plus both configurations whose stage keys and compute
+/// calls the plain flow never reaches: the baseline's constructive placer
+/// and corrected router, and the channel-length optimizer on each flow.
+fn equivalence_configs() -> Vec<(&'static str, Synthesizer)> {
+    let optimized = |mut cfg: SynthesisConfig| {
+        cfg.optimize_channels = true;
+        Synthesizer::new(cfg)
+    };
+    vec![
+        ("dcsa", Synthesizer::paper_dcsa()),
+        (
+            "baseline+optimize",
+            optimized(SynthesisConfig::paper_baseline()),
+        ),
+        ("dcsa+optimize", optimized(SynthesisConfig::paper_dcsa())),
+    ]
+}
+
 #[test]
 fn cached_solutions_are_byte_identical_to_uncached() {
-    for bench in ["PCR", "IVD"] {
+    for (bench, (flow, syn)) in ["PCR", "IVD"]
+        .into_iter()
+        .flat_map(|bench| equivalence_configs().into_iter().map(move |c| (bench, c)))
+    {
         let (graph, comps) = setup(bench);
-        let syn = Synthesizer::paper_dcsa();
+        let bench = format!("{bench}/{flow}");
 
         let plain = syn
             .synthesize(&graph, &comps, &wash())
@@ -34,9 +73,7 @@ fn cached_solutions_are_byte_identical_to_uncached() {
         let want = serde_json::to_string(&plain).expect("Solution serializes");
 
         let cache = StageCache::new();
-        let cold = syn
-            .synthesize_cached(&graph, &comps, &wash(), &cache)
-            .expect("cold cached run must synthesize");
+        let cold = cached(&syn, &graph, &comps, &cache).expect("cold cached run must synthesize");
         assert_eq!(
             serde_json::to_string(&cold).unwrap(),
             want,
@@ -46,9 +83,7 @@ fn cached_solutions_are_byte_identical_to_uncached() {
         assert_eq!(miss_stats.hits(), 0, "{bench}: a cold run cannot hit");
         assert!(miss_stats.misses() > 0);
 
-        let warm = syn
-            .synthesize_cached(&graph, &comps, &wash(), &cache)
-            .expect("warm cached run must synthesize");
+        let warm = cached(&syn, &graph, &comps, &cache).expect("warm cached run must synthesize");
         assert_eq!(
             serde_json::to_string(&warm).unwrap(),
             want,
@@ -71,8 +106,7 @@ fn schedules_validate_once_per_distinct_schedule() {
     let cache = StageCache::new();
 
     for _ in 0..3 {
-        syn.synthesize_cached(&graph, &comps, &wash(), &cache)
-            .expect("PCR synthesizes");
+        cached(&syn, &graph, &comps, &cache).expect("PCR synthesizes");
     }
     let stats = cache.stats();
     assert_eq!(stats.schedule_misses, 1, "one distinct schedule");
@@ -84,9 +118,7 @@ fn schedules_validate_once_per_distinct_schedule() {
     // A different t_c is a different schedule key: one more validation.
     let mut cfg = SynthesisConfig::paper_dcsa();
     cfg.t_c = Duration::from_secs(3);
-    Synthesizer::new(cfg)
-        .synthesize_cached(&graph, &comps, &wash(), &cache)
-        .expect("PCR synthesizes under t_c = 3");
+    cached(&Synthesizer::new(cfg), &graph, &comps, &cache).expect("PCR synthesizes under t_c = 3");
     let stats = cache.stats();
     assert_eq!(stats.schedule_misses, 2);
     assert_eq!(stats.schedule_validations, 2);
@@ -102,11 +134,23 @@ fn cached_recovery_ladder_matches_uncached_trace() {
     let syn = Synthesizer::paper_dcsa();
     let policy = RecoveryPolicy::default();
 
-    let plain = syn.synthesize_resilient(&graph, &comps, &wash(), &defects, &policy);
+    let ladder = |cache: Option<&StageCache>| {
+        syn.synthesize_resilient(
+            &graph,
+            &comps,
+            &wash(),
+            &defects,
+            &policy,
+            cache,
+            &Budget::unlimited(),
+        )
+    };
+
+    let plain = ladder(None);
     let want = format!("{plain:?}");
 
     let cache = StageCache::new();
-    let cold = syn.synthesize_resilient_cached(&graph, &comps, &wash(), &defects, &policy, &cache);
+    let cold = ladder(Some(&cache));
     assert_eq!(
         format!("{cold:?}"),
         want,
@@ -114,7 +158,7 @@ fn cached_recovery_ladder_matches_uncached_trace() {
     );
     let cold_stats = cache.stats();
 
-    let warm = syn.synthesize_resilient_cached(&graph, &comps, &wash(), &defects, &policy, &cache);
+    let warm = ladder(Some(&cache));
     assert_eq!(
         format!("{warm:?}"),
         want,
@@ -137,14 +181,20 @@ fn defect_maps_address_distinct_cache_entries() {
     let syn = Synthesizer::paper_dcsa();
     let cache = StageCache::new();
 
-    syn.synthesize_cached(&graph, &comps, &wash(), &cache)
-        .expect("pristine PCR synthesizes");
+    cached(&syn, &graph, &comps, &cache).expect("pristine PCR synthesizes");
     let pristine_stats = cache.stats();
 
     let mut defects = DefectMap::pristine();
     defects.block_cell(CellPos::new(0, 0));
     let damaged = syn
-        .synthesize_cached_with_defects(&graph, &comps, &wash(), &defects, &cache)
+        .synthesize_with(
+            &graph,
+            &comps,
+            &wash(),
+            &defects,
+            Some(&cache),
+            &Budget::unlimited(),
+        )
         .expect("lightly damaged PCR synthesizes");
     let delta = cache.stats() - pristine_stats;
     assert!(
@@ -153,7 +203,14 @@ fn defect_maps_address_distinct_cache_entries() {
     );
 
     let uncached = syn
-        .synthesize_with_defects(&graph, &comps, &wash(), &defects)
+        .synthesize_with(
+            &graph,
+            &comps,
+            &wash(),
+            &defects,
+            None,
+            &Budget::unlimited(),
+        )
         .expect("uncached damaged PCR synthesizes");
     assert_eq!(
         serde_json::to_string(&damaged).unwrap(),
@@ -216,9 +273,8 @@ fn interrupted_runs_never_poison_the_cache() {
     let plain = syn
         .synthesize(&graph, &comps, &wash())
         .expect("PCR synthesizes");
-    let solved = syn
-        .synthesize_cached(&graph, &comps, &wash(), &cache)
-        .expect("PCR synthesizes after interrupted attempts");
+    let solved =
+        cached(&syn, &graph, &comps, &cache).expect("PCR synthesizes after interrupted attempts");
     assert_eq!(
         serde_json::to_string(&solved).unwrap(),
         serde_json::to_string(&plain).unwrap(),

@@ -51,8 +51,41 @@ fn resilient_debug(threads: &str) -> String {
         &wash(),
         &defects,
         &RecoveryPolicy::default(),
+        None,
+        &Budget::unlimited(),
     );
     format!("{out:?}")
+}
+
+/// Serialized Synthetic4 solutions from the flat retry loop and from the
+/// ladder's reseed rung alone, under the given thread limit. Synthetic4
+/// routes only on its third attempt, so both loops really retry through
+/// the shared attempt search.
+fn flat_and_reseed_json(threads: &str) -> (String, String) {
+    std::env::set_var("MFB_THREADS", threads);
+    let b = benchmark_by_name("Synthetic4").expect("Synthetic4 exists");
+    let comps = b.components(&ComponentLibrary::default());
+    let synth = Synthesizer::paper_dcsa();
+    let flat = synth
+        .synthesize(&b.graph, &comps, &wash())
+        .expect("Synthetic4 synthesizes");
+    assert!(flat.attempts > 1, "Synthetic4 must need a retry");
+    let ladder = synth.synthesize_resilient(
+        &b.graph,
+        &comps,
+        &wash(),
+        &DefectMap::pristine(),
+        &RecoveryPolicy::reseed_only(8),
+        None,
+        &Budget::unlimited(),
+    );
+    let reseeded = ladder
+        .solution()
+        .expect("reseed rung synthesizes Synthetic4");
+    (
+        serde_json::to_string(&flat).expect("Solution serializes"),
+        serde_json::to_string(reseeded).expect("Solution serializes"),
+    )
 }
 
 #[test]
@@ -74,6 +107,15 @@ fn solution_is_byte_identical_across_thread_counts() {
         serial, parallel,
         "resilient outcome must not depend on MFB_THREADS"
     );
+
+    // The flat retry loop and the ladder's reseed rung pick the same winner.
+    for threads in ["1", "8"] {
+        let (flat, reseeded) = flat_and_reseed_json(threads);
+        assert_eq!(
+            flat, reseeded,
+            "reseed-only ladder diverged from the flat loop at MFB_THREADS={threads}"
+        );
+    }
 
     std::env::remove_var("MFB_THREADS");
 }

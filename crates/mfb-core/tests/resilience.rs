@@ -62,7 +62,7 @@ fn fully_blocked_defect_map_is_a_structured_error() {
     let mut cfg = SynthesisConfig::paper_dcsa();
     cfg.grid = Some(grid);
     let err = Synthesizer::new(cfg)
-        .synthesize_with_defects(&g, &comps, &wash(), &defects)
+        .synthesize_with(&g, &comps, &wash(), &defects, None, &Budget::unlimited())
         .unwrap_err();
     assert!(matches!(err, SynthesisError::Place(_)), "{err}");
 }
@@ -92,7 +92,7 @@ fn ladder_recovers_a_table1_defect_combo_reseeding_cannot() {
     }
 
     // The flat loop dies on the deterministic placement error...
-    let flat = synth.synthesize_with_defects(&b.graph, &comps, &w, &defects);
+    let flat = synth.synthesize_with(&b.graph, &comps, &w, &defects, None, &Budget::unlimited());
     assert!(matches!(flat, Err(SynthesisError::Place(_))));
     // ...reseeding alone cannot help...
     let reseed_only = synth.synthesize_resilient(
@@ -101,11 +101,20 @@ fn ladder_recovers_a_table1_defect_combo_reseeding_cannot() {
         &w,
         &defects,
         &RecoveryPolicy::reseed_only(16),
+        None,
+        &Budget::unlimited(),
     );
     assert!(!reseed_only.is_success());
     // ...but the full ladder escalates to grid growth and succeeds.
-    let out =
-        synth.synthesize_resilient(&b.graph, &comps, &w, &defects, &RecoveryPolicy::standard());
+    let out = synth.synthesize_resilient(
+        &b.graph,
+        &comps,
+        &w,
+        &defects,
+        &RecoveryPolicy::standard(),
+        None,
+        &Budget::unlimited(),
+    );
     let sol = out
         .solution()
         .unwrap_or_else(|| panic!("ladder failed: {:?}\ntrace: {:#?}", out.result, out.trace));
@@ -205,7 +214,14 @@ proptest! {
         let mut cfg = SynthesisConfig::paper_dcsa();
         cfg.grid = Some(grid);
         cfg.max_placement_attempts = 4;
-        let _ = Synthesizer::new(cfg).synthesize_with_defects(&g, &comps, &wash(), &defects);
+        let _ = Synthesizer::new(cfg).synthesize_with(
+            &g,
+            &comps,
+            &wash(),
+            &defects,
+            None,
+            &Budget::unlimited(),
+        );
     }
 
     /// Whenever synthesis under a seeded defect map succeeds, the solution
@@ -225,9 +241,14 @@ proptest! {
         let defects = DefectMap::sample(grid, &comps, cell_p, comp_p, defect_seed);
         let mut cfg = SynthesisConfig::paper_dcsa();
         cfg.grid = Some(grid);
-        if let Ok(sol) =
-            Synthesizer::new(cfg).synthesize_with_defects(&g, &comps, &wash(), &defects)
-        {
+        if let Ok(sol) = Synthesizer::new(cfg).synthesize_with(
+            &g,
+            &comps,
+            &wash(),
+            &defects,
+            None,
+            &Budget::unlimited(),
+        ) {
             // Native checks.
             for p in &sol.routing.paths {
                 for &c in &p.cells {
@@ -263,8 +284,9 @@ proptest! {
         let mut cfg = SynthesisConfig::paper_dcsa();
         cfg.grid = Some(grid);
         let synth = Synthesizer::new(cfg);
-        let a = synth.synthesize_resilient(&g, &comps, &wash(), &defects, &RecoveryPolicy::standard());
-        let b = synth.synthesize_resilient(&g, &comps, &wash(), &defects, &RecoveryPolicy::standard());
+        let policy = RecoveryPolicy::standard();
+        let a = synth.synthesize_resilient(&g, &comps, &wash(), &defects, &policy, None, &Budget::unlimited());
+        let b = synth.synthesize_resilient(&g, &comps, &wash(), &defects, &policy, None, &Budget::unlimited());
         prop_assert_eq!(a.trace, b.trace);
         prop_assert_eq!(a.is_success(), b.is_success());
         if let (Some(sa), Some(sb)) = (a.solution(), b.solution()) {

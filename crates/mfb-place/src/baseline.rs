@@ -27,25 +27,22 @@ pub fn place_constructive(
     nets: &NetList,
     grid: GridSpec,
 ) -> Result<Placement, PlaceError> {
-    place_constructive_spaced(components, nets, grid, SpacingParams::default_routing())
+    place_constructive_with_defects(
+        components,
+        nets,
+        grid,
+        SpacingParams::default_routing(),
+        &DefectMap::pristine(),
+    )
 }
 
-/// [`place_constructive`] with an explicit congestion guard: candidate
-/// positions closer than `spacing.min_gap` to an already-placed component
-/// pay the same quadratic penalty the annealer uses, so both flows leave
-/// comparable routing corridors.
-pub fn place_constructive_spaced(
-    components: &ComponentSet,
-    nets: &NetList,
-    grid: GridSpec,
-    spacing: SpacingParams,
-) -> Result<Placement, PlaceError> {
-    place_constructive_with_defects(components, nets, grid, spacing, &DefectMap::pristine())
-}
-
-/// [`place_constructive_spaced`] on a damaged chip: candidate positions
-/// covering a blocked cell of `defects` are skipped. With a pristine map
-/// this is exactly the plain constructive placer.
+/// The full form of [`place_constructive`]: an explicit congestion guard
+/// and a possibly damaged chip. Candidate positions closer than
+/// `spacing.min_gap` to an already-placed component pay the same quadratic
+/// penalty the annealer uses, so both flows leave comparable routing
+/// corridors; candidate positions covering a blocked cell of `defects` are
+/// skipped. With a pristine map this is exactly the plain constructive
+/// placer.
 ///
 /// # Errors
 ///

@@ -45,17 +45,12 @@ pub mod sa;
 
 /// One-stop import of the placement API.
 pub mod prelude {
-    pub use crate::baseline::{
-        place_constructive, place_constructive_spaced, place_constructive_with_defects,
-    };
+    pub use crate::baseline::{place_constructive, place_constructive_with_defects};
     pub use crate::error::PlaceError;
     pub use crate::floorplan::{
         auto_grid, grown_grid, rect_avoids_defects, rect_gap, Placement, PlacementViolation,
         CLEARANCE,
     };
     pub use crate::nets::{energy, energy_with_spacing, Net, NetList, SpacingParams};
-    pub use crate::sa::{
-        place_sa, place_sa_auto, place_sa_budgeted, place_sa_with_defects, place_sa_with_stats,
-        place_sa_with_stats_and_defects, Move, SaConfig, SaStats,
-    };
+    pub use crate::sa::{place_sa, place_sa_auto, place_sa_budgeted, Move, SaConfig, SaStats};
 }

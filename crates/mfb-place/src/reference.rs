@@ -38,7 +38,7 @@ pub fn place_sa_reference(
 ///
 /// # Errors
 ///
-/// Same as [`crate::sa::place_sa_with_defects`].
+/// Same as [`crate::sa::place_sa_budgeted`], minus the interrupt.
 pub fn place_sa_reference_with_defects(
     components: &ComponentSet,
     nets: &NetList,

@@ -76,27 +76,15 @@ pub fn place_sa(
     grid: GridSpec,
     config: &SaConfig,
 ) -> Result<Placement, PlaceError> {
-    place_sa_with_defects(components, nets, grid, config, &DefectMap::pristine())
-}
-
-/// [`place_sa`] on a damaged chip: no component rectangle may cover a
-/// blocked cell of `defects`, and components marked dead are pinned — the
-/// annealer never proposes moving, rotating or swapping them. With a
-/// pristine map this is exactly `place_sa` (bit-identical placements).
-///
-/// # Errors
-///
-/// [`PlaceError::GridTooSmall`] when the grid cannot hold the components at
-/// all; [`PlaceError::DefectBlocked`] when it could, but every arrangement
-/// collides with blocked cells.
-pub fn place_sa_with_defects(
-    components: &ComponentSet,
-    nets: &NetList,
-    grid: GridSpec,
-    config: &SaConfig,
-    defects: &DefectMap,
-) -> Result<Placement, PlaceError> {
-    place_sa_with_stats_and_defects(components, nets, grid, config, defects).map(|(p, _)| p)
+    place_sa_budgeted(
+        components,
+        nets,
+        grid,
+        config,
+        &DefectMap::pristine(),
+        &Budget::unlimited(),
+    )
+    .map(|(p, _)| p)
 }
 
 /// Counters from one annealing run, for the perf baseline (`mfb bench`).
@@ -110,21 +98,18 @@ pub struct SaStats {
     pub accepted: u64,
 }
 
-/// [`place_sa`] returning the proposal counters alongside the placement.
+/// The full form of [`place_sa`], and the annealing loop behind every
+/// `place_sa*` entry point: on a possibly damaged chip, under an execution
+/// [`Budget`], returning the proposal counters alongside the placement.
 ///
-/// # Errors
-///
-/// Same as [`place_sa`].
-pub fn place_sa_with_stats(
-    components: &ComponentSet,
-    nets: &NetList,
-    grid: GridSpec,
-    config: &SaConfig,
-) -> Result<(Placement, SaStats), PlaceError> {
-    place_sa_with_stats_and_defects(components, nets, grid, config, &DefectMap::pristine())
-}
-
-/// The annealing loop shared by every `place_sa*` entry point.
+/// * **Defects** — no component rectangle may cover a blocked cell of
+///   `defects`, and components marked dead are pinned: the annealer never
+///   proposes moving, rotating or swapping them. A pristine map is exactly
+///   `place_sa` (bit-identical placements).
+/// * **Budget** — polled **once per temperature epoch** (every `i_max`
+///   proposals, outside the bitwise-pinned proposal path), so an unlimited
+///   budget leaves the annealer bit-identical to the frozen reference while
+///   a tripped one stops within a single epoch.
 ///
 /// Hot-path shape: a proposal is applied **in place** as a typed [`Move`]
 /// and reverted on rejection, and the Eq. (3)+spacing energy is maintained
@@ -133,33 +118,13 @@ pub fn place_sa_with_stats(
 /// the full recompute so accepted energies stay bitwise identical to
 /// [`crate::reference::place_sa_reference`] (debug builds cross-check every
 /// evaluation against the full recompute).
-pub fn place_sa_with_stats_and_defects(
-    components: &ComponentSet,
-    nets: &NetList,
-    grid: GridSpec,
-    config: &SaConfig,
-    defects: &DefectMap,
-) -> Result<(Placement, SaStats), PlaceError> {
-    place_sa_budgeted(
-        components,
-        nets,
-        grid,
-        config,
-        defects,
-        &Budget::unlimited(),
-    )
-}
-
-/// [`place_sa_with_stats_and_defects`] under an execution [`Budget`]: the
-/// budget is polled **once per temperature epoch** (every `i_max` proposals,
-/// outside the bitwise-pinned proposal path), so an unlimited budget leaves
-/// the annealer bit-identical to the frozen reference while a tripped one
-/// stops within a single epoch.
 ///
 /// # Errors
 ///
-/// Same as [`place_sa`], plus [`PlaceError::Interrupted`] when the deadline
-/// passes or the cancellation token fires mid-anneal.
+/// [`PlaceError::GridTooSmall`] when the grid cannot hold the components at
+/// all; [`PlaceError::DefectBlocked`] when it could, but every arrangement
+/// collides with blocked cells; [`PlaceError::Interrupted`] when the
+/// deadline passes or the cancellation token fires mid-anneal.
 pub fn place_sa_budgeted(
     components: &ComponentSet,
     nets: &NetList,
@@ -296,9 +261,9 @@ pub(crate) fn initial_placement(
 
 /// One applied annealing move, carrying enough state to undo itself.
 ///
-/// [`propose_move`] mutates the placement in place and hands back the move;
-/// a rejected proposal calls [`Move::undo`] instead of restoring a saved
-/// clone, so the rejection path allocates nothing.
+/// The annealer's proposer mutates the placement in place and hands back
+/// the move; a rejected proposal calls [`Move::undo`] instead of restoring
+/// a saved clone, so the rejection path allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Move {
     /// Translate or rotate: component `c` moved from `old` to its current
@@ -849,7 +814,7 @@ mod tests {
             defects.block_cell(CellPos::new(i, i));
         }
         defects.kill_component(ComponentId::new(2));
-        let p = place_sa_with_defects(&comps, &nets, grid, &SaConfig::paper(), &defects).unwrap();
+        let p = place_with_defects(&comps, &nets, grid, &SaConfig::paper(), &defects).unwrap();
         assert!(p.is_legal());
         assert_eq!(p.defect_overlap(&defects), None);
     }
@@ -861,9 +826,19 @@ mod tests {
         let grid = auto_grid(&comps);
         let cfg = SaConfig::paper().with_seed(11);
         let plain = place_sa(&comps, &nets, grid, &cfg).unwrap();
-        let with =
-            place_sa_with_defects(&comps, &nets, grid, &cfg, &DefectMap::pristine()).unwrap();
+        let with = place_with_defects(&comps, &nets, grid, &cfg, &DefectMap::pristine()).unwrap();
         assert_eq!(plain, with);
+    }
+
+    /// `place_sa_budgeted` under an unlimited budget, placement only.
+    fn place_with_defects(
+        comps: &ComponentSet,
+        nets: &NetList,
+        grid: GridSpec,
+        cfg: &SaConfig,
+        defects: &DefectMap,
+    ) -> Result<Placement, PlaceError> {
+        place_sa_budgeted(comps, nets, grid, cfg, defects, &Budget::unlimited()).map(|(p, _)| p)
     }
 
     #[test]
@@ -877,7 +852,7 @@ mod tests {
                 defects.block_cell(CellPos::new(x, y));
             }
         }
-        let err = place_sa_with_defects(&comps, &nets, grid, &SaConfig::paper(), &defects);
+        let err = place_with_defects(&comps, &nets, grid, &SaConfig::paper(), &defects);
         assert!(matches!(err, Err(PlaceError::DefectBlocked { .. })));
     }
 

@@ -63,7 +63,8 @@ fn optimized_sa_matches_reference_under_defects() {
     defects.kill_component(ComponentId::new(1));
     for seed in SEEDS {
         let cfg = SaConfig::paper().with_seed(seed);
-        let fast = place_sa_with_defects(&comps, &nets, grid, &cfg, &defects).unwrap();
+        let (fast, _) =
+            place_sa_budgeted(&comps, &nets, grid, &cfg, &defects, &Budget::unlimited()).unwrap();
         let slow = place_sa_reference_with_defects(&comps, &nets, grid, &cfg, &defects).unwrap();
         assert_eq!(fast, slow, "defect run diverged at seed {seed:#x}");
     }
@@ -75,7 +76,15 @@ fn stats_account_for_every_proposal() {
     let (comps, nets) = netlist_for(&b);
     let grid = auto_grid(&comps);
     let cfg = SaConfig::paper();
-    let (p, stats) = place_sa_with_stats(&comps, &nets, grid, &cfg).unwrap();
+    let (p, stats) = place_sa_budgeted(
+        &comps,
+        &nets,
+        grid,
+        &cfg,
+        &DefectMap::pristine(),
+        &Budget::unlimited(),
+    )
+    .unwrap();
     assert!(p.is_legal());
     // I_max proposals per temperature step, T_0 → T_min at factor α.
     let steps = {

@@ -64,7 +64,7 @@ pub struct SearchStats {
 /// Reusable search arena: one per router, shared by every net.
 ///
 /// All per-query state lives in flat arrays validated by a generation
-/// stamp: [`SearchScratch::begin`] bumps a `u32` epoch instead of
+/// stamp: starting a query bumps a `u32` epoch instead of
 /// refilling, so starting a query is O(1) and a whole routing run performs
 /// no per-net allocation once the arrays have grown to the grid size. The
 /// heuristic and feasibility of a cell are each computed at most once per

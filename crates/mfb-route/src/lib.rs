@@ -39,8 +39,7 @@ pub mod prelude {
     pub use crate::grid::{ChannelWash, Reservation, RoutingGrid};
     pub use crate::optimize::{optimize_channel_length, optimize_channel_length_with_defects};
     pub use crate::router::{
-        ports, route_dcsa, route_dcsa_budgeted, route_dcsa_with_defects, route_dcsa_with_scratch,
-        RealizedTimes, RoutedPath, RouterConfig, Routing,
+        ports, route_dcsa, route_dcsa_budgeted, RealizedTimes, RoutedPath, RouterConfig, Routing,
     };
     pub use crate::washplan::{plan_washes, Flush, WashPlan};
 }

@@ -401,7 +401,7 @@ pub fn route_dcsa_reference(
 ///
 /// # Errors
 ///
-/// Same as [`crate::router::route_dcsa_with_defects`].
+/// Same as [`crate::router::route_dcsa_budgeted`], minus the interrupt.
 pub fn route_dcsa_reference_with_defects(
     schedule: &Schedule,
     graph: &SequencingGraph,

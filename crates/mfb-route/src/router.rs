@@ -411,55 +411,40 @@ pub fn route_dcsa(
     wash: &dyn WashModel,
     config: &RouterConfig,
 ) -> Result<Routing, RouteError> {
-    route_dcsa_with_defects(
+    route_dcsa_budgeted(
         schedule,
         graph,
         placement,
         wash,
         config,
         &DefectMap::pristine(),
+        &mut SearchScratch::new(),
+        &Budget::unlimited(),
     )
 }
 
-/// [`route_dcsa`] on a damaged chip: blocked cells of `defects` are
-/// permanently occupied (∞ cost) for the time-windowed A*, so no path —
-/// transport, parking or rip-up reference — ever crosses one, and degraded
-/// cells pay their extra weight in Eq. (5).
+/// The full form of [`route_dcsa`]: a possibly damaged chip, a
+/// caller-owned search arena, and an execution [`Budget`].
+///
+/// * **Defects** — blocked cells of `defects` are permanently occupied
+///   (∞ cost) for the time-windowed A*, so no path — transport, parking
+///   or rip-up reference — ever crosses one, and degraded cells pay their
+///   extra weight in Eq. (5).
+/// * **Scratch** — the arena (and its accumulated
+///   [`crate::astar::SearchStats`]) survives the call, so batch drivers
+///   reuse one arena across placements and `mfb bench` reads expansion
+///   counts from it.
+/// * **Budget** — installed on `scratch` for the call and polled per
+///   routed task plus every few thousand A* expansions, so a tripped
+///   deadline or cancellation surfaces as [`RouteError::Interrupted`]
+///   within milliseconds instead of after the full pass. An unlimited
+///   budget leaves the search bit-identical.
 ///
 /// # Errors
 ///
-/// Same as [`route_dcsa`]; a chip whose defects sever every corridor
-/// surfaces as [`RouteError::Unroutable`] or [`RouteError::NoPorts`].
-pub fn route_dcsa_with_defects(
-    schedule: &Schedule,
-    graph: &SequencingGraph,
-    placement: &Placement,
-    wash: &dyn WashModel,
-    config: &RouterConfig,
-    defects: &DefectMap,
-) -> Result<Routing, RouteError> {
-    let mut scratch = SearchScratch::new();
-    route_dcsa_with_scratch(
-        schedule,
-        graph,
-        placement,
-        wash,
-        config,
-        defects,
-        &mut scratch,
-    )
-}
-
-/// [`route_dcsa_with_defects`] under an execution [`Budget`]: the budget is
-/// installed on `scratch` and polled per routed task plus every few
-/// thousand A* expansions, so a tripped deadline or cancellation surfaces
-/// as [`RouteError::Interrupted`] within milliseconds instead of after the
-/// full pass. An unlimited budget leaves the search bit-identical to
-/// [`route_dcsa_with_scratch`].
-///
-/// # Errors
-///
-/// Same as [`route_dcsa`], plus [`RouteError::Interrupted`].
+/// Same as [`route_dcsa`] (a chip whose defects sever every corridor
+/// surfaces as [`RouteError::Unroutable`] or [`RouteError::NoPorts`]),
+/// plus [`RouteError::Interrupted`].
 #[allow(clippy::too_many_arguments)]
 pub fn route_dcsa_budgeted(
     schedule: &Schedule,
@@ -471,33 +456,11 @@ pub fn route_dcsa_budgeted(
     scratch: &mut SearchScratch,
     budget: &Budget,
 ) -> Result<Routing, RouteError> {
-    scratch.set_budget(budget);
-    let result =
-        route_dcsa_with_scratch(schedule, graph, placement, wash, config, defects, scratch);
-    scratch.set_budget(&Budget::unlimited());
-    result
-}
-
-/// [`route_dcsa_with_defects`] on a caller-owned [`SearchScratch`]: the
-/// arena (and its accumulated [`crate::astar::SearchStats`]) survives the
-/// call, so batch drivers reuse one arena across placements and `mfb
-/// bench` reads expansion counts from it.
-///
-/// # Errors
-///
-/// Same as [`route_dcsa`].
-pub fn route_dcsa_with_scratch(
-    schedule: &Schedule,
-    graph: &SequencingGraph,
-    placement: &Placement,
-    wash: &dyn WashModel,
-    config: &RouterConfig,
-    defects: &DefectMap,
-    scratch: &mut SearchScratch,
-) -> Result<Routing, RouteError> {
     let _span = mfb_obs::obs_span!("route.dcsa", tasks = schedule.transports().len() as u64);
+    scratch.set_budget(budget);
     let stats_before = scratch.stats;
     let result = route_dcsa_orderings(schedule, graph, placement, wash, config, defects, scratch);
+    scratch.set_budget(&Budget::unlimited());
     if mfb_obs::enabled() {
         let d = scratch.stats;
         mfb_obs::obs_counter!("astar.queries", d.queries - stats_before.queries);
@@ -514,7 +477,7 @@ pub fn route_dcsa_with_scratch(
     result
 }
 
-/// The two-ordering routing strategy behind [`route_dcsa_with_scratch`].
+/// The two-ordering routing strategy behind [`route_dcsa_budgeted`].
 #[allow(clippy::too_many_arguments)]
 fn route_dcsa_orderings(
     schedule: &Schedule,
@@ -902,16 +865,28 @@ mod tests {
     fn pristine_defects_match_plain_routing() {
         let (g, _comps, s, placement) = chain_setup();
         let plain = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
-        let with = route_dcsa_with_defects(
-            &s,
-            &g,
-            &placement,
+        let with = route_with_defects(&s, &g, &placement, &DefectMap::pristine()).unwrap();
+        assert_eq!(plain, with);
+    }
+
+    /// `route_dcsa_budgeted` with the paper's router, a fresh arena and an
+    /// unlimited budget.
+    fn route_with_defects(
+        s: &Schedule,
+        g: &SequencingGraph,
+        placement: &Placement,
+        defects: &DefectMap,
+    ) -> Result<Routing, RouteError> {
+        route_dcsa_budgeted(
+            s,
+            g,
+            placement,
             &wash(),
             &RouterConfig::paper(),
-            &DefectMap::pristine(),
+            defects,
+            &mut SearchScratch::new(),
+            &Budget::unlimited(),
         )
-        .unwrap();
-        assert_eq!(plain, with);
     }
 
     #[test]
@@ -923,15 +898,7 @@ mod tests {
         for y in 0..14 {
             defects.block_cell(CellPos::new(6, y));
         }
-        let r = route_dcsa_with_defects(
-            &s,
-            &g,
-            &placement,
-            &wash(),
-            &RouterConfig::paper(),
-            &defects,
-        )
-        .unwrap();
+        let r = route_with_defects(&s, &g, &placement, &defects).unwrap();
         for p in &r.paths {
             for &c in &p.cells {
                 assert!(!defects.is_blocked(c), "path crosses blocked cell {c}");

@@ -207,7 +207,16 @@ fn optimized_router_matches_reference_under_defects() {
     for i in 0..spec.width.min(spec.height) / 3 {
         defects.block_cell(CellPos::new(3 * i, 3 * i));
     }
-    let fast = route_dcsa_with_defects(&s, &graph, &p, &wash, &config, &defects);
+    let fast = route_dcsa_budgeted(
+        &s,
+        &graph,
+        &p,
+        &wash,
+        &config,
+        &defects,
+        &mut SearchScratch::new(),
+        &Budget::unlimited(),
+    );
     let slow = route_dcsa_reference_with_defects(&s, &graph, &p, &wash, &config, &defects);
     assert_eq!(fast, slow, "defect routing diverged");
 }
@@ -219,7 +228,7 @@ fn scratch_stats_expose_search_effort() {
     let b = table1_benchmarks().swap_remove(2); // CPA: routes on a bare SA placement
     let (graph, s, p) = synthesized(&b);
     let mut scratch = SearchScratch::new();
-    let r = route_dcsa_with_scratch(
+    let r = route_dcsa_budgeted(
         &s,
         &graph,
         &p,
@@ -227,6 +236,7 @@ fn scratch_stats_expose_search_effort() {
         &config,
         &DefectMap::pristine(),
         &mut scratch,
+        &Budget::unlimited(),
     )
     .unwrap();
     assert!(!r.paths.is_empty());

@@ -4,7 +4,7 @@
 //! termination flag and drives shutdown), one detached thread per client
 //! connection (blocking reads with a short timeout so it can observe
 //! shutdown), and a fixed pool of worker threads pulling job ids off the
-//! [`JobQueue`](crate::queue::JobQueue). All workers share one
+//! [`JobQueue`]. All workers share one
 //! [`StageCache`], so every submission after the first of a kind runs
 //! warm — and the cache is persisted to `--cache-dir` so restarts stay
 //! warm too.

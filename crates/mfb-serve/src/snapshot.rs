@@ -160,11 +160,25 @@ mod tests {
             })
             .expect("PCR is a Table-I bench");
         let cache = StageCache::new();
-        let wash = LogLinearWash::paper_calibrated();
-        Synthesizer::paper_dcsa()
-            .synthesize_cached(&graph, &alloc, &wash, &cache)
-            .expect("PCR synthesizes");
+        cached_run(&Synthesizer::paper_dcsa(), &graph, &alloc, &cache).expect("PCR synthesizes");
         cache
+    }
+
+    /// `synth` through `cache` on a pristine chip with an unlimited budget.
+    fn cached_run(
+        synth: &Synthesizer,
+        graph: &SequencingGraph,
+        alloc: &ComponentSet,
+        cache: &StageCache,
+    ) -> Result<Solution, SynthesisError> {
+        synth.synthesize_with(
+            graph,
+            alloc,
+            &LogLinearWash::paper_calibrated(),
+            &DefectMap::pristine(),
+            Some(cache),
+            &Budget::unlimited(),
+        )
     }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -248,13 +262,10 @@ mod tests {
                 (b.graph, components)
             })
             .expect("PCR is a Table-I bench");
-        let wash = LogLinearWash::paper_calibrated();
         let synth = Synthesizer::paper_dcsa();
 
         let cold_cache = StageCache::new();
-        let cold = synth
-            .synthesize_cached(&graph, &alloc, &wash, &cold_cache)
-            .unwrap();
+        let cold = cached_run(&synth, &graph, &alloc, &cold_cache).unwrap();
 
         let dir = tmp_dir("identical");
         let path = dir.join(SNAPSHOT_FILE);
@@ -263,9 +274,7 @@ mod tests {
         let warm_cache = StageCache::new();
         load_snapshot(&warm_cache, &path).unwrap();
         let before = warm_cache.stats();
-        let warm = synth
-            .synthesize_cached(&graph, &alloc, &wash, &warm_cache)
-            .unwrap();
+        let warm = cached_run(&synth, &graph, &alloc, &warm_cache).unwrap();
         let delta = warm_cache.stats() - before;
         assert!(delta.schedule_hits > 0, "imported schedule must hit");
         assert_eq!(cold, warm, "warm result must be byte-identical");

@@ -104,7 +104,14 @@ fn run_case(text: &str) -> Result<(), String> {
     let wash = LogLinearWash::paper_calibrated();
     let synth = Synthesizer::new(config_for(&file));
     let router = synth.config().router;
-    match synth.synthesize_with_defects(&file.graph, &comps, &wash, &file.defects) {
+    match synth.synthesize_with(
+        &file.graph,
+        &comps,
+        &wash,
+        &file.defects,
+        None,
+        &Budget::unlimited(),
+    ) {
         Err(_) => Ok(()), // typed synthesis error: acceptable outcome
         Ok(solution) => {
             let sim = solution.verify(&file.graph, &comps, &wash);

@@ -1,8 +1,9 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! Implements the generate-and-check core the workspace's property tests
-//! use — [`Strategy`] with `prop_map`, range/tuple/`Just`/union strategies,
-//! `collection::vec`, `option::of`, `sample::Index`, the `proptest!` /
+//! use — [`Strategy`](strategy::Strategy) with `prop_map`,
+//! range/tuple/`Just`/union strategies, `collection::vec`, `option::of`,
+//! `sample::Index`, the `proptest!` /
 //! `prop_assert*` / `prop_assume!` / `prop_oneof!` macros, and
 //! [`test_runner::ProptestConfig`] — without shrinking. Case generation is
 //! deterministic (seeded from the test name), so failures reproduce exactly.

@@ -53,7 +53,14 @@ fn synthesize_json(file: &AssayFile) -> String {
     let wash = LogLinearWash::paper_calibrated();
     let synth = Synthesizer::new(config_for(file));
     let solution = synth
-        .synthesize_with_defects(&file.graph, &comps, &wash, &file.defects)
+        .synthesize_with(
+            &file.graph,
+            &comps,
+            &wash,
+            &file.defects,
+            None,
+            &Budget::unlimited(),
+        )
         .expect("corpus files must synthesize");
 
     let sim = solution.verify(&file.graph, &comps, &wash);

@@ -43,7 +43,14 @@ fn pipeline_survives(text: &str) -> Result<(), String> {
     let comps = allocation.instantiate(&ComponentLibrary::default());
     let wash = LogLinearWash::paper_calibrated();
     let synth = Synthesizer::new(config_for(&file));
-    match synth.synthesize_with_defects(&file.graph, &comps, &wash, &file.defects) {
+    match synth.synthesize_with(
+        &file.graph,
+        &comps,
+        &wash,
+        &file.defects,
+        None,
+        &Budget::unlimited(),
+    ) {
         Err(_) => Ok(()),
         Ok(solution) => {
             let sim = solution.verify(&file.graph, &comps, &wash);
