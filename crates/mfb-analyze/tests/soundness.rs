@@ -230,3 +230,118 @@ fn rule_selection_filters_findings() {
     );
     assert_eq!(report.by_rule("ANA-TAINT-001").count(), 0);
 }
+
+/// FNV-1a 64: a compact, stable digest of a rendered report.
+fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
+/// Appends one occupancy of the first routed fluid's head cell to the
+/// first path of a different fluid — the recipe of `mfb analyze --inject`.
+/// `conflict` books the donor's window itself; `wash-gap` arrives one
+/// tick after the donor leaves, inside its residue horizon.
+fn inject(sol: &mut Solution, kind: &str) {
+    let paths = &mut sol.routing.paths;
+    let donor = paths.iter().find(|p| !p.is_empty()).expect("a routed path");
+    let (fluid, cell, window) = (donor.fluid, donor.cells[0], donor.windows[0]);
+    let victim = paths
+        .iter_mut()
+        .find(|p| p.fluid != fluid && !p.is_empty())
+        .expect("two routed fluids");
+    let window = match kind {
+        "conflict" => window,
+        "wash-gap" => {
+            let start = window.end + Duration::from_ticks(1);
+            Interval::new(start, start + Duration::from_secs(2))
+        }
+        other => panic!("unknown defect kind {other}"),
+    };
+    victim.cells.push(cell);
+    victim.windows.push(window);
+}
+
+/// Pins the bytes of every checker report — replay violations, the DRC's
+/// JSON and the analyzer's SARIF — on three Table-I benchmarks, clean and
+/// with each seeded defect.
+#[test]
+fn checker_reports_match_golden_digests() {
+    const GOLDEN: [(&str, &str, [u64; 3]); 9] = [
+        (
+            "PCR",
+            "clean",
+            [0x4ea8da07b5ecb5a5, 0x98a51f26cbab3a0d, 0x456a4b377ff75fab],
+        ),
+        (
+            "PCR",
+            "conflict",
+            [0x6a19fdac3fb61fb1, 0x0917a459172eab58, 0xc2980fbf106ecaf2],
+        ),
+        (
+            "PCR",
+            "wash-gap",
+            [0x52f9e416c32ab45d, 0x9d68dd0fa6ac266d, 0x7d2fe2b104a96737],
+        ),
+        (
+            "IVD",
+            "clean",
+            [0x4ea8da07b5ecb5a5, 0x98a51f26cbab3a0d, 0x456a4b377ff75fab],
+        ),
+        (
+            "IVD",
+            "conflict",
+            [0x353a83dc965a62dd, 0x77d6d08b071449ca, 0xa4629b13e0569bbb],
+        ),
+        (
+            "IVD",
+            "wash-gap",
+            [0x57616c5e043d5236, 0x0af4eae54b58a796, 0x43f0ffd2fa9ea98c],
+        ),
+        (
+            "CPA",
+            "clean",
+            [0x4ea8da07b5ecb5a5, 0x98a51f26cbab3a0d, 0x456a4b377ff75fab],
+        ),
+        (
+            "CPA",
+            "conflict",
+            [0x0891b992b5bbd679, 0x0677d3e400ce9d02, 0x313e9b2287e50172],
+        ),
+        (
+            "CPA",
+            "wash-gap",
+            [0x358715bc14bdd066, 0x49b2d09a62799319, 0x3d320ae3340c63fb],
+        ),
+    ];
+    let mut actual = Vec::new();
+    for (name, kind, _) in GOLDEN {
+        let b = table1_benchmarks()
+            .into_iter()
+            .find(|b| b.name == name)
+            .expect("Table-I benchmark");
+        let comps = b.components(&ComponentLibrary::default());
+        let mut sol = Synthesizer::paper_dcsa()
+            .synthesize(&b.graph, &comps, &wash())
+            .expect("Table-I benchmark synthesizes");
+        if kind != "clean" {
+            inject(&mut sol, kind);
+        }
+        let replayed = sol.verify(&b.graph, &comps, &wash());
+        let drc = sol.drc(&b.graph, &comps, &wash());
+        let analysis = sol.analyze(&b.graph, &comps, &wash());
+        actual.push((
+            name,
+            kind,
+            [
+                fnv64(format!("{:?}", replayed.violations).as_bytes()),
+                fnv64(render_json(&drc).as_bytes()),
+                fnv64(render_sarif_with(&analysis, &analysis_rules()).as_bytes()),
+            ],
+        ));
+    }
+    assert_eq!(actual, GOLDEN, "checker report bytes changed");
+}
