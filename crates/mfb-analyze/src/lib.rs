@@ -1,9 +1,10 @@
 //! Cross-stage dataflow analysis over the DCSA synthesis IR.
 //!
-//! Where `mfb-verify` *checks* a solution rule by rule and `mfb-sim`
-//! *replays* it event by event, this crate *analyses* it: it builds a
-//! time-expanded occupancy IR from the routed solution once
-//! ([`ir::OccupancyIr`]) and runs three fixpoint/graph analyses over it:
+//! Where the `mfb-verify` DRC *checks* a solution rule by rule and
+//! `mfb-sim` *replays* it event by event, this crate *analyses* it: three
+//! fixpoint/graph analyses over `mfb-sim`'s occupancy model
+//! ([`OccupancyIr`]), which [`VerifyInput::occupancy`] builds once per
+//! input:
 //!
 //! | Rules | Analysis |
 //! |---|---|
@@ -11,31 +12,33 @@
 //! | `ANA-STORE-001/002` | storage liveness: overlapping channel-storage residency, waits-for deadlock cycles |
 //! | `ANA-VALVE-001` | valve conflicts: junction valves required open and closed simultaneously (via `mfb-control`'s `ValveNetwork`) |
 //!
-//! Findings are ordinary [`mfb_verify::Diagnostic`]s, so the existing
-//! pretty/JSON/SARIF renderers work unchanged; `mfb analyze` in the CLI
-//! and `Solution::analyze` in `mfb-core` are thin wrappers over
-//! [`Analyzer::run`]. By design the static findings are a superset of the
-//! replay engine's contamination and conflict violations (see the
-//! soundness tests), and the report is byte-identical for any
-//! `MFB_THREADS` setting: the three analyses fan out via
-//! `par_map_ordered` and each is internally deterministic.
+//! Each `ANA-*` id is an ordinary [`Rule`] over the same [`VerifyInput`]
+//! the DRC reads, and [`analysis_registry`] collects them in a
+//! [`RuleRegistry`]. The DRC and the analyses therefore share one input
+//! guard, one rule toggle surface and the pretty/JSON/SARIF renderers;
+//! `mfb analyze` in the CLI and `Solution::analyze` in `mfb-core` are thin
+//! wrappers. By design the static findings are a superset of the replay
+//! engine's contamination and conflict violations (see the soundness
+//! tests), and every analysis is deterministic, so the report is
+//! byte-identical for any `MFB_THREADS` setting.
 //!
 //! # Example
 //!
 //! ```no_run
-//! use mfb_analyze::prelude::*;
+//! use mfb_analyze::analysis_registry;
+//! use mfb_verify::prelude::*;
 //! # fn demo(graph: &mfb_model::prelude::SequencingGraph,
 //! #         components: &mfb_model::prelude::ComponentSet,
 //! #         schedule: &mfb_sched::prelude::Schedule,
 //! #         placement: &mfb_place::prelude::Placement,
 //! #         routing: &mfb_route::prelude::Routing,
 //! #         wash: &dyn mfb_model::prelude::WashModel) {
-//! let input = AnalysisInput::new(
+//! let input = VerifyInput::new(
 //!     graph, components, schedule, placement, routing, wash,
 //!     mfb_route::prelude::RouterConfig::paper(),
 //! );
-//! let report = Analyzer::with_all_rules().run(&input);
-//! println!("{}", mfb_verify::render_pretty(&report));
+//! let report = analysis_registry().run(&input);
+//! println!("{}", render_pretty(&report));
 //! # }
 //! ```
 
@@ -46,259 +49,113 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod engine;
-pub mod ir;
 mod liveness;
 mod taint;
 mod valves;
 
-use mfb_model::par::par_map_ordered;
-use mfb_model::prelude::*;
-use mfb_place::prelude::Placement;
-use mfb_route::prelude::{RouterConfig, Routing};
-use mfb_sched::prelude::{FluidDelivery, Schedule};
+use mfb_sim::prelude::OccupancyIr;
 use mfb_verify::prelude::*;
-use std::collections::BTreeSet;
 
-/// Borrowed view of one complete synthesis result, as the analyses see it.
-///
-/// Mirrors `mfb_verify::VerifyInput` but without the memoised legacy
-/// checkers — the analyses here never call them.
+/// One `ANA-*` rule: an analysis over the shared occupancy model.
 #[derive(Debug)]
-pub struct AnalysisInput<'a> {
-    /// The bioassay being synthesised.
-    pub graph: &'a SequencingGraph,
-    /// The component allocation.
-    pub components: &'a ComponentSet,
-    /// Stage 1 result: operation schedule with transport tasks.
-    pub schedule: &'a Schedule,
-    /// Stage 2 result: the floorplan.
-    pub placement: &'a Placement,
-    /// Stage 3 result: routed paths with realized times.
-    pub routing: &'a Routing,
-    /// Wash model the solution was synthesised under.
-    pub wash: &'a dyn WashModel,
-    /// Router configuration (wash-plan feasibility checks need it).
-    pub router_config: RouterConfig,
+struct Analysis {
+    info: RuleInfo,
+    run: fn(&OccupancyIr, &VerifyInput<'_>) -> Vec<Diagnostic>,
 }
 
-impl<'a> AnalysisInput<'a> {
-    /// Bundles the artifacts of one synthesis run for analysis.
-    pub fn new(
-        graph: &'a SequencingGraph,
-        components: &'a ComponentSet,
-        schedule: &'a Schedule,
-        placement: &'a Placement,
-        routing: &'a Routing,
-        wash: &'a dyn WashModel,
-        router_config: RouterConfig,
-    ) -> Self {
-        AnalysisInput {
-            graph,
-            components,
-            schedule,
-            placement,
-            routing,
-            wash,
-            router_config,
-        }
+impl Rule for Analysis {
+    fn info(&self) -> RuleInfo {
+        self.info
     }
 
-    /// `true` when every cross-reference in the artifacts resolves (same
-    /// contract as `VerifyInput::ids_in_range`, extended to the routed
-    /// paths' task/fluid ids). On a `false` result the analyzer stands
-    /// down with an empty report instead of indexing out of range —
-    /// matching the replay engine, which reports only shape mismatches
-    /// (never contamination) for such inputs, so the superset guarantee
-    /// holds trivially.
-    pub fn ids_in_range(&self) -> bool {
-        let n_ops = self.graph.len();
-        let n_comps = self.components.len();
-        let n_tasks = self.schedule.transports().len();
-        let grid = self.placement.grid();
-        let in_grid = |c: CellPos| c.x < grid.width && c.y < grid.height;
-        self.schedule.ops().len() == n_ops
-            && self.routing.paths.len() == n_tasks
-            && self
-                .schedule
-                .ops()
-                .all(|s| s.op.index() < n_ops && s.component.index() < n_comps)
-            && self.schedule.transports().all(|t| {
-                t.fluid.index() < n_ops
-                    && t.consumer.index() < n_ops
-                    && t.src.index() < n_comps
-                    && t.dst.index() < n_comps
-            })
-            && self.schedule.deliveries().all(|&(p, c, ref d)| {
-                p.index() < n_ops
-                    && c.index() < n_ops
-                    && if let FluidDelivery::Transported(t) = *d {
-                        t.index() < n_tasks
-                    } else {
-                        true
-                    }
-            })
-            && self.routing.paths.iter().all(|p| {
-                p.fluid.index() < n_ops
-                    && p.task.index() < n_tasks
-                    && p.cells.len() == p.windows.len()
-                    && p.cells.iter().all(|&c| in_grid(c))
-            })
-            && self
-                .routing
-                .channel_washes
-                .iter()
-                .all(|w| w.residue.index() < n_ops && w.task.index() < n_tasks && in_grid(w.cell))
-            && self.routing.realized.start.len() == n_ops
-            && self.routing.realized.end.len() == n_ops
+    fn check(&self, input: &VerifyInput<'_>) -> Vec<Diagnostic> {
+        occupancy(input).map_or_else(Vec::new, |occupancy| (self.run)(occupancy, input))
     }
 }
 
-/// The static catalog of analysis rules, in rule-id order.
-pub fn analysis_rules() -> Vec<RuleInfo> {
-    vec![
-        RuleInfo {
-            id: "ANA-STORE-001",
-            name: "storage-overlap",
-            description: "Two different stored fluids are live in the same channel cell \
-                          at overlapping times.",
-            severity: Severity::Error,
-        },
-        RuleInfo {
-            id: "ANA-STORE-002",
-            name: "storage-deadlock",
-            description: "Stored plugs and delivery routes form a waits-for cycle no \
-                          control sequence can resolve.",
-            severity: Severity::Error,
-        },
-        RuleInfo {
-            id: "ANA-TAINT-001",
-            name: "residual-contamination",
-            description: "A fluid occupies a channel cell while a different fluid's plug \
-                          or unwashed residue is still present.",
-            severity: Severity::Error,
-        },
-        RuleInfo {
-            id: "ANA-TAINT-002",
-            name: "contamination-chain",
-            description: "An operation's provenance fixpoint contains a non-ancestor \
-                          fluid: contamination reaches it through a chain of channel \
-                          hand-offs.",
-            severity: Severity::Error,
-        },
-        RuleInfo {
-            id: "ANA-VALVE-001",
-            name: "valve-conflict",
-            description: "A junction valve is required simultaneously open for one fluid \
-                          and closed for another.",
-            severity: Severity::Error,
-        },
-        RuleInfo {
-            id: "ANA-WASH-001",
-            name: "unrealizable-taint-kill",
-            description: "A required channel wash has no feasible buffer flush in its \
-                          time gap; the contamination kill it models is optimistic.",
-            severity: Severity::Warning,
-        },
-    ]
+/// The input's occupancy model (`None` when the input guard rejects it),
+/// traced as `analyze.ir` when the first analysis builds it.
+fn occupancy<'i>(input: &'i VerifyInput<'_>) -> Option<&'i OccupancyIr> {
+    if input.has_occupancy() {
+        return input.occupancy();
+    }
+    let _span = mfb_obs::obs_span!("analyze.ir", paths = input.routing.paths.len() as u64);
+    let occupancy = input.occupancy()?;
+    mfb_obs::obs_counter!("analyze.storage_segments", occupancy.storage().len() as u64);
+    Some(occupancy)
 }
 
-/// The analysis driver: a toggleable set of `ANA-*` rules over one
-/// [`AnalysisInput`].
-///
-/// Mirrors `mfb_verify::RuleRegistry`'s enable/disable surface so the CLI
-/// can share its `--only`/`--skip` handling between `verify` and
-/// `analyze`.
-#[derive(Debug, Clone, Default)]
-pub struct Analyzer {
-    disabled: BTreeSet<String>,
+fn analysis(
+    id: &'static str,
+    name: &'static str,
+    severity: Severity,
+    description: &'static str,
+    run: fn(&OccupancyIr, &VerifyInput<'_>) -> Vec<Diagnostic>,
+) -> Box<dyn Rule> {
+    Box::new(Analysis {
+        info: RuleInfo {
+            id,
+            name,
+            description,
+            severity,
+        },
+        run,
+    })
 }
 
-impl Analyzer {
-    /// An analyzer with every rule enabled.
-    pub fn with_all_rules() -> Self {
-        Analyzer::default()
-    }
-
-    /// All known rules, enabled or not, in rule-id order.
-    pub fn rules(&self) -> impl Iterator<Item = RuleInfo> {
-        analysis_rules().into_iter()
-    }
-
-    /// Looks up one rule by id.
-    pub fn rule(&self, id: &str) -> Option<RuleInfo> {
-        analysis_rules().into_iter().find(|r| r.id == id)
-    }
-
-    /// Disables the rule with the given id (unknown ids are ignored).
-    pub fn disable(&mut self, id: &str) {
-        self.disabled.insert(id.to_string());
-    }
-
-    /// Re-enables a previously disabled rule.
-    pub fn enable(&mut self, id: &str) {
-        self.disabled.remove(id);
-    }
-
-    /// `true` when the rule will run.
-    pub fn is_enabled(&self, id: &str) -> bool {
-        !self.disabled.contains(id)
-    }
-
-    /// Keeps only the listed rules enabled, disabling every other one.
-    pub fn retain_only<'i>(&mut self, ids: impl IntoIterator<Item = &'i str>) {
-        let keep: BTreeSet<&str> = ids.into_iter().collect();
-        for rule in analysis_rules() {
-            if !keep.contains(rule.id) {
-                self.disable(rule.id);
-            }
-        }
-    }
-
-    /// Runs every enabled analysis and returns the findings in canonical
-    /// order (most severe first, then rule id, message, location, window;
-    /// exact duplicates removed).
-    ///
-    /// The three analyses fan out via `par_map_ordered`, so the report is
-    /// byte-identical for any `MFB_THREADS` setting.
-    pub fn run(&self, input: &AnalysisInput<'_>) -> VerifyReport {
-        let _span = mfb_obs::obs_span!("analyze.run");
-        if !input.ids_in_range() {
-            return VerifyReport::default();
-        }
-        let ir = ir::OccupancyIr::build(input);
-        let run_taint = ["ANA-TAINT-001", "ANA-TAINT-002", "ANA-WASH-001"]
-            .iter()
-            .any(|id| self.is_enabled(id));
-        let run_store = ["ANA-STORE-001", "ANA-STORE-002"]
-            .iter()
-            .any(|id| self.is_enabled(id));
-        let run_valve = self.is_enabled("ANA-VALVE-001");
-        let parts = par_map_ordered(3, |which| match which {
-            0 if run_taint => {
-                let _span = mfb_obs::obs_span!("analyze.taint");
-                taint::analyze(&ir, input)
-            }
-            1 if run_store => {
-                let _span = mfb_obs::obs_span!("analyze.liveness");
-                liveness::analyze(&ir, input)
-            }
-            2 if run_valve => {
-                let _span = mfb_obs::obs_span!("analyze.valves");
-                valves::analyze(&ir, input)
-            }
-            _ => Vec::new(),
-        });
-        let mut diagnostics: Vec<Diagnostic> = parts.into_iter().flatten().collect();
-        diagnostics.retain(|d| self.is_enabled(&d.rule));
-        mfb_obs::obs_counter!("analyze.findings", diagnostics.len() as u64);
-        VerifyReport::sorted(diagnostics)
-    }
-}
-
-/// Everything an analysis consumer normally needs.
-pub mod prelude {
-    pub use crate::ir::{CellUse, OccupancyIr, OccupancyKind, StorageSegment};
-    pub use crate::{analysis_rules, AnalysisInput, Analyzer};
+/// The `ANA-*` rules, all enabled, in rule-id order.
+pub fn analysis_registry() -> RuleRegistry {
+    RuleRegistry::new(vec![
+        analysis(
+            liveness::RULE_OVERLAP,
+            "storage-overlap",
+            Severity::Error,
+            "Two different stored fluids are live in the same channel cell \
+             at overlapping times.",
+            liveness::storage_overlap,
+        ),
+        analysis(
+            liveness::RULE_DEADLOCK,
+            "storage-deadlock",
+            Severity::Error,
+            "Stored plugs and delivery routes form a waits-for cycle no \
+             control sequence can resolve.",
+            liveness::storage_deadlock,
+        ),
+        analysis(
+            taint::RULE_TAINT,
+            "residual-contamination",
+            Severity::Error,
+            "A fluid occupies a channel cell while a different fluid's plug \
+             or unwashed residue is still present.",
+            taint::residual_contamination,
+        ),
+        analysis(
+            taint::RULE_CHAIN,
+            "contamination-chain",
+            Severity::Error,
+            "An operation's provenance fixpoint contains a non-ancestor \
+             fluid: contamination reaches it through a chain of channel \
+             hand-offs.",
+            taint::contamination_chains,
+        ),
+        analysis(
+            valves::RULE_VALVE,
+            "valve-conflict",
+            Severity::Error,
+            "A junction valve is required simultaneously open for one fluid \
+             and closed for another.",
+            valves::valve_conflicts,
+        ),
+        analysis(
+            taint::RULE_WASH,
+            "unrealizable-taint-kill",
+            Severity::Warning,
+            "A required channel wash has no feasible buffer flush in its \
+             time gap; the contamination kill it models is optimistic.",
+            taint::unrealizable_kills,
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -307,8 +164,7 @@ mod tests {
 
     #[test]
     fn rule_catalog_is_sorted_and_unique() {
-        let rules = analysis_rules();
-        let ids: Vec<&str> = rules.iter().map(|r| r.id).collect();
+        let ids: Vec<&str> = analysis_registry().rules().map(|r| r.id).collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -318,7 +174,7 @@ mod tests {
 
     #[test]
     fn toggling_rules() {
-        let mut a = Analyzer::with_all_rules();
+        let mut a = analysis_registry();
         assert!(a.is_enabled("ANA-TAINT-001"));
         a.disable("ANA-TAINT-001");
         assert!(!a.is_enabled("ANA-TAINT-001"));

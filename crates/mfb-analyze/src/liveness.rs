@@ -19,21 +19,21 @@
 //!    connected component of size ≥ 2.
 
 use crate::engine::strongly_connected_components;
-use crate::ir::OccupancyIr;
-use crate::AnalysisInput;
 use mfb_model::prelude::*;
+use mfb_sim::prelude::OccupancyIr;
 use mfb_verify::prelude::*;
 use std::collections::BTreeSet;
 
 pub(crate) const RULE_OVERLAP: &str = "ANA-STORE-001";
 pub(crate) const RULE_DEADLOCK: &str = "ANA-STORE-002";
 
-/// Runs the storage-liveness analysis over the shared IR.
-pub(crate) fn analyze(ir: &OccupancyIr, input: &AnalysisInput<'_>) -> Vec<Diagnostic> {
+/// `ANA-STORE-001`: overlapping storage residency.
+pub(crate) fn storage_overlap(
+    occupancy: &OccupancyIr,
+    _input: &VerifyInput<'_>,
+) -> Vec<Diagnostic> {
     let mut diagnostics = Vec::new();
-    let segments = ir.storage();
-
-    // ---- ANA-STORE-001: overlapping storage residency.
+    let segments = occupancy.storage();
     for i in 0..segments.len() {
         for j in (i + 1)..segments.len() {
             let (a, b) = (&segments[i], &segments[j]);
@@ -64,7 +64,16 @@ pub(crate) fn analyze(ir: &OccupancyIr, input: &AnalysisInput<'_>) -> Vec<Diagno
         }
     }
 
-    // ---- ANA-STORE-002: cycles in the waits-for graph.
+    diagnostics
+}
+
+/// `ANA-STORE-002`: cycles in the waits-for graph.
+pub(crate) fn storage_deadlock(
+    occupancy: &OccupancyIr,
+    input: &VerifyInput<'_>,
+) -> Vec<Diagnostic> {
+    let mut diagnostics = Vec::new();
+    let segments = occupancy.storage();
     let n_tasks = input.schedule.transports().len();
     let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n_tasks];
 
@@ -82,7 +91,7 @@ pub(crate) fn analyze(ir: &OccupancyIr, input: &AnalysisInput<'_>) -> Vec<Diagno
     let mut blocking_cells: Vec<(usize, usize, CellPos)> = Vec::new();
     for seg in segments {
         for &(cell, parked) in &seg.cells {
-            for use_ in ir.cell(cell) {
+            for use_ in occupancy.cell(cell) {
                 if use_.task == seg.task || use_.fluid == seg.fluid {
                     continue;
                 }

@@ -22,49 +22,34 @@
 //! buffer flush is reported as `ANA-WASH-001`.
 
 use crate::engine::fixpoint_sets;
-use crate::ir::OccupancyIr;
-use crate::AnalysisInput;
 use mfb_model::prelude::*;
-use mfb_route::prelude::plan_washes;
 use mfb_sched::prelude::FluidDelivery;
+use mfb_sim::prelude::{CellUse, OccupancyIr};
 use mfb_verify::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// Severity-stable rule ids (must match [`crate::analysis_rules`]).
 pub(crate) const RULE_TAINT: &str = "ANA-TAINT-001";
 pub(crate) const RULE_CHAIN: &str = "ANA-TAINT-002";
 pub(crate) const RULE_WASH: &str = "ANA-WASH-001";
 
-/// Runs the taint analysis over the shared IR.
-pub(crate) fn analyze(ir: &OccupancyIr, input: &AnalysisInput<'_>) -> Vec<Diagnostic> {
-    let n_tasks = input.schedule.transports().len();
-    let n_ops = input.graph.len();
-    let n_nodes = n_tasks + n_ops;
-    let node_of_task = |t: TaskId| t.index();
-    let node_of_op = |o: OpId| n_tasks + o.index();
+/// One residue hand-off on a shared cell: `to` picks up `from`'s fluid.
+/// When both plugs are present at once (`mixed`) the taint flows both
+/// ways.
+struct HandOff<'o> {
+    from: &'o CellUse,
+    to: &'o CellUse,
+    cell: CellPos,
+    /// When the hand-off happens: the overlap of the two windows, or the
+    /// part of `to`'s window before `from`'s residue is washed out.
+    window: Interval,
+    mixed: bool,
+}
 
-    let mut diagnostics = Vec::new();
-
-    // ---- Taint edges: residue hand-offs between tasks on shared cells.
-    //
-    // Edges carry the provenance flow of the fixpoint below; each also
-    // yields one ANA-TAINT-001 finding. `labels` remembers the smallest
-    // (cell, window) evidence per node pair for witness rendering.
-    let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
-    let mut labels: BTreeMap<(usize, usize), (CellPos, Interval)> = BTreeMap::new();
-    let mut edge_count = 0u64;
-    let add_edge = |successors: &mut Vec<Vec<usize>>,
-                    labels: &mut BTreeMap<(usize, usize), (CellPos, Interval)>,
-                    from: usize,
-                    to: usize,
-                    evidence: (CellPos, Interval)| {
-        successors[from].push(to);
-        labels
-            .entry((from, to))
-            .and_modify(|e| *e = (*e).min(evidence))
-            .or_insert(evidence);
-    };
-    for (cell, uses) in ir.cells() {
+/// Every ordered pair of different-fluid uses of a cell where the later
+/// one meets the earlier one's plug or unwashed residue.
+fn hand_offs(occupancy: &OccupancyIr) -> Vec<HandOff<'_>> {
+    let mut found = Vec::new();
+    for (cell, uses) in occupancy.cells() {
         for i in 0..uses.len() {
             for j in (i + 1)..uses.len() {
                 let (a, b) = (&uses[i], &uses[j]);
@@ -74,50 +59,103 @@ pub(crate) fn analyze(ir: &OccupancyIr, input: &AnalysisInput<'_>) -> Vec<Diagno
                 if a.window.overlaps(b.window) {
                     // Conflict class 1–2: both plugs present at once; the
                     // mixing contaminates both directions.
-                    let overlap = Interval::new(
+                    let window = Interval::new(
                         a.window.start.max(b.window.start),
                         a.window.end.min(b.window.end),
                     );
-                    let ta = node_of_task(a.task);
-                    let tb = node_of_task(b.task);
-                    add_edge(&mut successors, &mut labels, ta, tb, (cell, overlap));
-                    add_edge(&mut successors, &mut labels, tb, ta, (cell, overlap));
-                    edge_count += 2;
-                    diagnostics.push(Diagnostic {
-                        rule: RULE_TAINT.into(),
-                        severity: Severity::Error,
-                        message: format!(
-                            "plugs of {} ({}) and {} ({}) occupy cell {} at overlapping times",
-                            a.fluid, a.task, b.fluid, b.task, cell
-                        ),
-                        location: Location::Cell(cell),
-                        window: Some(overlap),
+                    found.push(HandOff {
+                        from: a,
+                        to: b,
+                        cell,
+                        window,
+                        mixed: true,
                     });
                 } else if a.window.end <= b.window.start && a.clean_at > b.window.start {
                     // Uses are start-sorted, so the disjoint case has `a`
                     // strictly first: `b` drives through `a`'s residue.
                     let end = a.clean_at.min(b.window.end).max(b.window.start);
-                    let evidence = Interval::new(b.window.start, end);
-                    let ta = node_of_task(a.task);
-                    let tb = node_of_task(b.task);
-                    add_edge(&mut successors, &mut labels, ta, tb, (cell, evidence));
-                    edge_count += 1;
-                    diagnostics.push(Diagnostic {
-                        rule: RULE_TAINT.into(),
-                        severity: Severity::Error,
-                        message: format!(
-                            "residue of {} ({}) in cell {} is not washed before {} ({}) \
-                             passes through",
-                            a.fluid, a.task, cell, b.fluid, b.task
-                        ),
-                        location: Location::Cell(cell),
-                        window: Some(evidence),
+                    found.push(HandOff {
+                        from: a,
+                        to: b,
+                        cell,
+                        window: Interval::new(b.window.start, end),
+                        mixed: false,
                     });
                 }
             }
         }
     }
-    mfb_obs::obs_counter!("analyze.taint_edges", edge_count);
+    found
+}
+
+/// `ANA-TAINT-001`: one finding per residue hand-off.
+pub(crate) fn residual_contamination(
+    occupancy: &OccupancyIr,
+    _input: &VerifyInput<'_>,
+) -> Vec<Diagnostic> {
+    let found = hand_offs(occupancy);
+    let edges: usize = found.iter().map(|h| if h.mixed { 2 } else { 1 }).sum();
+    mfb_obs::obs_counter!("analyze.taint_edges", edges as u64);
+    found
+        .iter()
+        .map(|h| {
+            let (a, b, cell) = (h.from, h.to, h.cell);
+            let message = if h.mixed {
+                format!(
+                    "plugs of {} ({}) and {} ({}) occupy cell {} at overlapping times",
+                    a.fluid, a.task, b.fluid, b.task, cell
+                )
+            } else {
+                format!(
+                    "residue of {} ({}) in cell {} is not washed before {} ({}) \
+                     passes through",
+                    a.fluid, a.task, cell, b.fluid, b.task
+                )
+            };
+            Diagnostic {
+                rule: RULE_TAINT.into(),
+                severity: Severity::Error,
+                message,
+                location: Location::Cell(cell),
+                window: Some(h.window),
+            }
+        })
+        .collect()
+}
+
+/// `ANA-TAINT-002`: operations whose provenance fixpoint escapes its
+/// legitimate seeds, each with a witness chain.
+pub(crate) fn contamination_chains(
+    occupancy: &OccupancyIr,
+    input: &VerifyInput<'_>,
+) -> Vec<Diagnostic> {
+    let n_tasks = input.schedule.transports().len();
+    let n_ops = input.graph.len();
+    let n_nodes = n_tasks + n_ops;
+    let node_of_task = |t: TaskId| t.index();
+    let node_of_op = |o: OpId| n_tasks + o.index();
+
+    // ---- Taint edges: residue hand-offs between tasks on shared cells.
+    //
+    // Edges carry the provenance flow of the fixpoint below. `labels`
+    // remembers the smallest (cell, window) evidence per node pair for
+    // witness rendering.
+    let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
+    let mut labels: BTreeMap<(usize, usize), (CellPos, Interval)> = BTreeMap::new();
+    let mut add_edge = |from: TaskId, to: TaskId, evidence: (CellPos, Interval)| {
+        let (from, to) = (node_of_task(from), node_of_task(to));
+        successors[from].push(to);
+        labels
+            .entry((from, to))
+            .and_modify(|e| *e = (*e).min(evidence))
+            .or_insert(evidence);
+    };
+    for h in hand_offs(occupancy) {
+        add_edge(h.from.task, h.to.task, (h.cell, h.window));
+        if h.mixed {
+            add_edge(h.to.task, h.from.task, (h.cell, h.window));
+        }
+    }
 
     // ---- Provenance fixpoint.
     //
@@ -151,7 +189,7 @@ pub(crate) fn analyze(ir: &OccupancyIr, input: &AnalysisInput<'_>) -> Vec<Diagno
     }
     let state = fixpoint_sets(seeds.clone(), &successors);
 
-    // ---- ANA-TAINT-002: operations whose provenance escaped its seeds.
+    let mut diagnostics = Vec::new();
     for o in input.graph.op_ids() {
         let contaminants: Vec<OpId> = state[node_of_op(o)]
             .difference(&legit[o.index()])
@@ -183,18 +221,19 @@ pub(crate) fn analyze(ir: &OccupancyIr, input: &AnalysisInput<'_>) -> Vec<Diagno
             window: None,
         });
     }
+    diagnostics
+}
 
-    // ---- ANA-WASH-001: taint kills the wash planner could not realize.
-    let plan = plan_washes(
-        input.routing,
-        input.schedule,
-        input.graph,
-        input.placement,
-        input.wash,
-        &input.router_config,
-    );
-    for w in &plan.unplanned {
-        diagnostics.push(Diagnostic {
+/// `ANA-WASH-001`: taint kills the routed wash plan could not realize.
+pub(crate) fn unrealizable_kills(
+    _occupancy: &OccupancyIr,
+    input: &VerifyInput<'_>,
+) -> Vec<Diagnostic> {
+    input
+        .wash_plan()
+        .into_iter()
+        .flat_map(|plan| &plan.unplanned)
+        .map(|w| Diagnostic {
             rule: RULE_WASH.into(),
             severity: Severity::Warning,
             message: format!(
@@ -204,10 +243,8 @@ pub(crate) fn analyze(ir: &OccupancyIr, input: &AnalysisInput<'_>) -> Vec<Diagno
             ),
             location: Location::Cell(w.cell),
             window: None,
-        });
-    }
-
-    diagnostics
+        })
+        .collect()
 }
 
 /// `legit[o] = {o} ∪ ancestors(o)`: everything allowed to appear in `o`'s

@@ -13,10 +13,9 @@
 //! Requirements of the same task or the same fluid never conflict — a
 //! plug splitting at a junction is physically one flow.
 
-use crate::ir::OccupancyIr;
-use crate::AnalysisInput;
 use mfb_control::ValveNetwork;
 use mfb_model::prelude::*;
+use mfb_sim::prelude::OccupancyIr;
 use mfb_verify::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -31,8 +30,8 @@ struct Demand {
     window: Interval,
 }
 
-/// Runs the valve-conflict analysis over the shared IR.
-pub(crate) fn analyze(ir: &OccupancyIr, input: &AnalysisInput<'_>) -> Vec<Diagnostic> {
+/// `ANA-VALVE-001` over the shared occupancy model.
+pub(crate) fn valve_conflicts(occupancy: &OccupancyIr, input: &VerifyInput<'_>) -> Vec<Diagnostic> {
     let network = ValveNetwork::build(input.routing, input.placement);
     mfb_obs::obs_counter!("analyze.junctions", network.junction_count() as u64);
 
@@ -86,7 +85,7 @@ pub(crate) fn analyze(ir: &OccupancyIr, input: &AnalysisInput<'_>) -> Vec<Diagno
 
     // Parked-plug isolation: while a fluid is cached, every junction valve
     // facing its parked cells is closed so the plug cannot drift.
-    for seg in ir.storage() {
+    for seg in occupancy.storage() {
         for &(cell, parked) in &seg.cells {
             let dwell = seg.cache;
             if !parked.overlaps(dwell) {

@@ -60,8 +60,8 @@ fn corrupt(sol: &mut Solution, knob: u8, victim: proptest::sample::Index) {
                     Interval::new(start, Instant::from_ticks(u64::MAX));
             }
         }
-        // Teleport a cell off-grid entirely: the IR must skip it, exactly
-        // as the replay timeline does.
+        // Teleport a cell off-grid entirely: the input guard must reject
+        // it before any analysis indexes the grid.
         _ => {
             if !sol.routing.paths[pi].cells.is_empty() {
                 let ci = victim.index(sol.routing.paths[pi].cells.len());
@@ -75,8 +75,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The analyzer never panics on corrupted solutions, and its rendered
-    /// report is byte-identical whether the three analyses fan out over
-    /// one thread or eight.
+    /// report is byte-identical under one worker thread or eight.
     #[test]
     fn analyzer_is_total_and_thread_invariant(
         n in 2usize..16,

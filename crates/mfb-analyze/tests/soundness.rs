@@ -13,7 +13,8 @@
 //!    locations (zero false negatives on the shared conflict classes).
 //!
 //! Plus the determinism contract: rendered reports are byte-identical
-//! across `MFB_THREADS` settings, and SARIF output stays valid JSON.
+//! across `MFB_THREADS` settings, SARIF output stays valid JSON, and the
+//! bytes of every checker report are pinned by golden digests.
 
 use mfb_bench_suite::synth::SyntheticSpec;
 use mfb_bench_suite::table1_benchmarks;
@@ -26,24 +27,30 @@ fn wash() -> LogLinearWash {
     LogLinearWash::paper_calibrated()
 }
 
-/// Duplicates the head occupancy of one path onto a different-fluid path,
-/// the same seeded defect `mfb analyze --inject conflict` uses. Returns
+/// Appends one occupancy of the first routed fluid's head cell to the
+/// first path of a different fluid — the recipe of `mfb analyze --inject`.
+/// `conflict` books the donor's window itself; `wash-gap` arrives one
+/// tick after the donor leaves, inside its residue horizon. Returns
 /// `false` when the solution has no suitable victim.
-fn inject_conflict(sol: &mut Solution) -> bool {
-    let donor = match sol.routing.paths.iter().find(|p| !p.is_empty()) {
-        Some(p) => (p.cells[0], p.windows[0], p.fluid),
-        None => return false,
-    };
-    let Some(victim) = sol
-        .routing
-        .paths
-        .iter_mut()
-        .find(|p| p.fluid != donor.2 && !p.is_empty())
-    else {
+fn inject(sol: &mut Solution, kind: &str) -> bool {
+    let paths = &mut sol.routing.paths;
+    let Some(donor) = paths.iter().find(|p| !p.is_empty()) else {
         return false;
     };
-    victim.cells.push(donor.0);
-    victim.windows.push(donor.1);
+    let (fluid, cell, window) = (donor.fluid, donor.cells[0], donor.windows[0]);
+    let Some(victim) = paths.iter_mut().find(|p| p.fluid != fluid && !p.is_empty()) else {
+        return false;
+    };
+    let window = match kind {
+        "conflict" => window,
+        "wash-gap" => {
+            let start = window.end + Duration::from_ticks(1);
+            Interval::new(start, start + Duration::from_secs(2))
+        }
+        other => panic!("unknown defect kind {other}"),
+    };
+    victim.cells.push(cell);
+    victim.windows.push(window);
     true
 }
 
@@ -90,7 +97,7 @@ fn analyzer_findings_superset_replay_conflicts() {
         let mut sol = Synthesizer::paper_dcsa()
             .synthesize(&b.graph, &comps, &wash())
             .expect("Table-I benchmark synthesizes");
-        if !inject_conflict(&mut sol) {
+        if !inject(&mut sol, "conflict") {
             continue;
         }
         corrupted += 1;
@@ -136,7 +143,7 @@ fn injected_conflict_is_always_caught() {
         let mut sol = Synthesizer::paper_dcsa()
             .synthesize(&g, &comps, &wash())
             .expect("synthesizes");
-        assert!(inject_conflict(&mut sol), "seed {seed}: no victim path");
+        assert!(inject(&mut sol, "conflict"), "seed {seed}: no victim path");
         let report = sol.analyze(&g, &comps, &wash());
         assert!(
             report.by_rule("ANA-TAINT-001").count() > 0,
@@ -154,7 +161,10 @@ fn reports_are_byte_identical_across_thread_counts() {
     let mut sol = Synthesizer::paper_dcsa()
         .synthesize(&b.graph, &comps, &wash())
         .expect("synthesizes");
-    assert!(inject_conflict(&mut sol), "PCR accepts the seeded defect");
+    assert!(
+        inject(&mut sol, "conflict"),
+        "PCR accepts the seeded defect"
+    );
     let render = |threads: &str| {
         std::env::set_var("MFB_THREADS", threads);
         let report = sol.analyze(&b.graph, &comps, &wash());
@@ -174,9 +184,12 @@ fn sarif_output_is_valid_json_with_rule_metadata() {
     let mut sol = Synthesizer::paper_dcsa()
         .synthesize(&b.graph, &comps, &wash())
         .expect("synthesizes");
-    assert!(inject_conflict(&mut sol), "PCR accepts the seeded defect");
+    assert!(
+        inject(&mut sol, "conflict"),
+        "PCR accepts the seeded defect"
+    );
     let report = sol.analyze(&b.graph, &comps, &wash());
-    let sarif = render_sarif_with(&report, &analysis_rules());
+    let sarif = render_sarif(&report, &analysis_registry());
     let doc: serde_json::Value = serde_json::from_str(&sarif).expect("SARIF is valid JSON");
     let rules = doc["runs"][0]["tool"]["driver"]["rules"]
         .as_array()
@@ -201,9 +214,12 @@ fn rule_selection_filters_findings() {
     let mut sol = Synthesizer::paper_dcsa()
         .synthesize(&b.graph, &comps, &wash())
         .expect("synthesizes");
-    assert!(inject_conflict(&mut sol), "PCR accepts the seeded defect");
+    assert!(
+        inject(&mut sol, "conflict"),
+        "PCR accepts the seeded defect"
+    );
 
-    let mut only_taint = Analyzer::with_all_rules();
+    let mut only_taint = analysis_registry();
     only_taint.retain_only(["ANA-TAINT-001"]);
     let report = sol.analyze_with(
         &b.graph,
@@ -219,7 +235,7 @@ fn rule_selection_filters_findings() {
         report.diagnostics
     );
 
-    let mut skipped = Analyzer::with_all_rules();
+    let mut skipped = analysis_registry();
     skipped.disable("ANA-TAINT-001");
     let report = sol.analyze_with(
         &b.graph,
@@ -239,30 +255,6 @@ fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
-}
-
-/// Appends one occupancy of the first routed fluid's head cell to the
-/// first path of a different fluid — the recipe of `mfb analyze --inject`.
-/// `conflict` books the donor's window itself; `wash-gap` arrives one
-/// tick after the donor leaves, inside its residue horizon.
-fn inject(sol: &mut Solution, kind: &str) {
-    let paths = &mut sol.routing.paths;
-    let donor = paths.iter().find(|p| !p.is_empty()).expect("a routed path");
-    let (fluid, cell, window) = (donor.fluid, donor.cells[0], donor.windows[0]);
-    let victim = paths
-        .iter_mut()
-        .find(|p| p.fluid != fluid && !p.is_empty())
-        .expect("two routed fluids");
-    let window = match kind {
-        "conflict" => window,
-        "wash-gap" => {
-            let start = window.end + Duration::from_ticks(1);
-            Interval::new(start, start + Duration::from_secs(2))
-        }
-        other => panic!("unknown defect kind {other}"),
-    };
-    victim.cells.push(cell);
-    victim.windows.push(window);
 }
 
 /// Pins the bytes of every checker report — replay violations, the DRC's
@@ -328,7 +320,7 @@ fn checker_reports_match_golden_digests() {
             .synthesize(&b.graph, &comps, &wash())
             .expect("Table-I benchmark synthesizes");
         if kind != "clean" {
-            inject(&mut sol, kind);
+            assert!(inject(&mut sol, kind), "{name} accepts the seeded defect");
         }
         let replayed = sol.verify(&b.graph, &comps, &wash());
         let drc = sol.drc(&b.graph, &comps, &wash());
@@ -339,7 +331,7 @@ fn checker_reports_match_golden_digests() {
             [
                 fnv64(format!("{:?}", replayed.violations).as_bytes()),
                 fnv64(render_json(&drc).as_bytes()),
-                fnv64(render_sarif_with(&analysis, &analysis_rules()).as_bytes()),
+                fnv64(render_sarif(&analysis, &analysis_registry()).as_bytes()),
             ],
         ));
     }

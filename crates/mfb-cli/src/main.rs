@@ -778,86 +778,22 @@ fn resolve_assay_target(target: &str) -> Result<AssayTarget, String> {
 }
 
 fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
-    use mfb_verify::prelude::*;
-
-    let mut target: Option<String> = None;
-    let mut flow: Option<String> = None;
-    let mut format = "pretty".to_string();
-    let mut out: Option<String> = None;
-    let mut only: Vec<String> = Vec::new();
-    let mut skip: Vec<String> = Vec::new();
-    let mut list_rules = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--flow" => flow = Some(it.next().ok_or("--flow needs a value")?.clone()),
-            "--format" => format = it.next().ok_or("--format needs a value")?.clone(),
-            "--out" => out = Some(it.next().ok_or("--out needs a file")?.clone()),
-            "--only" => only.push(it.next().ok_or("--only needs a rule id")?.clone()),
-            // `--disable` predates `--skip` and stays as an alias.
-            "--skip" | "--disable" => skip.push(it.next().ok_or("--skip needs a rule id")?.clone()),
-            "--list-rules" => list_rules = true,
-            other if target.is_none() => target = Some(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-
-    let mut registry = RuleRegistry::with_all_rules();
-    let known: Vec<&str> = registry.rules().map(|r| r.id).collect();
-    validate_rule_ids("verify", &known, &only, &skip)?;
-    if !only.is_empty() {
-        registry.retain_only(only.iter().map(String::as_str));
-    }
-    for id in &skip {
-        registry.disable(id);
-    }
-
-    if list_rules {
-        let rules: Vec<_> = registry.rules().collect();
-        print_rule_table(&rules, |id| registry.is_enabled(id));
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let target =
-        target.ok_or("usage: mfb verify <bench|file.assay> [--format pretty|json|sarif]")?;
-    let t = resolve_assay_target(&target)?;
-
-    let synth = Synthesizer::new(config_for_flow(flow.as_deref(), &t.flow)?);
-    let router = synth.config().router;
-    let solution = synth
-        .synthesize_with(
-            &t.graph,
-            &t.comps,
-            &wash(),
-            &t.defects,
-            None,
-            &Budget::unlimited(),
-        )
-        .map_err(|e| e.to_string())?;
-    let report = solution.drc_with(&t.graph, &t.comps, &wash(), router, &registry);
-
-    let rendered = match format.as_str() {
-        "pretty" => render_pretty(&report),
-        "json" => render_json(&report),
-        "sarif" => render_sarif(&report, &registry),
-        other => {
-            return Err(format!(
-                "unknown format `{other}` (expected pretty|json|sarif)"
-            ))
-        }
-    };
-    match out {
-        Some(path) => {
-            std::fs::write(&path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("report written to {path}");
-        }
-        None => print!("{rendered}"),
-    }
-    Ok(ExitCode::from(report.exit_code() as u8))
+    cmd_check("verify", RuleRegistry::with_all_rules(), args)
 }
 
 fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
-    use mfb_analyze::prelude::*;
+    cmd_check("analyze", analysis_registry(), args)
+}
+
+/// The shared body of `verify` (the DRC rules) and `analyze` (the `ANA-*`
+/// rules): synthesize the target, run `registry` over it, render the
+/// report. `--disable` is accepted by `verify` only, `--inject` by
+/// `analyze` only.
+fn cmd_check(
+    command: &str,
+    mut registry: RuleRegistry,
+    args: &[String],
+) -> Result<ExitCode, String> {
     use mfb_verify::prelude::*;
 
     let mut target: Option<String> = None;
@@ -876,31 +812,37 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
             "--out" => out = Some(it.next().ok_or("--out needs a file")?.clone()),
             "--only" => only.push(it.next().ok_or("--only needs a rule id")?.clone()),
             "--skip" => skip.push(it.next().ok_or("--skip needs a rule id")?.clone()),
-            "--inject" => inject = Some(it.next().ok_or("--inject needs a defect kind")?.clone()),
+            // `--disable` predates `--skip` and stays as a `verify` alias.
+            "--disable" if command == "verify" => {
+                skip.push(it.next().ok_or("--skip needs a rule id")?.clone())
+            }
+            "--inject" if command == "analyze" => {
+                inject = Some(it.next().ok_or("--inject needs a defect kind")?.clone())
+            }
             "--list-rules" => list_rules = true,
             other if target.is_none() => target = Some(other.to_string()),
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
 
-    let mut analyzer = Analyzer::with_all_rules();
-    let rules = analysis_rules();
-    let known: Vec<&str> = rules.iter().map(|r| r.id).collect();
-    validate_rule_ids("analyze", &known, &only, &skip)?;
+    let known: Vec<&str> = registry.rules().map(|r| r.id).collect();
+    validate_rule_ids(command, &known, &only, &skip)?;
     if !only.is_empty() {
-        analyzer.retain_only(only.iter().map(String::as_str));
+        registry.retain_only(only.iter().map(String::as_str));
     }
     for id in &skip {
-        analyzer.disable(id);
+        registry.disable(id);
     }
 
     if list_rules {
-        print_rule_table(&rules, |id| analyzer.is_enabled(id));
+        let rules: Vec<_> = registry.rules().collect();
+        print_rule_table(&rules, |id| registry.is_enabled(id));
         return Ok(ExitCode::SUCCESS);
     }
 
-    let target =
-        target.ok_or("usage: mfb analyze <bench|file.assay> [--format pretty|json|sarif]")?;
+    let target = target.ok_or_else(|| {
+        format!("usage: mfb {command} <bench|file.assay> [--format pretty|json|sarif]")
+    })?;
     let t = resolve_assay_target(&target)?;
 
     let synth = Synthesizer::new(config_for_flow(flow.as_deref(), &t.flow)?);
@@ -919,12 +861,16 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
         inject_defect(&mut solution, kind)?;
         eprintln!("injected `{kind}` defect into the routed solution");
     }
-    let report = solution.analyze_with(&t.graph, &t.comps, &wash(), router, &analyzer);
+    let report = if command == "analyze" {
+        solution.analyze_with(&t.graph, &t.comps, &wash(), router, &registry)
+    } else {
+        solution.drc_with(&t.graph, &t.comps, &wash(), router, &registry)
+    };
 
     let rendered = match format.as_str() {
         "pretty" => render_pretty(&report),
         "json" => render_json(&report),
-        "sarif" => render_sarif_with(&report, &rules),
+        "sarif" => render_sarif(&report, &registry),
         other => {
             return Err(format!(
                 "unknown format `{other}` (expected pretty|json|sarif)"

@@ -4,7 +4,7 @@
 use crate::cache::{scheduler_config, BaseKeys, StageCache, StageCtx};
 use crate::config::SynthesisConfig;
 use crate::error::{route_error_is_placement_independent, SynthesisError};
-use mfb_analyze::prelude::{AnalysisInput, Analyzer};
+use mfb_analyze::analysis_registry;
 use mfb_model::hash::ContentHash;
 use mfb_model::prelude::*;
 use mfb_place::prelude::*;
@@ -103,30 +103,27 @@ impl Solution {
             components,
             wash,
             RouterConfig::paper(),
-            &Analyzer::with_all_rules(),
+            &analysis_registry(),
         )
     }
 
     /// Runs the dataflow analyses with an explicit router configuration
-    /// (consulted for wash-plan feasibility) and analyzer rule set.
+    /// (consulted for wash-plan feasibility) and `ANA-*` rule registry
+    /// (see `mfb_analyze::analysis_registry`). The analyses read the same
+    /// [`VerifyInput`] as the DRC; only the rules and the trace span
+    /// differ from [`drc_with`](Solution::drc_with).
     pub fn analyze_with(
         &self,
         graph: &SequencingGraph,
         components: &ComponentSet,
         wash: &dyn WashModel,
         router: RouterConfig,
-        analyzer: &Analyzer,
+        registry: &RuleRegistry,
     ) -> VerifyReport {
-        let input = AnalysisInput::new(
-            graph,
-            components,
-            &self.schedule,
-            &self.placement,
-            &self.routing,
-            wash,
-            router,
-        );
-        analyzer.run(&input)
+        let _span = mfb_obs::obs_span!("analyze.run");
+        let report = self.drc_with(graph, components, wash, router, registry);
+        mfb_obs::obs_counter!("analyze.findings", report.diagnostics.len() as u64);
+        report
     }
 }
 

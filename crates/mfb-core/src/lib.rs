@@ -89,7 +89,7 @@ pub mod prelude {
         DegradedSolution, RecoveryPolicy, RecoveryTrace, ResilientOutcome, Rung, RungAttempt,
     };
     pub use crate::report::{fig8_text, fig9_text, table1_text, ComparisonRow};
-    pub use mfb_analyze::prelude::{analysis_rules, Analyzer};
+    pub use mfb_analyze::analysis_registry;
     pub use mfb_model::prelude::{Budget, BudgetExceeded, CancelToken};
     pub use mfb_verify::prelude::{RuleRegistry, VerifyReport};
 }

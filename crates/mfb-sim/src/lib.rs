@@ -5,9 +5,14 @@
 //! crate *replays* that claim cell by cell and instant by instant, sharing
 //! no code with the tools that produced the solution:
 //!
-//! * [`replay::replay`] rebuilds the chip's activity timeline and checks
-//!   placement legality, path integrity, the three conflict classes of the
-//!   paper's §II-C.2, fluid lifetimes and operation precedence;
+//! * [`replay::shape_problems`] is the one input guard every checker
+//!   shares: it decides whether artifacts are consistent enough to check;
+//! * [`occupancy::OccupancyIr`] is the one occupancy model every
+//!   cell-level checker reads: which fluid is in which cell, and when,
+//!   and which occupancies are channel storage;
+//! * [`replay::replay`] checks placement legality, path integrity, the
+//!   three conflict classes of the paper's §II-C.2 (over the occupancy
+//!   model), fluid lifetimes and operation precedence;
 //! * [`violation::SimViolation`] enumerates everything that can go wrong;
 //! * [`stats::SimStats`] summarises chip activity (makespan, peak parallel
 //!   transports, realized cache time, channel occupancy).
@@ -24,6 +29,7 @@
 
 pub mod events;
 pub mod fault;
+pub mod occupancy;
 pub mod replay;
 pub mod stats;
 pub mod violation;
@@ -32,7 +38,8 @@ pub mod violation;
 pub mod prelude {
     pub use crate::events::{event_log, render_event_log, ChipEvent};
     pub use crate::fault::{assess_faults, FaultEvent, FaultImpact, FaultKind};
-    pub use crate::replay::{replay, validate_solution, SimReport};
+    pub use crate::occupancy::{CellUse, OccupancyIr, OccupancyKind, StorageSegment};
+    pub use crate::replay::{replay, shape_problems, validate_solution, SimReport};
     pub use crate::stats::SimStats;
     pub use crate::violation::SimViolation;
 }

@@ -1,17 +1,16 @@
-//! The shared analysis IR: a time-expanded occupancy map of the chip.
+//! The chip's occupancy model: which fluid is in which cell, and when.
 //!
-//! Every analysis in this crate asks the same two questions — *which fluid
-//! sits in which cell when*, and *which of those occupancies are channel
-//! storage*. [`OccupancyIr::build`] answers both once, from the routed
-//! paths and the schedule's transport tasks, and the three analyses share
-//! the result read-only. The construction mirrors `mfb-sim`'s replay
-//! timeline (same sort key, same exact-duplicate merge, same off-grid
-//! guard) so static findings and dynamic replay violations land on the
-//! same events.
+//! Every cell-level checker in the workspace reads this one model — the
+//! replay engine's conflict classes and statistics, the DRC's
+//! cached-fluid rule and every `mfb-analyze` analysis — so "conflict" has
+//! a single definition behind every verdict. [`OccupancyIr::build`]
+//! answers two questions once, from the routed paths and the schedule's
+//! transport tasks: *which fluid sits in which cell when*, and *which of
+//! those occupancies are channel storage*.
 
-use crate::AnalysisInput;
 use mfb_model::prelude::*;
-use std::collections::BTreeMap;
+use mfb_route::prelude::Routing;
+use mfb_sched::prelude::Schedule;
 
 /// Why a fluid occupies a cell during a window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -36,7 +35,8 @@ pub struct CellUse {
     pub kind: OccupancyKind,
     /// First instant a *different* fluid may use this cell without picking
     /// up residue: `window.end + wash_time(fluid)`, saturating at the tick
-    /// ceiling. This is the taint analysis' kill point.
+    /// ceiling. Conflict class 3's deadline and the taint analysis' kill
+    /// point.
     pub clean_at: Instant,
 }
 
@@ -56,40 +56,46 @@ pub struct StorageSegment {
     pub cells: Vec<(CellPos, Interval)>,
 }
 
-/// The time-expanded occupancy map all analyses run on.
+/// The time-expanded occupancy map of one routed solution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OccupancyIr {
     grid: GridSpec,
-    /// Per-cell occupancy lists, sorted by `(window, task)` and merged on
-    /// exact duplicates (a remote-parking task books its splice cell
-    /// twice). Only cells some path actually uses appear.
-    cells: BTreeMap<CellPos, Vec<CellUse>>,
+    /// Per-cell occupancy lists in row-major cell order, each sorted by
+    /// `(window, task)` and merged on exact duplicates (a remote-parking
+    /// task books its splice cell twice).
+    cells: Vec<Vec<CellUse>>,
     /// One segment per transport with a positive channel-storage dwell,
     /// in `TaskId` order.
     storage: Vec<StorageSegment>,
 }
 
 impl OccupancyIr {
-    /// Builds the occupancy map for one synthesis result.
-    pub fn build(input: &AnalysisInput<'_>) -> OccupancyIr {
-        let _span = mfb_obs::obs_span!("analyze.ir", paths = input.routing.paths.len() as u64);
-        let grid = input.placement.grid();
-        let transports: Vec<_> = input.schedule.transports().collect();
-
-        let mut cells: BTreeMap<CellPos, Vec<CellUse>> = BTreeMap::new();
+    /// Builds the occupancy map of `routing` on `grid`.
+    ///
+    /// Expects artifacts [`shape_problems`](crate::replay::shape_problems)
+    /// accepts: every path's fluid must be an operation of `graph`.
+    /// Off-grid cells are skipped rather than aliased onto the grid.
+    pub fn build(
+        graph: &SequencingGraph,
+        schedule: &Schedule,
+        grid: GridSpec,
+        routing: &Routing,
+        wash: &dyn WashModel,
+    ) -> OccupancyIr {
+        let transports: Vec<_> = schedule.transports().collect();
+        let mut cells: Vec<Vec<CellUse>> = vec![Vec::new(); grid.cell_count() as usize];
         let mut storage: Vec<StorageSegment> = Vec::new();
-        for path in &input.routing.paths {
-            // The dwell this task was scheduled with; paths beyond the
-            // transport table (guarded against by `AnalysisInput::
-            // ids_in_range`, but kept safe here) count as uncached.
-            let cache = transports
+        for path in &routing.paths {
+            // The dwell this task was scheduled with; a path labelled with
+            // a task the table does not hold counts as uncached.
+            let transport = transports
                 .get(path.task.index())
-                .filter(|t| t.id == path.task && t.arrive < t.consumed_at)
+                .filter(|t| t.id == path.task);
+            let cache = transport
+                .filter(|t| t.arrive < t.consumed_at)
                 .map(|t| Interval::new(t.arrive, t.consumed_at));
+            let wash = wash.wash_time(graph.op(path.fluid).output_diffusion());
             let mut parked: Vec<(CellPos, Interval)> = Vec::new();
-            let wash = input
-                .wash
-                .wash_time(input.graph.op(path.fluid).output_diffusion());
             for (cell, window) in path.occupancies() {
                 if !grid.contains(cell) {
                     continue;
@@ -101,7 +107,7 @@ impl OccupancyIr {
                 if kind == OccupancyKind::Parked {
                     parked.push((cell, window));
                 }
-                cells.entry(cell).or_default().push(CellUse {
+                cells[grid.index(cell)].push(CellUse {
                     window,
                     task: path.task,
                     fluid: path.fluid,
@@ -111,26 +117,21 @@ impl OccupancyIr {
                     ),
                 });
             }
-            if let (Some(cache), false) = (cache, parked.is_empty()) {
-                let consumer = transports
-                    .get(path.task.index())
-                    .map(|t| t.consumer)
-                    .unwrap_or(path.fluid);
+            if let (Some(cache), Some(t), false) = (cache, transport, parked.is_empty()) {
                 storage.push(StorageSegment {
                     task: path.task,
                     fluid: path.fluid,
-                    consumer,
+                    consumer: t.consumer,
                     cache,
                     cells: parked,
                 });
             }
         }
-        for uses in cells.values_mut() {
+        for uses in &mut cells {
             uses.sort();
             uses.dedup();
         }
         storage.sort_by_key(|s| s.task);
-        mfb_obs::obs_counter!("analyze.storage_segments", storage.len() as u64);
         OccupancyIr {
             grid,
             cells,
@@ -138,20 +139,26 @@ impl OccupancyIr {
         }
     }
 
-    /// The grid geometry the occupancies live on.
-    pub fn grid(&self) -> GridSpec {
-        self.grid
-    }
-
-    /// All used cells with their occupancy lists, in cell order. Each list
-    /// is sorted by `(window, task)`.
+    /// All used cells with their occupancy lists, in row-major cell order.
+    /// Each list is sorted by `(window, task)`.
     pub fn cells(&self) -> impl Iterator<Item = (CellPos, &[CellUse])> {
-        self.cells.iter().map(|(&c, uses)| (c, uses.as_slice()))
+        let width = self.grid.width;
+        self.cells
+            .iter()
+            .enumerate()
+            .filter(|(_, uses)| !uses.is_empty())
+            .map(move |(idx, uses)| {
+                let cell = CellPos::new(idx as u32 % width, idx as u32 / width);
+                (cell, uses.as_slice())
+            })
     }
 
     /// The occupancy list of one cell (empty if no path uses it).
     pub fn cell(&self, cell: CellPos) -> &[CellUse] {
-        self.cells.get(&cell).map_or(&[], Vec::as_slice)
+        if !self.grid.contains(cell) {
+            return &[];
+        }
+        &self.cells[self.grid.index(cell)]
     }
 
     /// Channel-storage segments, in `TaskId` order.
@@ -161,6 +168,6 @@ impl OccupancyIr {
 
     /// Number of distinct cells any path uses.
     pub fn used_cells(&self) -> usize {
-        self.cells.len()
+        self.cells.iter().filter(|uses| !uses.is_empty()).count()
     }
 }

@@ -1,6 +1,8 @@
-//! The replay engine: rebuilds the chip's cell-level activity timeline from
-//! a complete solution and checks every physical rule against it.
+//! The replay engine: checks every physical rule of a complete solution
+//! against the chip's occupancy model, behind the input guard all
+//! checkers share.
 
+use crate::occupancy::OccupancyIr;
 use crate::stats::SimStats;
 use crate::violation::SimViolation;
 use mfb_model::prelude::*;
@@ -25,22 +27,17 @@ impl SimReport {
     }
 }
 
-/// One cell-occupancy event on the replay timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Occupancy {
-    pub(crate) task: TaskId,
-    pub(crate) fluid: OpId,
-    pub(crate) window: Interval,
-}
-
 /// Replays the complete solution `(schedule, placement, routing)` for
 /// `graph` on `components` and checks, independently of how the solution
 /// was produced:
 ///
+/// * artifact shape ([`shape_problems`]; a rejected input is reported and
+///   checked no further);
 /// * placement legality;
-/// * path integrity (contiguity, endpoints on the right component
-///   boundaries, no traversal of component interiors);
-/// * the three transportation-conflict classes of §II-C.2, cell by cell;
+/// * path integrity (task and fluid labels, contiguity, endpoints on the
+///   right component boundaries, no traversal of component interiors);
+/// * the three transportation-conflict classes of §II-C.2, cell by cell
+///   over the [`OccupancyIr`];
 /// * fluid lifetimes (channel occupancy between producer end and consumer
 ///   start, under the routing's *realized* times);
 /// * operation precedence and component exclusivity under realized times.
@@ -55,38 +52,13 @@ pub fn replay(
     routing: &Routing,
     wash: &dyn WashModel,
 ) -> SimReport {
-    let mut violations = Vec::new();
-
-    // Dimensional sanity first: replaying an archived solution against the
-    // wrong assay or chip must report cleanly, not panic on an index.
-    let shape = |what: &'static str| SimViolation::ShapeMismatch { what };
-    if schedule.ops().len() != graph.len() {
-        violations.push(shape("operation count"));
-    }
-    if routing.realized.start.len() != graph.len() || routing.realized.end.len() != graph.len() {
-        violations.push(shape("realized-time vector length"));
-    }
-    if placement.len() != components.len() {
-        violations.push(shape("component count"));
-    }
-    if routing.paths.len() != schedule.transports().len() {
-        violations.push(shape("transport count"));
-    }
-    if schedule
-        .ops()
-        .any(|s| s.op.index() >= graph.len() || s.component.index() >= components.len())
-        || schedule
-            .transports()
-            .any(|t| t.fluid.index() >= graph.len() || t.consumer.index() >= graph.len())
-        || schedule
-            .deliveries()
-            .any(|&(p, c, _)| p.index() >= graph.len() || c.index() >= graph.len())
-    {
-        violations.push(shape("id out of range"));
-    }
-    if !violations.is_empty() {
+    let problems = shape_problems(graph, components, schedule, placement, routing);
+    if !problems.is_empty() {
         return SimReport {
-            violations,
+            violations: problems
+                .into_iter()
+                .map(|what| SimViolation::ShapeMismatch { what })
+                .collect(),
             stats: SimStats {
                 makespan: Duration::ZERO,
                 peak_parallel_transports: 0,
@@ -97,22 +69,95 @@ pub fn replay(
         };
     }
 
+    let mut violations = Vec::new();
     if !placement.is_legal() {
         violations.push(SimViolation::IllegalPlacement);
     }
 
     check_paths(schedule, placement, routing, &mut violations);
-    let timeline = build_timeline(routing, placement.grid());
-    check_conflicts(&timeline, placement.grid(), graph, wash, &mut violations);
+    let occupancy = OccupancyIr::build(graph, schedule, placement.grid(), routing, wash);
+    check_conflicts(&occupancy, &mut violations);
     check_lifetimes(schedule, routing, &mut violations);
     check_operations(graph, components, schedule, routing, &mut violations);
 
-    let stats = SimStats::collect(schedule, routing, &timeline, placement.grid());
+    let stats = SimStats::collect(schedule, routing, &occupancy);
     SimReport { violations, stats }
 }
 
-/// Path integrity: every transport has a contiguous path from its source
-/// component's boundary to its destination's, avoiding all interiors.
+/// The one input guard of every checker: the reasons the artifacts do not
+/// describe one consistent problem instance, empty when they do.
+///
+/// An accepted input has matching counts (operations, realized times,
+/// components, transports, and cells against windows on every path),
+/// resolving cross-references (bindings, transport, delivery, wash, path
+/// and channel-wash ids) and every routed cell on the grid, so no checker
+/// indexes out of range. [`replay`] reports each reason as a
+/// [`SimViolation::ShapeMismatch`] and stops there.
+pub fn shape_problems(
+    graph: &SequencingGraph,
+    components: &ComponentSet,
+    schedule: &Schedule,
+    placement: &Placement,
+    routing: &Routing,
+) -> Vec<&'static str> {
+    let n_ops = graph.len();
+    let n_comps = components.len();
+    let n_tasks = schedule.transports().len();
+    let op = |o: OpId| o.index() < n_ops;
+    let comp = |c: ComponentId| c.index() < n_comps;
+    let task = |t: TaskId| t.index() < n_tasks;
+    let mut problems = Vec::new();
+    if schedule.ops().len() != n_ops {
+        problems.push("operation count");
+    }
+    if routing.realized.start.len() != n_ops || routing.realized.end.len() != n_ops {
+        problems.push("realized-time vector length");
+    }
+    if placement.len() != n_comps {
+        problems.push("component count");
+    }
+    if routing.paths.len() != n_tasks {
+        problems.push("transport count");
+    }
+    if schedule.ops().any(|s| !op(s.op) || !comp(s.component))
+        || schedule
+            .transports()
+            .any(|t| !task(t.id) || !op(t.fluid) || !op(t.consumer) || !comp(t.src) || !comp(t.dst))
+        || schedule.washes().any(|w| !comp(w.component))
+        || schedule.deliveries().any(|&(p, c, d)| {
+            !op(p) || !op(c) || matches!(d, FluidDelivery::Transported(t) if !task(t))
+        })
+        || routing.paths.iter().any(|p| !task(p.task) || !op(p.fluid))
+        || routing
+            .channel_washes
+            .iter()
+            .any(|w| !task(w.task) || !op(w.residue))
+    {
+        problems.push("id out of range");
+    }
+    if routing
+        .paths
+        .iter()
+        .any(|p| p.cells.len() != p.windows.len())
+    {
+        problems.push("path cell/window count");
+    }
+    let grid = placement.grid();
+    if routing
+        .paths
+        .iter()
+        .flat_map(|p| p.cells.iter().copied())
+        .chain(routing.channel_washes.iter().map(|w| w.cell))
+        .any(|c| !grid.contains(c))
+    {
+        problems.push("routed cell off grid");
+    }
+    problems
+}
+
+/// Path integrity: every transport has a path labelled with its own task
+/// and fluid, contiguous from its source component's boundary to its
+/// destination's, avoiding all interiors.
 fn check_paths(
     schedule: &Schedule,
     placement: &Placement,
@@ -120,11 +165,11 @@ fn check_paths(
     violations: &mut Vec<SimViolation>,
 ) {
     for t in schedule.transports() {
-        let Some(path) = routing.paths.get(t.id.index()) else {
-            violations.push(SimViolation::MissingPath { task: t.id });
-            continue;
-        };
-        if path.is_empty() || path.cells.len() != path.windows.len() {
+        let path = &routing.paths[t.id.index()];
+        if path.task != t.id || path.fluid != t.fluid {
+            violations.push(SimViolation::PathMislabelled { task: t.id });
+        }
+        if path.is_empty() {
             violations.push(SimViolation::MissingPath { task: t.id });
             continue;
         }
@@ -138,10 +183,6 @@ fn check_paths(
         }
         let grid = placement.grid();
         for &cell in &path.cells {
-            if !grid.contains(cell) {
-                violations.push(SimViolation::PathDiscontiguous { task: t.id });
-                break;
-            }
             for (i, &rect) in placement.rects().iter().enumerate() {
                 if rect.contains(cell) {
                     violations.push(SimViolation::PathThroughComponent {
@@ -169,42 +210,12 @@ fn check_paths(
     }
 }
 
-/// Groups occupancies per cell, sorted by window start.
-fn build_timeline(routing: &Routing, grid: GridSpec) -> Vec<Vec<Occupancy>> {
-    let mut timeline: Vec<Vec<Occupancy>> = vec![Vec::new(); grid.cell_count() as usize];
-    for path in &routing.paths {
-        for (cell, window) in path.occupancies() {
-            if grid.contains(cell) {
-                timeline[grid.index(cell)].push(Occupancy {
-                    task: path.task,
-                    fluid: path.fluid,
-                    window,
-                });
-            }
-        }
-    }
-    for cell in &mut timeline {
-        cell.sort_by_key(|o| (o.window.start, o.window.end, o.task));
-        // A task may book a cell twice (remote parking legs); merge exact
-        // duplicates to avoid self-reports.
-        cell.dedup();
-    }
-    timeline
-}
-
 /// Conflict classes 1–3 on every cell.
-fn check_conflicts(
-    timeline: &[Vec<Occupancy>],
-    grid: GridSpec,
-    graph: &SequencingGraph,
-    wash: &dyn WashModel,
-    violations: &mut Vec<SimViolation>,
-) {
-    for (idx, occs) in timeline.iter().enumerate() {
-        let cell = CellPos::new(idx as u32 % grid.width, idx as u32 / grid.width);
-        for i in 0..occs.len() {
-            for j in (i + 1)..occs.len() {
-                let (a, b) = (&occs[i], &occs[j]);
+fn check_conflicts(occupancy: &OccupancyIr, violations: &mut Vec<SimViolation>) {
+    for (cell, uses) in occupancy.cells() {
+        for i in 0..uses.len() {
+            for j in (i + 1)..uses.len() {
+                let (a, b) = (&uses[i], &uses[j]);
                 if a.fluid == b.fluid {
                     continue; // same fluid: splitting plug, no contamination
                 }
@@ -214,28 +225,24 @@ fn check_conflicts(
                         a: a.task,
                         b: b.task,
                     });
-                } else {
+                } else if j == i + 1 {
                     // Ordered pair: the earlier residue must wash out
-                    // before the later fluid arrives.
+                    // before the later fluid arrives. Only consecutive
+                    // pairs matter — an intermediate occupancy implies an
+                    // intermediate wash, which only relaxes the
+                    // requirement — so others are skipped to avoid false
+                    // positives.
                     let (first, second) = if a.window.end <= b.window.start {
                         (a, b)
                     } else {
                         (b, a)
                     };
-                    // Only adjacent-in-time pairs matter, but checking all
-                    // ordered pairs is sound: an intermediate occupancy
-                    // implies an intermediate wash, which only relaxes the
-                    // requirement. Restrict to consecutive pairs to avoid
-                    // false positives.
-                    if j == i + 1 {
-                        let wash_time = wash.wash_time(graph.op(first.fluid).output_diffusion());
-                        if first.window.end + wash_time > second.window.start {
-                            violations.push(SimViolation::WashGap {
-                                cell,
-                                previous: first.task,
-                                next: second.task,
-                            });
-                        }
+                    if first.clean_at > second.window.start {
+                        violations.push(SimViolation::WashGap {
+                            cell,
+                            previous: first.task,
+                            next: second.task,
+                        });
                     }
                 }
             }
@@ -246,9 +253,7 @@ fn check_conflicts(
 /// Channel occupancies stay within each fluid's lifetime.
 fn check_lifetimes(schedule: &Schedule, routing: &Routing, violations: &mut Vec<SimViolation>) {
     for t in schedule.transports() {
-        let Some(path) = routing.paths.get(t.id.index()) else {
-            continue;
-        };
+        let path = &routing.paths[t.id.index()];
         if path.is_empty() {
             continue;
         }

@@ -1,5 +1,6 @@
 //! Chip activity statistics gathered during replay.
 
+use crate::occupancy::OccupancyIr;
 use mfb_model::prelude::*;
 use mfb_route::prelude::Routing;
 use mfb_sched::prelude::Schedule;
@@ -25,8 +26,7 @@ impl SimStats {
     pub(crate) fn collect(
         schedule: &Schedule,
         routing: &Routing,
-        timeline: &[Vec<crate::replay::Occupancy>],
-        _grid: GridSpec,
+        occupancy: &OccupancyIr,
     ) -> SimStats {
         let makespan = routing.realized.completion() - Instant::ZERO;
 
@@ -41,14 +41,10 @@ impl SimStats {
 
         let cache = routing.total_realized_cache_time(schedule.t_c);
 
-        let mut occupancy = Duration::ZERO;
-        let mut used = 0usize;
-        for cell in timeline {
-            if !cell.is_empty() {
-                used += 1;
-            }
-            for o in cell {
-                occupancy += o.window.length();
+        let mut channel_occupancy = Duration::ZERO;
+        for (_, uses) in occupancy.cells() {
+            for u in uses {
+                channel_occupancy += u.window.length();
             }
         }
 
@@ -56,8 +52,8 @@ impl SimStats {
             makespan,
             peak_parallel_transports: peak,
             realized_cache_time: cache,
-            channel_occupancy: occupancy,
-            used_cells: used,
+            channel_occupancy,
+            used_cells: occupancy.used_cells(),
         }
     }
 }

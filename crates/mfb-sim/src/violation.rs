@@ -13,6 +13,12 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SimViolation {
+    /// The path routed for a transport is labelled with another task or
+    /// carries another fluid than the transport.
+    PathMislabelled {
+        /// The transport whose path is mislabelled.
+        task: TaskId,
+    },
     /// A path has a gap: consecutive cells are not edge-adjacent.
     PathDiscontiguous {
         /// The broken task.
@@ -96,6 +102,9 @@ pub enum SimViolation {
 impl fmt::Display for SimViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SimViolation::PathMislabelled { task } => {
+                write!(f, "path of {task} names another task or fluid")
+            }
             SimViolation::PathDiscontiguous { task } => {
                 write!(f, "path of {task} is discontiguous")
             }

@@ -1,23 +1,28 @@
-//! The bundle of synthesis artifacts a DRC run inspects, with memoised
-//! access to the (potentially expensive) legacy checkers.
+//! The bundle of synthesis artifacts every checker rule inspects, with
+//! memoised access to the (potentially expensive) shared checkers.
 
 use mfb_model::prelude::*;
 use mfb_place::prelude::Placement;
 use mfb_route::prelude::{plan_washes, RouterConfig, Routing, WashPlan};
-use mfb_sched::prelude::{validate, FluidDelivery, Schedule, ScheduleViolation};
-use mfb_sim::prelude::{replay, SimReport};
+use mfb_sched::prelude::{validate, Schedule, ScheduleViolation};
+use mfb_sim::prelude::{replay, shape_problems, OccupancyIr, SimReport};
 use std::cell::OnceCell;
 
-/// Borrowed view of one complete synthesis result.
+/// Borrowed view of one complete synthesis result: the one input of both
+/// the DRC rules and the `mfb-analyze` analyses.
 ///
-/// Rules never recompute the legacy checkers: [`schedule_violations`]
-/// (`mfb-sched`'s `validate`), [`replay_report`] (`mfb-sim`'s `replay`)
-/// and [`wash_plan`] (`mfb-route`'s `plan_washes`) each run at most once
-/// per input, however many rules consult them.
+/// Rules never recompute the shared checkers: [`schedule_violations`]
+/// (`mfb-sched`'s `validate`), [`replay_report`] (`mfb-sim`'s `replay`),
+/// [`occupancy`] (`mfb-sim`'s occupancy model) and [`wash_plan`]
+/// (`mfb-route`'s `plan_washes`) each run at most once per input, however
+/// many rules consult them. All but the replay (which guards itself) sit
+/// behind [`is_checkable`] and yield `None` on an input it rejects.
 ///
 /// [`schedule_violations`]: VerifyInput::schedule_violations
 /// [`replay_report`]: VerifyInput::replay_report
+/// [`occupancy`]: VerifyInput::occupancy
 /// [`wash_plan`]: VerifyInput::wash_plan
+/// [`is_checkable`]: VerifyInput::is_checkable
 #[derive(Debug)]
 pub struct VerifyInput<'a> {
     /// The bioassay being synthesised.
@@ -35,8 +40,10 @@ pub struct VerifyInput<'a> {
     /// Router configuration used when the wash plan must be rebuilt.
     pub router_config: RouterConfig,
     defects: Option<&'a DefectMap>,
+    checkable: OnceCell<bool>,
     sched_cache: OnceCell<Vec<ScheduleViolation>>,
     replay_cache: OnceCell<SimReport>,
+    occupancy_cache: OnceCell<OccupancyIr>,
     wash_plan_cache: OnceCell<WashPlan>,
 }
 
@@ -60,8 +67,10 @@ impl<'a> VerifyInput<'a> {
             wash,
             router_config,
             defects: None,
+            checkable: OnceCell::new(),
             sched_cache: OnceCell::new(),
             replay_cache: OnceCell::new(),
+            occupancy_cache: OnceCell::new(),
             wash_plan_cache: OnceCell::new(),
         }
     }
@@ -79,62 +88,38 @@ impl<'a> VerifyInput<'a> {
         self.defects
     }
 
-    /// `true` when every cross-reference in the artifacts resolves: bound
-    /// components exist, transport endpoints are allocated, delivery
-    /// records point at real tasks, and all routed cells lie on the grid.
+    /// `true` when `mfb-sim`'s `shape_problems` accepts the artifacts
+    /// (memoised).
     ///
-    /// The legacy checkers index by these ids without guarding every one,
-    /// so on a `false` result the adapter rules stand down (instead of
-    /// panicking) and `DRC-BIND-001` reports the dangling references.
-    pub fn ids_in_range(&self) -> bool {
-        let n_ops = self.graph.len();
-        let n_comps = self.components.len();
-        let n_tasks = self.schedule.transports().len();
-        let grid = self.placement.grid();
-        let in_grid = |c: CellPos| c.x < grid.width && c.y < grid.height;
-        self.schedule.ops().len() == n_ops
-            && self
-                .schedule
-                .ops()
-                .all(|s| s.op.index() < n_ops && s.component.index() < n_comps)
-            && self.schedule.transports().all(|t| {
-                t.fluid.index() < n_ops
-                    && t.consumer.index() < n_ops
-                    && t.src.index() < n_comps
-                    && t.dst.index() < n_comps
-            })
-            && self
-                .schedule
-                .washes()
-                .all(|w| w.component.index() < n_comps)
-            && self.schedule.deliveries().all(|&(p, c, ref d)| {
-                p.index() < n_ops
-                    && c.index() < n_ops
-                    && if let FluidDelivery::Transported(t) = *d {
-                        t.index() < n_tasks
-                    } else {
-                        true
-                    }
-            })
-            && self
-                .routing
-                .paths
-                .iter()
-                .all(|p| p.cells.iter().all(|&c| in_grid(c)))
-            && self
-                .routing
-                .channel_washes
-                .iter()
-                .all(|w| w.residue.index() < n_ops && in_grid(w.cell))
+    /// On a `false` result every accessor below except
+    /// [`replay_report`](Self::replay_report) yields `None`, so the rules
+    /// built on them stand down instead of indexing out of range, and the
+    /// replay reports each problem under `DRC-SHAPE-001`: a rejected input
+    /// never checks clean.
+    pub fn is_checkable(&self) -> bool {
+        *self.checkable.get_or_init(|| {
+            shape_problems(
+                self.graph,
+                self.components,
+                self.schedule,
+                self.placement,
+                self.routing,
+            )
+            .is_empty()
+        })
     }
 
     /// The legacy schedule checker's findings (memoised).
-    pub fn schedule_violations(&self) -> &[ScheduleViolation] {
-        self.sched_cache
-            .get_or_init(|| validate(self.schedule, self.graph, self.components))
+    pub fn schedule_violations(&self) -> Option<&[ScheduleViolation]> {
+        self.is_checkable().then(|| {
+            self.sched_cache
+                .get_or_init(|| validate(self.schedule, self.graph, self.components))
+                .as_slice()
+        })
     }
 
-    /// The legacy replay engine's report (memoised).
+    /// The replay engine's report (memoised). Always available: replay
+    /// reports a rejected input as shape mismatches.
     pub fn replay_report(&self) -> &SimReport {
         self.replay_cache.get_or_init(|| {
             replay(
@@ -148,17 +133,40 @@ impl<'a> VerifyInput<'a> {
         })
     }
 
+    /// `true` once [`occupancy`](Self::occupancy) has built the model, so
+    /// a caller can trace the build without building it twice.
+    pub fn has_occupancy(&self) -> bool {
+        self.occupancy_cache.get().is_some()
+    }
+
+    /// The occupancy model of the routed solution (memoised).
+    pub fn occupancy(&self) -> Option<&OccupancyIr> {
+        self.is_checkable().then(|| {
+            self.occupancy_cache.get_or_init(|| {
+                OccupancyIr::build(
+                    self.graph,
+                    self.schedule,
+                    self.placement.grid(),
+                    self.routing,
+                    self.wash,
+                )
+            })
+        })
+    }
+
     /// The buffer-flush wash plan for the routed solution (memoised).
-    pub fn wash_plan(&self) -> &WashPlan {
-        self.wash_plan_cache.get_or_init(|| {
-            plan_washes(
-                self.routing,
-                self.schedule,
-                self.graph,
-                self.placement,
-                self.wash,
-                &self.router_config,
-            )
+    pub fn wash_plan(&self) -> Option<&WashPlan> {
+        self.is_checkable().then(|| {
+            self.wash_plan_cache.get_or_init(|| {
+                plan_washes(
+                    self.routing,
+                    self.schedule,
+                    self.graph,
+                    self.placement,
+                    self.wash,
+                    &self.router_config,
+                )
+            })
         })
     }
 }

@@ -16,7 +16,9 @@
 //! (operation, task, component, cell or edge) and an optional time
 //! window. The legacy checkers keep working — the registry wraps them as
 //! adapter rules, so its findings are a superset of theirs by
-//! construction.
+//! construction. The same [`VerifyInput`] and [`RuleRegistry`] also carry
+//! `mfb-analyze`'s `ANA-*` rules, so `mfb verify` and `mfb analyze` share
+//! one input guard, one rule toggle surface and one set of renderers.
 //!
 //! # Example
 //!
@@ -51,7 +53,7 @@ pub mod rules;
 
 pub use diag::{Diagnostic, EdgeRef, Location, Severity, VerifyReport};
 pub use input::VerifyInput;
-pub use render::{render_json, render_pretty, render_sarif, render_sarif_with};
+pub use render::{render_json, render_pretty, render_sarif};
 pub use rules::{
     rule_for_schedule_violation, rule_for_sim_violation, Rule, RuleInfo, RuleRegistry,
 };
@@ -60,7 +62,7 @@ pub use rules::{
 pub mod prelude {
     pub use crate::diag::{Diagnostic, EdgeRef, Location, Severity, VerifyReport};
     pub use crate::input::VerifyInput;
-    pub use crate::render::{render_json, render_pretty, render_sarif, render_sarif_with};
+    pub use crate::render::{render_json, render_pretty, render_sarif};
     pub use crate::rules::{
         rule_for_schedule_violation, rule_for_sim_violation, Rule, RuleInfo, RuleRegistry,
     };

@@ -64,12 +64,6 @@ pub fn render_json(report: &VerifyReport) -> String {
 /// rule by id and index.
 pub fn render_sarif(report: &VerifyReport, registry: &RuleRegistry) -> String {
     let rule_infos: Vec<_> = registry.rules().collect();
-    render_sarif_with(report, &rule_infos)
-}
-
-/// [`render_sarif`] against an explicit rule table — for checkers (such as
-/// `mfb-analyze`) whose rules do not live in a [`RuleRegistry`].
-pub fn render_sarif_with(report: &VerifyReport, rule_infos: &[crate::rules::RuleInfo]) -> String {
     let rules: Vec<Value> = rule_infos
         .iter()
         .map(|r| {

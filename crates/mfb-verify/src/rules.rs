@@ -10,6 +10,11 @@
 //! * **native** cross-stage rules check invariants no single stage can
 //!   see: schedule↔floorplan binding consistency, cached fluids blocking
 //!   other transports, and wash-plan coverage of every channel wash.
+//!
+//! All of them sit behind one input guard, `mfb-sim`'s `shape_problems`:
+//! on an input it rejects, the replay reports each problem under
+//! `DRC-SHAPE-001` and every rule that needs a consistent input stands
+//! down (see [`VerifyInput::is_checkable`]).
 
 use crate::diag::{Diagnostic, EdgeRef, Location, Severity, VerifyReport};
 use crate::input::VerifyInput;
@@ -61,7 +66,8 @@ pub fn rule_for_schedule_violation(v: &ScheduleViolation) -> &'static str {
 /// The rule id under which a legacy replay violation is reported.
 pub fn rule_for_sim_violation(v: &SimViolation) -> &'static str {
     match v {
-        SimViolation::PathDiscontiguous { .. }
+        SimViolation::PathMislabelled { .. }
+        | SimViolation::PathDiscontiguous { .. }
         | SimViolation::BadEndpoint { .. }
         | SimViolation::MissingPath { .. } => "DRC-ROUTE-001",
         SimViolation::PathThroughComponent { .. } => "DRC-ROUTE-002",
@@ -94,7 +100,8 @@ fn location_for_schedule_violation(v: &ScheduleViolation) -> Location {
 
 fn location_for_sim_violation(v: &SimViolation) -> Location {
     match *v {
-        SimViolation::PathDiscontiguous { task }
+        SimViolation::PathMislabelled { task }
+        | SimViolation::PathDiscontiguous { task }
         | SimViolation::BadEndpoint { task }
         | SimViolation::MissingPath { task }
         | SimViolation::WindowOutsideLifetime { task } => Location::Task(task),
@@ -131,11 +138,11 @@ impl Rule for SchedAdapter {
     }
 
     fn check(&self, input: &VerifyInput<'_>) -> Vec<Diagnostic> {
-        if !input.ids_in_range() {
-            return Vec::new(); // DRC-BIND-001 reports the dangling ids
-        }
-        input
-            .schedule_violations()
+        // A rejected input is reported under DRC-SHAPE-001.
+        let Some(violations) = input.schedule_violations() else {
+            return Vec::new();
+        };
+        violations
             .iter()
             .filter(|v| rule_for_schedule_violation(v) == self.0.id)
             .map(|v| {
@@ -160,9 +167,6 @@ impl Rule for SimAdapter {
     }
 
     fn check(&self, input: &VerifyInput<'_>) -> Vec<Diagnostic> {
-        if !input.ids_in_range() {
-            return Vec::new(); // DRC-BIND-001 reports the dangling ids
-        }
         input
             .replay_report()
             .violations
@@ -191,12 +195,10 @@ impl Rule for MiscAdapter {
     }
 
     fn check(&self, input: &VerifyInput<'_>) -> Vec<Diagnostic> {
-        if !input.ids_in_range() {
-            return Vec::new();
-        }
         let sched = input
             .schedule_violations()
-            .iter()
+            .into_iter()
+            .flatten()
             .filter(|v| rule_for_schedule_violation(v) == self.0.id)
             .map(|v| {
                 diag(
@@ -329,7 +331,8 @@ impl Rule for BindingConsistency {
 
 /// Native cross-stage rule: while the schedule says a fluid is cached in
 /// the channel (`arrive..consumed_at`), no other fluid's routed path may
-/// pass through the cells the cached plug occupies.
+/// pass through the cells the cached plug occupies. The parked cells are
+/// the occupancy model's storage segments.
 #[derive(Debug)]
 struct CachedFluidBlocks(RuleInfo);
 
@@ -339,27 +342,20 @@ impl Rule for CachedFluidBlocks {
     }
 
     fn check(&self, input: &VerifyInput<'_>) -> Vec<Diagnostic> {
+        let Some(occupancy) = input.occupancy() else {
+            return Vec::new();
+        };
         let mut out = Vec::new();
-        let paths = &input.routing.paths;
-        let transports = input.schedule.transports().len();
-        for p in paths {
-            if p.task.index() >= transports || p.is_empty() {
-                continue;
-            }
-            let t = input.schedule.transport(p.task);
-            if t.consumed_at <= t.arrive {
-                continue; // not cached
-            }
-            let cache = Interval::new(t.arrive, t.consumed_at);
-            // Cells where the parked plug is present during the cache phase.
-            let parked: Vec<(CellPos, Interval)> =
-                p.occupancies().filter(|(_, w)| w.overlaps(cache)).collect();
-            'pairs: for q in paths {
-                if q.task == p.task || q.fluid == p.fluid {
+        for seg in occupancy.storage() {
+            let cache = seg.cache;
+            'pairs: for q in &input.routing.paths {
+                if q.task == seg.task || q.fluid == seg.fluid {
                     continue;
                 }
+                // The witness is the first blocking occupancy in the
+                // blocked path's order.
                 for (qc, qw) in q.occupancies() {
-                    let Some(&(_, pw)) = parked.iter().find(|&&(pc, _)| pc == qc) else {
+                    let Some(&(_, pw)) = seg.cells.iter().find(|&&(pc, _)| pc == qc) else {
                         continue;
                     };
                     if qw.overlaps(cache) && qw.overlaps(pw) {
@@ -369,9 +365,9 @@ impl Rule for CachedFluidBlocks {
                             severity: self.0.severity,
                             message: format!(
                                 "fluid {} cached by {} ({} in channel) blocks transport {} at {qc}",
-                                t.fluid,
-                                p.task,
-                                t.cache_time(),
+                                seg.fluid,
+                                seg.task,
+                                cache.length(),
                                 q.task
                             ),
                             location: Location::Cell(qc),
@@ -479,13 +475,10 @@ impl Rule for WashCoverage {
     }
 
     fn check(&self, input: &VerifyInput<'_>) -> Vec<Diagnostic> {
-        if !input.ids_in_range() {
-            return Vec::new();
-        }
         input
             .wash_plan()
-            .unplanned
-            .iter()
+            .into_iter()
+            .flat_map(|plan| &plan.unplanned)
             .map(|w| {
                 diag(
                     self.0.id,
@@ -660,10 +653,16 @@ impl Default for RuleRegistry {
 }
 
 impl RuleRegistry {
-    /// A registry with every built-in rule enabled.
+    /// A registry with every built-in `DRC-*` rule enabled.
     pub fn with_all_rules() -> Self {
+        RuleRegistry::new(all_rules())
+    }
+
+    /// A registry of the given rules, all enabled, listed in the given
+    /// order (`mfb-analyze` builds its `ANA-*` registry this way).
+    pub fn new(rules: Vec<Box<dyn Rule>>) -> Self {
         RuleRegistry {
-            rules: all_rules(),
+            rules,
             disabled: BTreeSet::new(),
         }
     }

@@ -83,6 +83,7 @@ fn all_sim_violations() -> Vec<SimViolation> {
         },
         SimViolation::WindowOutsideLifetime { task: task(20) },
         SimViolation::MissingPath { task: task(21) },
+        SimViolation::PathMislabelled { task: task(22) },
         SimViolation::IllegalPlacement,
         SimViolation::ShapeMismatch {
             what: "operation count",
@@ -118,7 +119,8 @@ fn expected_tokens_sim(v: &SimViolation) -> Vec<String> {
         SimViolation::PathDiscontiguous { task }
         | SimViolation::BadEndpoint { task }
         | SimViolation::WindowOutsideLifetime { task }
-        | SimViolation::MissingPath { task } => vec![task.to_string()],
+        | SimViolation::MissingPath { task }
+        | SimViolation::PathMislabelled { task } => vec![task.to_string()],
         SimViolation::PathThroughComponent {
             task,
             cell,
