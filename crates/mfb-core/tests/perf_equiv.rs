@@ -5,8 +5,10 @@
 //! its results in input order, so the synthesized [`Solution`] must be
 //! **byte-identical** no matter how many worker threads ran. This test pins
 //! that contract: it runs the full paper flow with `MFB_THREADS=1` (the
-//! plain serial loop) and `MFB_THREADS=8` and compares the serialized
-//! solutions character for character.
+//! plain serial loop) and `MFB_THREADS=8` on every Table-I benchmark and
+//! checks the FNV-64 of each serialized solution against a pinned digest,
+//! so a change to placement or routing output fails here even when it is
+//! thread-count independent.
 //!
 //! Everything lives in a single `#[test]` because the thread limit is read
 //! from a process-global environment variable: parallel test functions
@@ -14,22 +16,37 @@
 
 use mfb_bench_suite::benchmark_by_name;
 use mfb_core::prelude::*;
+use mfb_model::hash::StableHasher;
 use mfb_model::prelude::*;
+
+/// FNV-64 of each Table-I benchmark's serialized paper-DCSA solution.
+const TABLE1_DIGESTS: [(&str, u64); 7] = [
+    ("PCR", 0x3ae0_5e9d_595d_890e),
+    ("IVD", 0xb440_7251_e9fa_a3db),
+    ("CPA", 0xd819_dc57_7f4f_18b0),
+    ("Synthetic1", 0x78de_04bf_91b2_fc3c),
+    ("Synthetic2", 0xf10a_e38f_48aa_4b9d),
+    ("Synthetic3", 0x409d_a4bd_510d_c1ea),
+    ("Synthetic4", 0x351f_4bf4_87f6_40c4),
+];
 
 fn wash() -> LogLinearWash {
     LogLinearWash::paper_calibrated()
 }
 
-/// Serialized solution for `bench` under the paper DCSA flow with the given
-/// thread limit.
-fn solve_json(threads: &str, bench: &str) -> String {
+/// FNV-64 of the serialized solution for `bench` under the paper DCSA
+/// flow with the given thread limit.
+fn solve_digest(threads: &str, bench: &str) -> u64 {
     std::env::set_var("MFB_THREADS", threads);
     let b = benchmark_by_name(bench).expect("Table-I benchmark must exist");
     let comps = b.components(&ComponentLibrary::default());
     let solution = Synthesizer::paper_dcsa()
         .synthesize(&b.graph, &comps, &wash())
         .expect("paper flow must synthesize its own Table-I benchmark");
-    serde_json::to_string(&solution).expect("Solution serializes")
+    let json = serde_json::to_string(&solution).expect("Solution serializes");
+    let mut h = StableHasher::new();
+    h.write_bytes(json.as_bytes());
+    h.finish().as_u64()
 }
 
 /// Debug-formatted resilient outcome for a damaged IVD chip under the given
@@ -90,15 +107,15 @@ fn flat_and_reseed_json(threads: &str) -> (String, String) {
 
 #[test]
 fn solution_is_byte_identical_across_thread_counts() {
-    // Two real and one synthetic benchmark keep runtime modest while
-    // exercising both routed flows and the placement retry loop.
-    for bench in ["PCR", "IVD", "Synthetic1"] {
-        let serial = solve_json("1", bench);
-        let parallel = solve_json("8", bench);
-        assert_eq!(
-            serial, parallel,
-            "{bench}: Solution must not depend on MFB_THREADS"
-        );
+    for (bench, pinned) in TABLE1_DIGESTS {
+        for threads in ["1", "8"] {
+            let digest = solve_digest(threads, bench);
+            assert_eq!(
+                digest, pinned,
+                "{bench}: solution digest {digest:#018x} at MFB_THREADS={threads} \
+                 differs from the pinned {pinned:#018x}"
+            );
+        }
     }
 
     let serial = resilient_debug("1");
