@@ -14,7 +14,8 @@ fn print_fig8_once() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         println!("\n=== Reproduced Fig. 8 ===");
-        print!("{}", fig8_text(&compare_all()));
+        let rows = compare_all().expect("Table-I benchmarks synthesize");
+        print!("{}", fig8_text(&rows));
         println!();
     });
 }

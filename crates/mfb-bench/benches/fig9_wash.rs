@@ -13,7 +13,8 @@ fn print_fig9_once() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         println!("\n=== Reproduced Fig. 9 ===");
-        print!("{}", fig9_text(&compare_all()));
+        let rows = compare_all().expect("Table-I benchmarks synthesize");
+        print!("{}", fig9_text(&rows));
         println!();
     });
 }

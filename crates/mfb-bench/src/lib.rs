@@ -10,7 +10,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod perf;
-pub mod throughput;
 
 use mfb_bench_suite::{table1_benchmarks, Benchmark};
 use mfb_core::prelude::*;
@@ -31,12 +30,19 @@ pub fn benchmarks() -> Vec<Benchmark> {
 /// Benchmarks run concurrently (bounded by `MFB_THREADS`) and rows come
 /// back in Table-I order; every row is a pure function of its benchmark,
 /// so the report is identical to a serial run.
-pub fn compare_all() -> Vec<ComparisonRow> {
+///
+/// # Errors
+///
+/// The first failing benchmark in Table-I order, as `"<name>: <error>"`
+/// (the same error a serial scan would have hit first).
+pub fn compare_all() -> Result<Vec<ComparisonRow>, String> {
     let lib = ComponentLibrary::default();
     let benches = benchmarks();
     mfb_model::par::par_map_ordered(benches.len(), |i| {
         let b = &benches[i];
         ComparisonRow::compare(b.name, &b.graph, b.allocation, &lib, &wash())
-            .unwrap_or_else(|e| panic!("{}: {e}", b.name))
+            .map_err(|e| format!("{}: {e}", b.name))
     })
+    .into_iter()
+    .collect()
 }

@@ -25,7 +25,10 @@ use mfb_core::prelude::*;
 use mfb_model::prelude::*;
 use mfb_sched::prelude::BindingRule;
 use mfb_viz::prelude::*;
+use out::{Failure, Stdout};
 use std::process::ExitCode;
+
+mod out;
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -42,21 +45,14 @@ fn main() -> ExitCode {
     }
     let cmd = args.first().cloned().unwrap_or_else(|| "help".to_string());
     let rest: Vec<String> = args[1.min(args.len())..].to_vec();
-    let result = match trace_out {
+    out::exit_code(match trace_out {
         Some(path) => run_traced(&path, None, &cmd, &rest),
         None => dispatch(&cmd, &rest),
-    };
-    match result {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    })
 }
 
 /// Routes one parsed command line to its implementation.
-fn dispatch(cmd: &str, rest: &[String]) -> Result<ExitCode, String> {
+fn dispatch(cmd: &str, rest: &[String]) -> Result<ExitCode, Failure> {
     match cmd {
         "list" => cmd_list().map(ok),
         "table1" => cmd_table1().map(ok),
@@ -79,17 +75,17 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<ExitCode, String> {
         "trace" => cmd_trace(rest),
         "ablation" => cmd_ablation().map(ok),
         "help" | "--help" | "-h" => {
-            print!("{}", HELP);
+            write!(Stdout, "{}", HELP)?;
             Ok(ExitCode::SUCCESS)
         }
-        other => Err(format!("unknown command `{other}`; try `mfb help`")),
+        other => Err(format!("unknown command `{other}`; try `mfb help`").into()),
     }
 }
 
 /// `mfb trace [--out FILE] [--format jsonl|chrome] <command> [args...]`:
 /// runs any command with a trace collector installed, then writes the
 /// schema-checked trace and prints a per-stage summary to stderr.
-fn cmd_trace(rest: &[String]) -> Result<ExitCode, String> {
+fn cmd_trace(rest: &[String]) -> Result<ExitCode, Failure> {
     let mut out: Option<String> = None;
     let mut format: Option<String> = None;
     let mut i = 0;
@@ -102,7 +98,7 @@ fn cmd_trace(rest: &[String]) -> Result<ExitCode, String> {
             "--format" => {
                 let f = trace_flag_value(rest, i, "--format")?;
                 if f != "jsonl" && f != "chrome" {
-                    return Err(format!("--format must be jsonl or chrome, got `{f}`"));
+                    return Err(format!("--format must be jsonl or chrome, got `{f}`").into());
                 }
                 format = Some(f);
                 i += 2;
@@ -112,7 +108,7 @@ fn cmd_trace(rest: &[String]) -> Result<ExitCode, String> {
     }
     let Some(cmd) = rest.get(i) else {
         return Err(
-            "usage: mfb trace [--out FILE] [--format jsonl|chrome] <command> [args...]".to_string(),
+            "usage: mfb trace [--out FILE] [--format jsonl|chrome] <command> [args...]".into(),
         );
     };
     let out = out.unwrap_or_else(|| "trace.json".to_string());
@@ -133,7 +129,7 @@ fn run_traced(
     format: Option<&str>,
     cmd: &str,
     rest: &[String],
-) -> Result<ExitCode, String> {
+) -> Result<ExitCode, Failure> {
     let collector = mfb_obs::TraceCollector::new();
     let code = {
         let _guard = mfb_obs::install(&collector);
@@ -141,7 +137,7 @@ fn run_traced(
     };
     let trace = collector.finish();
     if trace.open_spans != 0 {
-        return Err(format!("{} spans never closed", trace.open_spans));
+        return Err(format!("{} spans never closed", trace.open_spans).into());
     }
     let jsonl = match format {
         Some(f) => f == "jsonl",
@@ -261,13 +257,15 @@ USAGE:
         --flow ours|ba             which flow (default: ours)
         --timeout <secs>           per-trial resynthesis budget; expired
                                    trials count as non-survivors
-    mfb bench [options]            tracked perf baseline: time the
-                                   optimized SA and router against their
-                                   frozen references on every Table-I
-                                   benchmark (see BENCH_synthesis.json)
+    mfb bench [options]            tracked perf baseline: end-to-end
+                                   synthesis time of every Table-I
+                                   benchmark, Synthetic5 (the headline)
+                                   and scale-80, with attempt counts and
+                                   per-stage times from one traced run
+                                   (see BENCH_synthesis.json)
         --json                     emit JSON instead of the text table
-                                   (includes MFB_THREADS, the repeat
-                                   count, and per-stage cache counters)
+                                   (includes MFB_THREADS, the core and
+                                   repeat counts, and solution digests)
         --out <file>               write the report to a file
         --repeats <n>              timed repetitions, best-of (default: 3)
     mfb batch <manifest.json>      pipelined batch synthesis through the
@@ -317,51 +315,38 @@ fn wash() -> LogLinearWash {
     LogLinearWash::paper_calibrated()
 }
 
-fn cmd_list() -> Result<(), String> {
-    println!(
+fn cmd_list() -> Result<(), Failure> {
+    writeln!(
+        Stdout,
         "{:<12} {:>4} {:>12} {:>7} {:>7}",
         "Benchmark", "Ops", "Components", "Edges", "Depth"
-    );
+    )?;
     for b in table1_benchmarks() {
-        println!(
+        writeln!(
+            Stdout,
             "{:<12} {:>4} {:>12} {:>7} {:>7}",
             b.name,
             b.graph.len(),
             b.allocation.to_string(),
             b.graph.edge_count(),
             b.graph.depth()
-        );
+        )?;
     }
     Ok(())
 }
 
-fn compare_all() -> Result<Vec<ComparisonRow>, String> {
-    let lib = ComponentLibrary::default();
-    let benches = table1_benchmarks();
-    // Benchmarks compare concurrently (bounded by MFB_THREADS); folding the
-    // ordered results reports the same (lowest-index) error a serial scan
-    // would have hit first.
-    mfb_model::par::par_map_ordered(benches.len(), |i| {
-        let b = &benches[i];
-        ComparisonRow::compare(b.name, &b.graph, b.allocation, &lib, &wash())
-            .map_err(|e| format!("{}: {e}", b.name))
-    })
-    .into_iter()
-    .collect()
-}
-
-fn cmd_table1() -> Result<(), String> {
-    let rows = compare_all()?;
-    print!("{}", table1_text(&rows));
+fn cmd_table1() -> Result<(), Failure> {
+    let rows = mfb_bench::compare_all()?;
+    write!(Stdout, "{}", table1_text(&rows))?;
     Ok(())
 }
 
-fn cmd_fig(which: u8) -> Result<(), String> {
-    let rows = compare_all()?;
+fn cmd_fig(which: u8) -> Result<(), Failure> {
+    let rows = mfb_bench::compare_all()?;
     if which == 8 {
-        print!("{}", fig8_text(&rows));
+        write!(Stdout, "{}", fig8_text(&rows))?;
     } else {
-        print!("{}", fig9_text(&rows));
+        write!(Stdout, "{}", fig9_text(&rows))?;
     }
     Ok(())
 }
@@ -414,39 +399,47 @@ fn budget_for(timeout_secs: Option<f64>) -> Budget {
     }
 }
 
-fn print_solution(name: &str, comps: &ComponentSet, solution: &Solution) {
+fn print_solution(name: &str, comps: &ComponentSet, solution: &Solution) -> Result<(), Failure> {
     let m = SolutionMetrics::of(solution, comps);
-    println!("benchmark: {name}");
-    println!("  execution time     : {}", m.execution_time);
-    println!("  resource util      : {:.1}%", m.utilization * 100.0);
-    println!("  channel length     : {:.0} mm", m.channel_length_mm);
-    println!("  channel cache time : {}", m.cache_time);
-    println!("  channel wash time  : {}", m.channel_wash_time);
-    println!("  component washes   : {}", m.component_wash_time);
-    println!("  routing delay      : {}", m.total_delay);
-    println!("  in-place deliveries: {}", m.in_place);
-    println!("  transports routed  : {}", m.transports);
-    println!("  placement attempts : {}", solution.attempts);
+    writeln!(Stdout, "benchmark: {name}")?;
+    writeln!(Stdout, "  execution time     : {}", m.execution_time)?;
+    writeln!(
+        Stdout,
+        "  resource util      : {:.1}%",
+        m.utilization * 100.0
+    )?;
+    writeln!(
+        Stdout,
+        "  channel length     : {:.0} mm",
+        m.channel_length_mm
+    )?;
+    writeln!(Stdout, "  channel cache time : {}", m.cache_time)?;
+    writeln!(Stdout, "  channel wash time  : {}", m.channel_wash_time)?;
+    writeln!(Stdout, "  component washes   : {}", m.component_wash_time)?;
+    writeln!(Stdout, "  routing delay      : {}", m.total_delay)?;
+    writeln!(Stdout, "  in-place deliveries: {}", m.in_place)?;
+    writeln!(Stdout, "  transports routed  : {}", m.transports)?;
+    writeln!(Stdout, "  placement attempts : {}", solution.attempts)?;
     let control =
         mfb_control::ControlEstimate::of_chip(&solution.routing, &solution.placement, comps);
-    println!("  control estimate   : {control}");
+    writeln!(Stdout, "  control estimate   : {control}")
 }
 
-fn cmd_motivating() -> Result<(), String> {
+fn cmd_motivating() -> Result<(), Failure> {
     let b = motivating_example();
     let (comps, ours) = synthesize(&b, "ours")?;
     let (_, ba) = synthesize(&b, "ba")?;
-    println!("== Fig. 2(a) running example ==\n");
-    println!("-- our flow --");
-    print_solution(b.name, &comps, &ours);
-    println!("\n{}", render_gantt(&ours.schedule, &comps));
-    println!("-- baseline --");
-    print_solution(b.name, &comps, &ba);
-    println!("\n{}", render_gantt(&ba.schedule, &comps));
+    writeln!(Stdout, "== Fig. 2(a) running example ==\n")?;
+    writeln!(Stdout, "-- our flow --")?;
+    print_solution(b.name, &comps, &ours)?;
+    writeln!(Stdout, "\n{}", render_gantt(&ours.schedule, &comps))?;
+    writeln!(Stdout, "-- baseline --")?;
+    print_solution(b.name, &comps, &ba)?;
+    writeln!(Stdout, "\n{}", render_gantt(&ba.schedule, &comps))?;
     Ok(())
 }
 
-fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_run(args: &[String]) -> Result<ExitCode, Failure> {
     let mut bench: Option<String> = None;
     let mut flow = "ours".to_string();
     let mut svg_out: Option<String> = None;
@@ -466,54 +459,57 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             "--save" => save = Some(it.next().ok_or("--save needs a file")?.clone()),
             "--timeout" => timeout = Some(parse_timeout_secs(it.next())?),
             other if bench.is_none() => bench = Some(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
+            other => return Err(format!("unexpected argument `{other}`").into()),
         }
     }
     let bench = bench.ok_or("usage: mfb run <benchmark> [--flow ours|ba]")?;
     let b = benchmark_by_name(&bench)
         .ok_or_else(|| format!("unknown benchmark `{bench}`; see `mfb list`"))?;
     let (comps, solution) = synthesize_budgeted(&b, &flow, &budget_for(timeout))?;
-    print_solution(b.name, &comps, &solution);
+    print_solution(b.name, &comps, &solution)?;
 
     let report = solution.verify(&b.graph, &comps, &wash());
     let valid = report.is_valid();
     if valid {
-        println!("  replay validation  : OK");
+        writeln!(Stdout, "  replay validation  : OK")?;
     } else {
-        println!(
+        writeln!(
+            Stdout,
             "  replay validation  : {} violations!",
             report.violations.len()
-        );
+        )?;
         for v in &report.violations {
-            println!("    {v}");
+            writeln!(Stdout, "    {v}")?;
         }
     }
 
     if want_gantt {
-        println!("\n{}", render_gantt(&solution.schedule, &comps));
+        writeln!(Stdout, "\n{}", render_gantt(&solution.schedule, &comps))?;
     }
     if want_map {
-        println!(
+        writeln!(
+            Stdout,
             "\n{}",
             render_ascii(&solution.placement, &comps, Some(&solution.routing))
-        );
+        )?;
     }
     if want_heat {
-        println!(
+        writeln!(
+            Stdout,
             "\n{}",
             render_heatmap(&solution.placement, &solution.routing)
-        );
+        )?;
     }
     if let Some(path) = svg_out {
         let svg = render_svg(&solution.placement, &comps, Some(&solution.routing));
         std::fs::write(&path, svg).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("layout written to {path}");
+        writeln!(Stdout, "layout written to {path}")?;
     }
     if let Some(path) = save {
         let json = serde_json::to_string_pretty(&solution)
             .map_err(|e| format!("serializing solution: {e}"))?;
         std::fs::write(&path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("solution written to {path}");
+        writeln!(Stdout, "solution written to {path}")?;
     }
     Ok(if valid {
         ExitCode::SUCCESS
@@ -551,14 +547,14 @@ fn config_for_flow(flag: Option<&str>, file: &FlowDecl) -> Result<SynthesisConfi
 /// `mfb fmt <file.assay>... [--check]`: rewrites assay files into the
 /// canonical DSL form (or, with `--check`, exits 1 if any file differs
 /// without touching it).
-fn cmd_fmt(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_fmt(args: &[String]) -> Result<ExitCode, Failure> {
     let mut check = false;
     let mut files: Vec<String> = Vec::new();
     for a in args {
         match a.as_str() {
             "--check" => check = true,
             other if other.starts_with("--") => {
-                return Err(format!("unexpected argument `{other}`"))
+                return Err(format!("unexpected argument `{other}`").into())
             }
             other => files.push(other.to_string()),
         }
@@ -579,7 +575,7 @@ fn cmd_fmt(args: &[String]) -> Result<ExitCode, String> {
             dirty += 1;
         } else {
             std::fs::write(file, &formatted).map_err(|e| format!("writing {file}: {e}"))?;
-            println!("{file}: reformatted");
+            writeln!(Stdout, "{file}: reformatted")?;
         }
     }
     Ok(if dirty > 0 {
@@ -589,7 +585,7 @@ fn cmd_fmt(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_run_file(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_run_file(args: &[String]) -> Result<ExitCode, Failure> {
     let mut file: Option<String> = None;
     let mut flow: Option<String> = None;
     let mut svg_out: Option<String> = None;
@@ -605,7 +601,7 @@ fn cmd_run_file(args: &[String]) -> Result<ExitCode, String> {
             "--gantt" => want_gantt = true,
             "--timeout" => timeout = Some(parse_timeout_secs(it.next())?),
             other if file.is_none() => file = Some(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
+            other => return Err(format!("unexpected argument `{other}`").into()),
         }
     }
     let file = file.ok_or("usage: mfb run-file <file.assay> [--flow ours|ba]")?;
@@ -626,30 +622,32 @@ fn cmd_run_file(args: &[String]) -> Result<ExitCode, String> {
             &budget_for(timeout),
         )
         .map_err(|e| e.to_string())?;
-    print_solution(assay.graph.name(), &comps, &solution);
+    print_solution(assay.graph.name(), &comps, &solution)?;
     let report = solution.verify(&assay.graph, &comps, &wash());
     let valid = report.is_valid();
-    println!(
+    writeln!(
+        Stdout,
         "  replay validation  : {}",
         if valid {
             "OK".to_string()
         } else {
             format!("{} violations", report.violations.len())
         }
-    );
+    )?;
     if want_gantt {
-        println!("\n{}", render_gantt(&solution.schedule, &comps));
+        writeln!(Stdout, "\n{}", render_gantt(&solution.schedule, &comps))?;
     }
     if want_map {
-        println!(
+        writeln!(
+            Stdout,
             "\n{}",
             render_ascii(&solution.placement, &comps, Some(&solution.routing))
-        );
+        )?;
     }
     if let Some(path) = svg_out {
         let svg = render_svg(&solution.placement, &comps, Some(&solution.routing));
         std::fs::write(&path, svg).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("layout written to {path}");
+        writeln!(Stdout, "layout written to {path}")?;
     }
     Ok(if valid {
         ExitCode::SUCCESS
@@ -658,7 +656,7 @@ fn cmd_run_file(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_events(args: &[String]) -> Result<(), String> {
+fn cmd_events(args: &[String]) -> Result<(), Failure> {
     let mut bench: Option<String> = None;
     let mut flow = "ours".to_string();
     let mut it = args.iter();
@@ -666,7 +664,7 @@ fn cmd_events(args: &[String]) -> Result<(), String> {
         match a.as_str() {
             "--flow" => flow = it.next().ok_or("--flow needs a value")?.clone(),
             other if bench.is_none() => bench = Some(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
+            other => return Err(format!("unexpected argument `{other}`").into()),
         }
     }
     let bench = bench.ok_or("usage: mfb events <benchmark> [--flow ours|ba]")?;
@@ -674,11 +672,11 @@ fn cmd_events(args: &[String]) -> Result<(), String> {
         .ok_or_else(|| format!("unknown benchmark `{bench}`; see `mfb list`"))?;
     let (_comps, solution) = synthesize(&b, &flow)?;
     let log = mfb_sim::prelude::event_log(&solution.schedule, &solution.routing);
-    print!("{}", mfb_sim::prelude::render_event_log(&log));
+    write!(Stdout, "{}", mfb_sim::prelude::render_event_log(&log))?;
     Ok(())
 }
 
-fn cmd_validate(args: &[String]) -> Result<(), String> {
+fn cmd_validate(args: &[String]) -> Result<(), Failure> {
     let [file, bench] = args else {
         return Err("usage: mfb validate <file.json> <benchmark>".into());
     };
@@ -689,18 +687,19 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     let comps = b.components(&ComponentLibrary::default());
     let report = solution.verify(&b.graph, &comps, &wash());
     if report.is_valid() {
-        println!(
+        writeln!(
+            Stdout,
             "{file}: physically executable on {} ({} transports, makespan {:.1}s)",
             b.name,
             solution.routing.paths.len(),
             report.stats.makespan.as_secs_f64()
-        );
+        )?;
         Ok(())
     } else {
         for v in &report.violations {
             eprintln!("  {v}");
         }
-        Err(format!("{file}: {} violations", report.violations.len()))
+        Err(format!("{file}: {} violations", report.violations.len()).into())
     }
 }
 
@@ -724,18 +723,24 @@ fn validate_rule_ids(
 }
 
 /// Prints the `--list-rules` table shared by `verify` and `analyze`.
-fn print_rule_table(rules: &[mfb_verify::RuleInfo], is_enabled: impl Fn(&str) -> bool) {
-    println!(
+fn print_rule_table(
+    rules: &[mfb_verify::RuleInfo],
+    is_enabled: impl Fn(&str) -> bool,
+) -> Result<(), Failure> {
+    writeln!(
+        Stdout,
         "{:<14} {:<8} {:<28} description",
         "rule", "severity", "name"
-    );
+    )?;
     for r in rules {
         let state = if is_enabled(r.id) { "" } else { " (disabled)" };
-        println!(
+        writeln!(
+            Stdout,
             "{:<14} {:<8} {:<28} {}{state}",
             r.id, r.severity, r.name, r.description
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// A resolved `verify`/`analyze` target: the assay, its components, and —
@@ -777,11 +782,11 @@ fn resolve_assay_target(target: &str) -> Result<AssayTarget, String> {
     }
 }
 
-fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_verify(args: &[String]) -> Result<ExitCode, Failure> {
     cmd_check("verify", RuleRegistry::with_all_rules(), args)
 }
 
-fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_analyze(args: &[String]) -> Result<ExitCode, Failure> {
     cmd_check("analyze", analysis_registry(), args)
 }
 
@@ -793,7 +798,7 @@ fn cmd_check(
     command: &str,
     mut registry: RuleRegistry,
     args: &[String],
-) -> Result<ExitCode, String> {
+) -> Result<ExitCode, Failure> {
     use mfb_verify::prelude::*;
 
     let mut target: Option<String> = None;
@@ -821,7 +826,7 @@ fn cmd_check(
             }
             "--list-rules" => list_rules = true,
             other if target.is_none() => target = Some(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
+            other => return Err(format!("unexpected argument `{other}`").into()),
         }
     }
 
@@ -836,7 +841,7 @@ fn cmd_check(
 
     if list_rules {
         let rules: Vec<_> = registry.rules().collect();
-        print_rule_table(&rules, |id| registry.is_enabled(id));
+        print_rule_table(&rules, |id| registry.is_enabled(id))?;
         return Ok(ExitCode::SUCCESS);
     }
 
@@ -872,9 +877,7 @@ fn cmd_check(
         "json" => render_json(&report),
         "sarif" => render_sarif(&report, &registry),
         other => {
-            return Err(format!(
-                "unknown format `{other}` (expected pretty|json|sarif)"
-            ))
+            return Err(format!("unknown format `{other}` (expected pretty|json|sarif)").into())
         }
     };
     match out {
@@ -882,7 +885,7 @@ fn cmd_check(
             std::fs::write(&path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("report written to {path}");
         }
-        None => print!("{rendered}"),
+        None => write!(Stdout, "{rendered}")?,
     }
     Ok(ExitCode::from(report.exit_code() as u8))
 }
@@ -939,7 +942,7 @@ struct SweepCell {
     drc_fault_findings: usize,
 }
 
-fn cmd_faults(args: &[String]) -> Result<(), String> {
+fn cmd_faults(args: &[String]) -> Result<(), Failure> {
     use mfb_sim::prelude::{assess_faults, FaultEvent, FaultKind};
     use mfb_verify::prelude::{RuleRegistry, VerifyInput};
 
@@ -970,7 +973,7 @@ fn cmd_faults(args: &[String]) -> Result<(), String> {
                     .map_err(|e| format!("--seed: {e}"))?;
             }
             "--flow" => flow = it.next().ok_or("--flow needs a value")?.clone(),
-            other => return Err(format!("unexpected argument `{other}`")),
+            other => return Err(format!("unexpected argument `{other}`").into()),
         }
     }
     let trials = trials.max(1);
@@ -990,17 +993,19 @@ fn cmd_faults(args: &[String]) -> Result<(), String> {
     let synth = match flow.as_str() {
         "ours" => Synthesizer::paper_dcsa(),
         "ba" => Synthesizer::paper_baseline(),
-        other => return Err(format!("unknown flow `{other}` (expected ours|ba)")),
+        other => return Err(format!("unknown flow `{other}` (expected ours|ba)").into()),
     };
     let policy = RecoveryPolicy::standard();
     let registry = RuleRegistry::with_all_rules();
 
-    println!(
+    writeln!(
+        Stdout,
         "fault-injection sweep: seed {seed}, {trials} trial(s)/severity, flow {flow}, \
          ladder reseed={} grow={} relax-tc={} rebind={}",
         policy.reseed_attempts, policy.grow_steps, policy.relax_tc_steps, policy.rebind_attempts
-    );
-    println!(
+    )?;
+    writeln!(
+        Stdout,
         "{:<10} {:>7} {:>7} {:>9} {:>9} {:>10} {:>13} {:>10}",
         "benchmark",
         "cell_p",
@@ -1010,7 +1015,7 @@ fn cmd_faults(args: &[String]) -> Result<(), String> {
         "mean_degr",
         "midassay_surv",
         "drc_faults"
-    );
+    )?;
 
     for (bi, b) in benches.iter().enumerate() {
         let comps = b.components(&ComponentLibrary::default());
@@ -1151,7 +1156,8 @@ fn cmd_faults(args: &[String]) -> Result<(), String> {
             } else {
                 "-".to_string()
             };
-            println!(
+            writeln!(
+                Stdout,
                 "{:<10} {:>7.2} {:>7.2} {:>6}/{:<2} {:>9.1} {:>+9.1}% {:>13} {:>10}",
                 b.name,
                 cell_p,
@@ -1162,13 +1168,13 @@ fn cmd_faults(args: &[String]) -> Result<(), String> {
                 mean_degr,
                 midassay,
                 cell.drc_fault_findings
-            );
+            )?;
         }
     }
     Ok(())
 }
 
-fn cmd_bench(args: &[String]) -> Result<(), String> {
+fn cmd_bench(args: &[String]) -> Result<(), Failure> {
     let mut json = false;
     let mut out: Option<String> = None;
     let mut repeats: u32 = 3;
@@ -1184,10 +1190,10 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("--repeats: {e}"))?;
             }
-            other => return Err(format!("unexpected argument `{other}`")),
+            other => return Err(format!("unexpected argument `{other}`").into()),
         }
     }
-    let report = mfb_bench::perf::perf_report(repeats.max(1));
+    let report = mfb_bench::perf::perf_report(&mfb_bench::perf::bench_set(), repeats);
     let text = if json {
         let mut s = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
         s.push('\n');
@@ -1197,12 +1203,12 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     };
     match out {
         Some(path) => std::fs::write(&path, &text).map_err(|e| format!("{path}: {e}"))?,
-        None => print!("{text}"),
+        None => write!(Stdout, "{text}")?,
     }
     Ok(())
 }
 
-fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_batch(args: &[String]) -> Result<ExitCode, Failure> {
     use mfb_batch::prelude::*;
 
     let mut manifest: Option<String> = None;
@@ -1231,7 +1237,7 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
             other if manifest.is_none() && !other.starts_with('-') => {
                 manifest = Some(other.to_string());
             }
-            other => return Err(format!("unexpected argument `{other}`")),
+            other => return Err(format!("unexpected argument `{other}`").into()),
         }
     }
     let manifest = manifest.ok_or("usage: mfb batch <manifest.json> [options]")?;
@@ -1271,7 +1277,7 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
     };
     match out {
         Some(path) => std::fs::write(&path, &rendered).map_err(|e| format!("{path}: {e}"))?,
-        None => print!("{rendered}"),
+        None => write!(Stdout, "{rendered}")?,
     }
     Ok(if run.report.failed == 0 {
         ExitCode::SUCCESS
@@ -1325,7 +1331,7 @@ fn batch_text(report: &mfb_batch::prelude::BatchReport) -> String {
 
 /// `mfb serve`: run the crash-safe synthesis daemon until SIGTERM,
 /// SIGINT, or a `drain` request, then print the shutdown summary.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &[String]) -> Result<(), Failure> {
     use mfb_serve::prelude::*;
 
     let mut cfg = ServerConfig {
@@ -1361,7 +1367,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     return Err("--snapshot-every must be at least 1".into());
                 }
             }
-            other => return Err(format!("unexpected argument `{other}`")),
+            other => return Err(format!("unexpected argument `{other}`").into()),
         }
     }
 
@@ -1405,7 +1411,7 @@ where
 /// `mfb client <addr> [request]`: one-shot (or stdin-driven) client for
 /// the daemon's line-delimited JSON protocol. Responses are printed one
 /// per line, exactly as received.
-fn cmd_client(args: &[String]) -> Result<(), String> {
+fn cmd_client(args: &[String]) -> Result<(), Failure> {
     let mut addr: Option<String> = None;
     let mut request: Option<String> = None;
     for a in args {
@@ -1414,7 +1420,7 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
         } else if request.is_none() {
             request = Some(a.clone());
         } else {
-            return Err(format!("unexpected argument `{a}`"));
+            return Err(format!("unexpected argument `{a}`").into());
         }
     }
     let addr = addr.ok_or("usage: mfb client <addr> [request-json]")?;
@@ -1437,12 +1443,12 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
 fn client_session<S: std::io::Read + std::io::Write>(
     stream: S,
     request: Option<String>,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     use std::io::{BufRead, BufReader};
     // One BufReader wraps the stream; writes go through `get_mut` (the
     // buffer only holds unread response bytes, so this is safe).
     let mut conn = BufReader::new(stream);
-    let mut roundtrip = |line: &str| -> Result<(), String> {
+    let mut roundtrip = |line: &str| -> Result<(), Failure> {
         let line = line.trim();
         if line.is_empty() {
             return Ok(());
@@ -1458,7 +1464,7 @@ fn client_session<S: std::io::Read + std::io::Write>(
         if n == 0 {
             return Err("server closed the connection".into());
         }
-        print!("{response}");
+        write!(Stdout, "{response}")?;
         Ok(())
     };
     match request {
@@ -1474,19 +1480,20 @@ fn client_session<S: std::io::Read + std::io::Write>(
     }
 }
 
-fn cmd_audit(args: &[String]) -> Result<(), String> {
+fn cmd_audit(args: &[String]) -> Result<(), Failure> {
     let bench = args.first().ok_or("usage: mfb audit <benchmark>")?.clone();
     let b = benchmark_by_name(&bench)
         .ok_or_else(|| format!("unknown benchmark `{bench}`; see `mfb list`"))?;
     let (comps, solution) = synthesize(&b, "ours")?;
 
-    println!("physical audits for {}:", b.name);
+    writeln!(Stdout, "physical audits for {}:", b.name)?;
 
     // Transport-time slack: is the scheduler's constant t_c honest for the
     // routed channel lengths under realistic pumping pressure?
     let model = PressureDriven::typical_pdms();
     let audit = audit_transport_times(&solution, &model);
-    println!(
+    writeln!(
+        Stdout,
         "  transport audit ({:.0} kPa, {:.0} um channels): {}",
         model.pressure_kpa,
         model.channel_height_um,
@@ -1499,19 +1506,21 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
         } else {
             format!("{} transports exceed t_c!", audit.violations().count())
         }
-    );
+    )?;
 
     // Area vs a conventional dedicated-storage design.
     let area = area_report(&solution);
-    println!(
+    writeln!(
+        Stdout,
         "  occupied area      : {:.0} mm^2 ({} fluids cached at peak)",
         area.occupied_mm2, area.peak_cached_fluids
-    );
-    println!(
+    )?;
+    writeln!(
+        Stdout,
         "  dedicated storage  : +{:.0} mm^2 equivalent ({:.0}% saved by DCSA)",
         area.dedicated_storage_equivalent_mm2,
         area.savings_fraction() * 100.0
-    );
+    )?;
 
     // Wash realizability: can every channel wash actually be flushed with
     // buffer in its time gap?
@@ -1523,30 +1532,35 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
         &wash(),
         &mfb_route::prelude::RouterConfig::paper(),
     );
-    println!(
+    writeln!(
+        Stdout,
         "  wash plan          : {} flushes, {} incidental, {} unplannable ({:.0}% coverage)",
         plan.flushes.len(),
         plan.incidental,
         plan.unplanned.len(),
         plan.coverage() * 100.0
-    );
+    )?;
 
     // Control layer.
     let control =
         mfb_control::ControlEstimate::of_chip(&solution.routing, &solution.placement, &comps);
-    println!("  control layer      : {control}");
+    writeln!(Stdout, "  control layer      : {control}")?;
     Ok(())
 }
 
-fn cmd_ablation() -> Result<(), String> {
+fn cmd_ablation() -> Result<(), Failure> {
     use mfb_core::config::SynthesisConfig;
     let lib = ComponentLibrary::default();
-    println!("Ablation study: each variant disables one design choice.\n");
-    println!(
+    writeln!(
+        Stdout,
+        "Ablation study: each variant disables one design choice.\n"
+    )?;
+    writeln!(
+        Stdout,
         "{:<12} {:>12} {:>10} {:>10} {:>12}",
         "Benchmark", "Variant", "Exec(s)", "Util(%)", "Channel(mm)"
-    );
-    println!("{}", "-".repeat(60));
+    )?;
+    writeln!(Stdout, "{}", "-".repeat(60))?;
     for b in table1_benchmarks() {
         if !matches!(b.name, "CPA" | "Synthetic4") {
             continue; // the paper-scale stress cases
@@ -1580,16 +1594,17 @@ fn cmd_ablation() -> Result<(), String> {
             match Synthesizer::new(cfg).synthesize(&b.graph, &comps, &wash()) {
                 Ok(sol) => {
                     let m = SolutionMetrics::of(&sol, &comps);
-                    println!(
+                    writeln!(
+                        Stdout,
                         "{:<12} {:>12} {:>10.0} {:>10.1} {:>12.0}",
                         b.name,
                         name,
                         m.execution_time.as_secs_f64(),
                         m.utilization * 100.0,
                         m.channel_length_mm
-                    );
+                    )?;
                 }
-                Err(e) => println!("{:<12} {:>12}   unroutable ({e})", b.name, name),
+                Err(e) => writeln!(Stdout, "{:<12} {:>12}   unroutable ({e})", b.name, name)?,
             }
         }
     }

@@ -11,8 +11,19 @@ use mfb_obs::{
     TraceCollector, TraceEvent,
 };
 
+/// Serializes the tests that install a collector. `enabled()` counts
+/// installed collectors across the whole process, so a test asserting it
+/// is false again would race with any test holding a collector on
+/// another thread of the test harness.
+fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Builds a small real trace through the public macro/guard API.
 fn sample_trace() -> mfb_obs::Trace {
+    let _exclusive = exclusive();
     let collector = TraceCollector::new();
     let guard = install(&collector);
     {
@@ -144,6 +155,7 @@ fn summaries_aggregate_spans_and_counters_deterministically() {
 
 #[test]
 fn no_collector_means_no_recording_and_finish_counts_open_spans() {
+    let _exclusive = exclusive();
     // No install: probes are inert.
     {
         let _span = mfb_obs::obs_span!("stage.route");
@@ -168,6 +180,7 @@ fn no_collector_means_no_recording_and_finish_counts_open_spans() {
 
 #[test]
 fn install_nests_and_restores_the_previous_collector() {
+    let _exclusive = exclusive();
     let outer = TraceCollector::new();
     let g1 = install(&outer);
     instant("outer.before", Vec::new());
@@ -188,6 +201,7 @@ fn install_nests_and_restores_the_previous_collector() {
 
 #[test]
 fn collector_propagates_across_threads_with_distinct_tids() {
+    let _exclusive = exclusive();
     let collector = TraceCollector::new();
     let guard = install(&collector);
     let handle = mfb_obs::current().expect("installed");

@@ -1,14 +1,13 @@
-//! Pre-optimization reference placer, kept verbatim for golden-equivalence
-//! tests and live speedup measurement.
+//! Pre-optimization reference placer, kept verbatim as a test oracle for
+//! golden-equivalence tests.
 //!
 //! [`place_sa_reference`] is the clone-per-proposal, full-recompute
 //! annealing loop this crate shipped before the incremental hot path
 //! landed. The optimized [`crate::sa::place_sa`] must produce a bitwise
 //! identical placement for every `(workload, seed)` — the
 //! `tests/perf_equiv.rs` suite asserts exactly that across the Table-I
-//! benchmarks, and `mfb bench --json` times the two side by side to record
-//! the SA speedup in `BENCH_synthesis.json`. Do not "improve" this module:
-//! its value is being the frozen baseline.
+//! benchmarks, with and without defects and spacing. Do not "improve" this
+//! module: its value is being the frozen baseline.
 
 use crate::error::PlaceError;
 use crate::floorplan::{rect_avoids_defects, Placement};

@@ -87,7 +87,7 @@ pub fn place_sa(
     .map(|(p, _)| p)
 }
 
-/// Counters from one annealing run, for the perf baseline (`mfb bench`).
+/// Counters from one annealing run, emitted as `sa.*` trace counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SaStats {
     /// Inner-loop iterations (`I_max` × temperature steps).

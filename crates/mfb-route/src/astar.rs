@@ -44,7 +44,7 @@ impl Default for AstarOptions {
 }
 
 /// Search counters, accumulated across every query run on one
-/// [`SearchScratch`]; `mfb bench` reports expansions/sec from these.
+/// [`SearchScratch`]; the router emits them as `astar.*` trace counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Queries started (`find_path` + `dijkstra_map` calls).

@@ -1,5 +1,5 @@
-//! Pre-optimization reference router, kept verbatim for golden-equivalence
-//! tests and live speedup measurement.
+//! Pre-optimization reference router, kept verbatim as a test oracle for
+//! golden-equivalence tests.
 //!
 //! [`find_path_reference`] and [`dijkstra_map_reference`] are the
 //! allocate-per-query searches this crate shipped before the reusable
@@ -9,10 +9,9 @@
 //! [`route_dcsa_reference`] is the conflict-aware router driven by those
 //! searches. The optimized [`crate::router::route_dcsa`] must produce a
 //! bitwise identical [`Routing`] for every input — `tests/perf_equiv.rs`
-//! asserts exactly that across the Table-I benchmarks, and `mfb bench
-//! --json` times the two side by side to record the routing speedup in
-//! `BENCH_synthesis.json`. Do not "improve" this module: its value is being
-//! the frozen baseline.
+//! asserts exactly that across the Table-I benchmarks, with and without
+//! defects. Do not "improve" this module: its value is being the frozen
+//! baseline.
 
 use crate::astar::AstarOptions;
 use crate::error::RouteError;

@@ -432,8 +432,8 @@ pub fn route_dcsa(
 ///   extra weight in Eq. (5).
 /// * **Scratch** — the arena (and its accumulated
 ///   [`crate::astar::SearchStats`]) survives the call, so batch drivers
-///   reuse one arena across placements and `mfb bench` reads expansion
-///   counts from it.
+///   reuse one arena across placements; the per-call deltas become the
+///   `astar.*` trace counters.
 /// * **Budget** — installed on `scratch` for the call and polled per
 ///   routed task plus every few thousand A* expansions, so a tripped
 ///   deadline or cancellation surfaces as [`RouteError::Interrupted`]
