@@ -1,35 +1,33 @@
-//! The pipelined batch executor.
+//! The batch executor.
 //!
-//! [`run_batch`] drains a queue of [`BatchJob`]s through a pool of bounded
-//! worker threads (capped by `MFB_THREADS`, like every parallel sweep in
-//! this workspace) that share one [`StageCache`]. Each job is split into
-//! two tasks:
+//! [`run_batch`] fans a list of [`BatchJob`]s out with
+//! [`mfb_model::par::par_map_ordered`]: up to `MFB_THREADS` workers claim
+//! jobs one at a time and share one [`StageCache`]. Each job runs two
+//! timed steps on the worker that claimed it:
 //!
 //! * **prep** — scheduling and netlist construction, pushed into the cache
-//!   via [`Synthesizer::prepare_cached`];
+//!   via [`Synthesizer::prepare_cached`] (span `batch.prep`);
 //! * **solve** — the full flow, [`Synthesizer::synthesize_with`] on the
 //!   shared cache, which picks the prepped stages up warm and spends its
-//!   time on placement SA and routing.
+//!   time on placement SA and routing (span `batch.solve`).
 //!
-//! Workers prefer the lowest-index prepped job and otherwise pull the next
-//! prep task, so the solve of job *i* overlaps the prep of job *i+1* — and
-//! with more than one worker, the routing of job *i* overlaps the
-//! annealing of job *i+1* outright. Because every stage is a pure
-//! function addressed by content (see `mfb_core::cache`), the scheduling
-//! order affects only wall-clock time: results are folded in input order
-//! and are **byte-identical** to serial uncached synthesis for any
-//! `MFB_THREADS`, which the golden and property tests pin.
+//! Prep is about 1 % of a job's time, so the two steps run back to back
+//! rather than in a pipeline that would overlap one job's prep with
+//! another's solve. Because every stage is a pure function addressed by
+//! content (see `mfb_core::cache`), the order in which workers claim jobs
+//! affects only wall-clock time: results come back in input order and are
+//! **byte-identical** to serial uncached synthesis for any `MFB_THREADS`,
+//! which the golden and property tests pin.
 //!
-//! Worker panics are contained per job and replayed for the lowest job
-//! index after the batch drains, mirroring `mfb_model::par`'s semantics.
+//! A panicking solve is replayed for the lowest panicking job index after
+//! the batch drains, as `par_map_ordered` does for every sweep.
 
 use mfb_core::prelude::*;
 use mfb_model::hash::ContentHash;
 use mfb_model::prelude::*;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// One synthesis request in a batch.
 #[derive(Debug, Clone)]
@@ -110,6 +108,22 @@ impl BatchJob {
             &self.defects,
         )
     }
+
+    /// Synthesizes this job under its budget, through `cache` when given.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Synthesizer::synthesize_with`] reports.
+    pub fn solve(&self, cache: Option<&StageCache>) -> Result<Solution, SynthesisError> {
+        self.synthesizer().synthesize_with(
+            &self.graph,
+            &self.components,
+            &*self.wash,
+            &self.defects,
+            cache,
+            &self.budget,
+        )
+    }
 }
 
 /// The per-job row of a [`BatchReport`]. Every field except the two
@@ -175,35 +189,18 @@ pub struct BatchRun {
     pub solutions: Vec<Result<Solution, SynthesisError>>,
 }
 
-/// Per-job scratch the workers fill in.
-#[derive(Default)]
-struct Record {
-    result: Option<std::thread::Result<Result<Solution, SynthesisError>>>,
-    prep_ms: f64,
-    solve_ms: f64,
+/// Milliseconds since `t0`.
+fn ms_since(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e3
 }
 
-/// Scheduler state of the two-stage pipeline.
-struct Pipeline {
-    /// Next job whose prep task has not been claimed.
-    next_prep: usize,
-    /// Prepped jobs awaiting a solve, popped lowest index first.
-    ready: BinaryHeap<Reverse<usize>>,
-    /// Jobs whose solve task has finished.
-    solved: usize,
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Runs every job through the shared cache and folds the results in input
-/// order. See the [module docs](self) for the pipeline structure and the
-/// determinism contract.
+/// Runs every job through the shared cache and returns the results in
+/// input order. See the [module docs](self) for the two steps per job and
+/// the determinism contract.
 pub fn run_batch(jobs: &[BatchJob], cache: &StageCache) -> BatchRun {
     let n = jobs.len();
     let stats_before = cache.stats();
-    let started = std::time::Instant::now();
+    let started = Instant::now();
 
     // Warm attribution is decided before any worker runs, from cache keys
     // alone: job i is warm iff its schedule key is already in the cache or
@@ -214,177 +211,71 @@ pub fn run_batch(jobs: &[BatchJob], cache: &StageCache) -> BatchRun {
         .map(|i| preexisting[i] || keys[..i].contains(&keys[i]))
         .collect();
 
-    let workers = mfb_model::par::thread_limit().max(1).min(n.max(1));
-    let records: Vec<Mutex<Record>> = (0..n).map(|_| Mutex::new(Record::default())).collect();
-    let state = Mutex::new(Pipeline {
-        next_prep: 0,
-        ready: BinaryHeap::new(),
-        solved: 0,
-    });
-    let idle = Condvar::new();
-
-    enum Task {
-        Prep(usize),
-        Solve(usize),
-    }
-
-    // Pipeline workers inherit the caller's trace subscriber, so one
-    // trace shows per-job prep/solve occupancy across every worker lane.
-    let obs = mfb_obs::current();
-    if n > 0 {
-        std::thread::scope(|scope| {
-            let state = &state;
-            let records = &records;
-            let idle = &idle;
-            for _ in 0..workers {
-                let obs = obs.clone();
-                scope.spawn(move || {
-                    let _obs_guard = obs.as_ref().map(mfb_obs::install);
-                    loop {
-                        let task = {
-                            let mut st = lock(state);
-                            loop {
-                                if let Some(Reverse(i)) = st.ready.pop() {
-                                    break Task::Solve(i);
-                                }
-                                if st.next_prep < n {
-                                    let i = st.next_prep;
-                                    st.next_prep += 1;
-                                    break Task::Prep(i);
-                                }
-                                if st.solved == n {
-                                    return;
-                                }
-                                st = idle.wait(st).unwrap_or_else(PoisonError::into_inner);
-                            }
-                        };
-                        match task {
-                            Task::Prep(i) => {
-                                let job = &jobs[i];
-                                let _span = mfb_obs::obs_span!(
-                                    "batch.prep",
-                                    job = i,
-                                    name = job.name.clone()
-                                );
-                                let t0 = std::time::Instant::now();
-                                // Errors and panics are deliberately dropped
-                                // here: the solve task replays them through the
-                                // same cache (or recomputes, if a panic left no
-                                // entry) and reports them deterministically. A
-                                // job whose budget has already tripped skips
-                                // prep outright — its solve fails at the first
-                                // checkpoint anyway.
-                                if job.budget.check().is_ok() {
-                                    let _ = catch_unwind(AssertUnwindSafe(|| {
-                                        let _ = job.synthesizer().prepare_cached(
-                                            &job.graph,
-                                            &job.components,
-                                            &*job.wash,
-                                            &job.defects,
-                                            cache,
-                                        );
-                                    }));
-                                }
-                                lock(&records[i]).prep_ms = t0.elapsed().as_secs_f64() * 1e3;
-                                let mut st = lock(state);
-                                st.ready.push(Reverse(i));
-                                drop(st);
-                                idle.notify_all();
-                            }
-                            Task::Solve(i) => {
-                                let job = &jobs[i];
-                                let _span = mfb_obs::obs_span!(
-                                    "batch.solve",
-                                    job = i,
-                                    name = job.name.clone()
-                                );
-                                let t0 = std::time::Instant::now();
-                                let result = catch_unwind(AssertUnwindSafe(|| {
-                                    job.synthesizer().synthesize_with(
-                                        &job.graph,
-                                        &job.components,
-                                        &*job.wash,
-                                        &job.defects,
-                                        Some(cache),
-                                        &job.budget,
-                                    )
-                                }));
-                                {
-                                    let mut r = lock(&records[i]);
-                                    r.solve_ms = t0.elapsed().as_secs_f64() * 1e3;
-                                    r.result = Some(result);
-                                }
-                                let mut st = lock(state);
-                                st.solved += 1;
-                                let done = st.solved == n;
-                                drop(st);
-                                if done {
-                                    idle.notify_all();
-                                }
-                            }
-                        }
-                    }
-                });
+    let runs = mfb_model::par::par_map_ordered(n, |i| {
+        let job = &jobs[i];
+        let prep_ms = {
+            let _span = mfb_obs::obs_span!("batch.prep", job = i, name = job.name.clone());
+            let t0 = Instant::now();
+            // Errors and panics are deliberately dropped here: the solve
+            // replays them through the same cache (or recomputes, if a
+            // panic left no entry) and reports them deterministically. A
+            // job whose budget has already tripped skips prep outright —
+            // its solve fails at the first checkpoint anyway.
+            if job.budget.check().is_ok() {
+                let _ = catch_unwind(AssertUnwindSafe(|| {
+                    job.synthesizer().prepare_cached(
+                        &job.graph,
+                        &job.components,
+                        &*job.wash,
+                        &job.defects,
+                        cache,
+                    )
+                }));
             }
-        });
-    }
-
-    // Fold in input order; the lowest-index panic (if any) replays exactly
-    // as it would have in a serial loop.
-    let mut solutions = Vec::with_capacity(n);
-    let mut timings = Vec::with_capacity(n);
-    for rec in records {
-        let rec = rec.into_inner().unwrap_or_else(PoisonError::into_inner);
-        timings.push((rec.prep_ms, rec.solve_ms));
-        match rec.result.expect("every job's solve task ran") {
-            Ok(r) => solutions.push(r),
-            Err(payload) => resume_unwind(payload),
-        }
-    }
+            ms_since(t0)
+        };
+        let _span = mfb_obs::obs_span!("batch.solve", job = i, name = job.name.clone());
+        let t0 = Instant::now();
+        let result = job.solve(Some(cache));
+        (result, prep_ms, ms_since(t0))
+    });
 
     let wall_seconds = started.elapsed().as_secs_f64();
-    let outcomes: Vec<JobOutcome> = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, job)| {
-            let (prep_ms, solve_ms) = timings[i];
-            match &solutions[i] {
-                Ok(s) => {
-                    let m = SolutionMetrics::of(s, &job.components);
-                    JobOutcome {
-                        name: job.name.clone(),
-                        ok: true,
-                        error: None,
-                        attempts: s.attempts,
-                        execution_secs: m.execution_time.as_secs_f64(),
-                        channel_length_mm: m.channel_length_mm,
-                        transports: m.transports,
-                        schedule_key: keys[i].to_hex(),
-                        warm_schedule: warm[i],
-                        prep_ms,
-                        solve_ms,
-                    }
-                }
-                Err(e) => JobOutcome {
-                    name: job.name.clone(),
-                    ok: false,
-                    error: Some(e.to_string()),
-                    attempts: 0,
-                    execution_secs: 0.0,
-                    channel_length_mm: 0.0,
-                    transports: 0,
-                    schedule_key: keys[i].to_hex(),
-                    warm_schedule: warm[i],
-                    prep_ms,
-                    solve_ms,
-                },
+    let mut solutions = Vec::with_capacity(n);
+    let mut outcomes = Vec::with_capacity(n);
+    for (i, (result, prep_ms, solve_ms)) in runs.into_iter().enumerate() {
+        let job = &jobs[i];
+        let mut outcome = JobOutcome {
+            name: job.name.clone(),
+            ok: false,
+            error: None,
+            attempts: 0,
+            execution_secs: 0.0,
+            channel_length_mm: 0.0,
+            transports: 0,
+            schedule_key: keys[i].to_hex(),
+            warm_schedule: warm[i],
+            prep_ms,
+            solve_ms,
+        };
+        match &result {
+            Ok(s) => {
+                let m = SolutionMetrics::of(s, &job.components);
+                outcome.ok = true;
+                outcome.attempts = s.attempts;
+                outcome.execution_secs = m.execution_time.as_secs_f64();
+                outcome.channel_length_mm = m.channel_length_mm;
+                outcome.transports = m.transports;
             }
-        })
-        .collect();
+            Err(e) => outcome.error = Some(e.to_string()),
+        }
+        outcomes.push(outcome);
+        solutions.push(result);
+    }
 
     let ok = outcomes.iter().filter(|o| o.ok).count();
     let report = BatchReport {
-        threads: workers,
+        threads: mfb_model::par::thread_limit().min(n).max(1),
         jobs: n,
         ok,
         failed: n - ok,

@@ -1,4 +1,4 @@
-//! Pipelined batch synthesis for DCSA flow-based biochips.
+//! Batch synthesis for DCSA flow-based biochips.
 //!
 //! Labs rarely synthesize one assay: a screening campaign re-runs the same
 //! bioassays across seeds, transport constants and defect maps, and most of
@@ -7,10 +7,12 @@
 //!
 //! * [`executor::BatchJob`] — one synthesis request (assay + components +
 //!   config + wash model + defect map);
-//! * [`executor::run_batch`] — a bounded worker pool (capped by
-//!   `MFB_THREADS`) that pipelines jobs in two stages so the routing of one
-//!   job overlaps the annealing of the next, all through one shared
-//!   [`mfb_core::prelude::StageCache`];
+//! * [`manifest::resolve_job`] — the one intake that turns a Table-I name,
+//!   a `.assay` path or inline DSL source into a job; the CLI, manifests
+//!   and `mfb serve` all use it;
+//! * [`executor::run_batch`] — fans jobs out over up to `MFB_THREADS`
+//!   workers that share one [`mfb_core::prelude::StageCache`], each job a
+//!   timed prep step (schedule + netlist) then a timed solve;
 //! * [`manifest`] — the JSON job-manifest format behind `mfb batch`.
 //!
 //! The headline number is **assays per second**, reported per batch with
@@ -32,5 +34,7 @@ pub mod manifest;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::executor::{run_batch, BatchJob, BatchReport, BatchRun, JobOutcome};
-    pub use crate::manifest::{parse_manifest, ManifestError};
+    pub use crate::manifest::{
+        parse_entry, parse_manifest, resolve_job, AssaySource, ManifestError,
+    };
 }

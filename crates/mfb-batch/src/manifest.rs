@@ -39,6 +39,12 @@
 //!   `k > 1`); identical clones share every cache key, so repeats are the
 //!   simplest way to exercise warm-cache throughput.
 //!
+//! Each entry is checked field by field and then resolved by
+//! [`resolve_job`], the one function that turns a benchmark name, an
+//! assay path or inline DSL source into a [`BatchJob`] — `mfb run`,
+//! `mfb verify` and friends, and `mfb serve` submissions go through it
+//! too.
+//!
 //! Parsing is strict: entries must be objects, fields outside the list
 //! above are rejected by name, out-of-range values (`"repeat": 0`,
 //! `"t_c_secs": 0`) are typed schema errors, and JSON syntax errors carry
@@ -123,10 +129,9 @@ pub fn parse_manifest(text: &str, base_dir: &Path) -> Result<Vec<BatchJob>, Mani
         return Err(schema("manifest contains no jobs"));
     }
 
-    let library = ComponentLibrary::default();
     let mut out = Vec::new();
     for (idx, entry) in entries.iter().enumerate() {
-        let job = parse_entry(entry, idx, base_dir, &library)?;
+        let job = parse_entry(entry, idx, Some(base_dir))?;
         let repeat = match entry.get("repeat") {
             None => 1,
             Some(v) => {
@@ -152,11 +157,98 @@ pub fn parse_manifest(text: &str, base_dir: &Path) -> Result<Vec<BatchJob>, Mani
     Ok(out)
 }
 
-fn parse_entry(
+/// Where a job's assay comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AssaySource<'a> {
+    /// A Table-I benchmark name (`"PCR"`, `"Synthetic4"`, `"synth3"`, …;
+    /// case-insensitive).
+    Bench(&'a str),
+    /// A path to a `.assay` file, relative to the caller's base directory.
+    File(&'a str),
+    /// `.assay` DSL source text.
+    Inline(&'a str),
+}
+
+/// Resolves an assay source into a job: the graph, its components, the
+/// file's `defect` statements, and a [`SynthesisConfig`] built from the
+/// file's `flow` statement with `overrides` winning field by field.
+///
+/// `base_dir` anchors [`AssaySource::File`] paths; `None` refuses file
+/// sources before touching the filesystem, for callers (like `mfb serve`)
+/// whose input must not name files. An assay must carry an `alloc` line,
+/// since a job needs concrete components. The job is named after the
+/// benchmark, the file stem, or an inline assay's declared name.
+///
+/// # Errors
+///
+/// [`ManifestError::Schema`] for an unknown benchmark or a refused path,
+/// [`ManifestError::Assay`] for an unreadable or invalid assay.
+pub fn resolve_job(
+    source: AssaySource<'_>,
+    base_dir: Option<&Path>,
+    overrides: &FlowDecl,
+) -> Result<BatchJob, ManifestError> {
+    let library = ComponentLibrary::default();
+    let (text, origin, stem) = match source {
+        AssaySource::Bench(bench) => {
+            let b = mfb_bench_suite::benchmark_by_name(bench).ok_or_else(|| {
+                schema(format!(
+                    "unknown benchmark {bench:?} (expected a Table-I name)"
+                ))
+            })?;
+            let components = b.components(&library);
+            let config = SynthesisConfig::for_flow(overrides);
+            return Ok(BatchJob::new(b.name, b.graph, components, config));
+        }
+        AssaySource::File(path) => {
+            let base_dir = base_dir.ok_or_else(|| {
+                schema("assay paths are not accepted here; send the `.assay` source inline")
+            })?;
+            let full = base_dir.join(path);
+            let text = std::fs::read_to_string(&full).map_err(|e| {
+                ManifestError::Assay(format!("cannot read {}: {e}", full.display()))
+            })?;
+            let stem = Path::new(path)
+                .file_stem()
+                .map_or_else(|| path.to_owned(), |s| s.to_string_lossy().into_owned());
+            (text, full.display().to_string(), Some(stem))
+        }
+        AssaySource::Inline(text) => (text.to_owned(), "inline assay".to_owned(), None),
+    };
+    let file = parse_assay(&text).map_err(|e| ManifestError::Assay(format!("{origin}: {e}")))?;
+    let allocation = file
+        .allocation
+        .ok_or_else(|| ManifestError::Assay(format!("{origin} has no `alloc M H F D` line")))?;
+    let name = stem.unwrap_or_else(|| match file.graph.name().trim() {
+        "" => "inline".to_owned(),
+        declared => declared.to_owned(),
+    });
+    let flow = FlowDecl {
+        kind: overrides.kind.or(file.flow.kind),
+        t_c: overrides.t_c.or(file.flow.t_c),
+        seed: overrides.seed.or(file.flow.seed),
+    };
+    let components = allocation.instantiate(&library);
+    Ok(BatchJob::new(
+        name,
+        file.graph,
+        components,
+        SynthesisConfig::for_flow(&flow),
+    )
+    .with_defects(file.defects))
+}
+
+/// Validates one manifest entry's fields and resolves it into a job,
+/// before any `"repeat"` expansion. `base_dir` is as for [`resolve_job`].
+///
+/// # Errors
+///
+/// A [`ManifestError`] naming the entry as `job {idx}` and the offending
+/// field.
+pub fn parse_entry(
     entry: &Value,
     idx: usize,
-    base_dir: &Path,
-    library: &ComponentLibrary,
+    base_dir: Option<&Path>,
 ) -> Result<BatchJob, ManifestError> {
     let fields = entry
         .as_object()
@@ -169,71 +261,23 @@ fn parse_entry(
             )));
         }
     }
+    let string = |key: &str| -> Result<Option<&str>, ManifestError> {
+        entry
+            .get(key)
+            .map(|v| {
+                v.as_str()
+                    .ok_or_else(|| schema(format!("job {idx}: {key:?} must be a string")))
+            })
+            .transpose()
+    };
 
-    let bench = entry.get("bench").map(|v| {
-        v.as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| schema(format!("job {idx}: \"bench\" must be a string")))
-    });
-    let assay = entry.get("assay").map(|v| {
-        v.as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| schema(format!("job {idx}: \"assay\" must be a string")))
-    });
-
-    let (default_name, graph, components, file_flow, file_defects) = match (bench, assay) {
-        (Some(bench), None) => {
-            let bench = bench?;
-            let b = mfb_bench_suite::benchmark_by_name(&bench).ok_or_else(|| {
-                schema(format!(
-                    "job {idx}: unknown benchmark {bench:?} (expected a Table-I name)"
-                ))
-            })?;
-            let components = b.components(library);
-            (
-                b.name.to_owned(),
-                b.graph,
-                components,
-                FlowDecl::default(),
-                DefectMap::pristine(),
-            )
-        }
-        (None, Some(assay)) => {
-            let assay = assay?;
-            // A value with a newline cannot be a path: treat it as inline
-            // DSL source so manifests (and `mfb serve` submissions built
-            // on them) can carry self-contained assays.
-            let (text, origin, default_name) = if assay.contains('\n') {
-                (assay, format!("job {idx} inline assay"), None)
-            } else {
-                let path = base_dir.join(&assay);
-                let text = std::fs::read_to_string(&path).map_err(|e| {
-                    ManifestError::Assay(format!("job {idx}: cannot read {}: {e}", path.display()))
-                })?;
-                let stem = Path::new(&assay)
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-                    .unwrap_or(assay);
-                (text, format!("job {idx}: {}", path.display()), Some(stem))
-            };
-            let file =
-                parse_assay(&text).map_err(|e| ManifestError::Assay(format!("{origin}: {e}")))?;
-            let allocation = file.allocation.ok_or_else(|| {
-                ManifestError::Assay(format!(
-                    "{origin} has no `alloc` line (batch jobs need one)"
-                ))
-            })?;
-            let components = allocation.instantiate(library);
-            let name = default_name.unwrap_or_else(|| {
-                let declared = file.graph.name().trim();
-                if declared.is_empty() {
-                    "inline".to_owned()
-                } else {
-                    declared.to_owned()
-                }
-            });
-            (name, file.graph, components, file.flow, file.defects)
-        }
+    let source = match (string("bench")?, string("assay")?) {
+        (Some(bench), None) => AssaySource::Bench(bench),
+        // A value with a newline cannot be a path: it is inline DSL
+        // source, so manifests (and `mfb serve` submissions) can carry
+        // self-contained assays.
+        (None, Some(assay)) if assay.contains('\n') => AssaySource::Inline(assay),
+        (None, Some(assay)) => AssaySource::File(assay),
         (Some(_), Some(_)) => {
             return Err(schema(format!(
                 "job {idx}: give \"bench\" or \"assay\", not both"
@@ -246,35 +290,19 @@ fn parse_entry(
         }
     };
 
-    // Precedence: an entry-level "flow" beats the assay file's own `flow`
-    // statement; the file's `t_c=`/`seed=` overlay the base config but lose
-    // to the entry's "t_c_secs"/"seed" below.
-    let mut config = match entry.get("flow") {
-        None => match file_flow.kind {
-            Some(FlowKind::Baseline) => SynthesisConfig::paper_baseline(),
-            _ => SynthesisConfig::paper_dcsa(),
-        },
-        Some(v) => match v.as_str() {
-            Some("dcsa") | Some("ours") => SynthesisConfig::paper_dcsa(),
-            Some("ba") | Some("baseline") => SynthesisConfig::paper_baseline(),
-            _ => {
-                return Err(schema(format!(
-                    "job {idx}: \"flow\" must be \"dcsa\"/\"ours\" or \"ba\"/\"baseline\""
-                )))
-            }
-        },
-    };
-    if let Some(t_c) = file_flow.t_c {
-        config.t_c = t_c;
-    }
-    if let Some(seed) = file_flow.seed {
-        config = config.with_seed(seed);
+    let mut overrides = FlowDecl::default();
+    if let Some(flow) = string("flow")? {
+        overrides.kind = Some(FlowKind::parse(flow).ok_or_else(|| {
+            schema(format!(
+                "job {idx}: \"flow\" must be \"dcsa\"/\"ours\" or \"ba\"/\"baseline\""
+            ))
+        })?);
     }
     if let Some(v) = entry.get("seed") {
-        let seed = v
-            .as_u64()
-            .ok_or_else(|| schema(format!("job {idx}: \"seed\" must be an unsigned integer")))?;
-        config = config.with_seed(seed);
+        overrides.seed =
+            Some(v.as_u64().ok_or_else(|| {
+                schema(format!("job {idx}: \"seed\" must be an unsigned integer"))
+            })?);
     }
     if let Some(v) = entry.get("t_c_secs") {
         // Zero is rejected along with negatives: a zero transport constant
@@ -283,18 +311,17 @@ fn parse_entry(
             .as_f64()
             .filter(|s| s.is_finite() && *s > 0.0)
             .ok_or_else(|| schema(format!("job {idx}: \"t_c_secs\" must be a positive number")))?;
-        config.t_c = Duration::from_secs_f64(secs);
+        overrides.t_c = Some(Duration::from_secs_f64(secs));
     }
 
-    let name = match entry.get("name") {
-        None => default_name,
-        Some(v) => v
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| schema(format!("job {idx}: \"name\" must be a string")))?,
-    };
-
-    let mut job = BatchJob::new(name, graph, components, config);
+    let mut job = resolve_job(source, base_dir, &overrides).map_err(|e| match e {
+        ManifestError::Schema(m) => schema(format!("job {idx}: {m}")),
+        ManifestError::Assay(m) => ManifestError::Assay(format!("job {idx}: {m}")),
+        other => other,
+    })?;
+    if let Some(name) = string("name")? {
+        job.name = name.to_owned();
+    }
     if let Some(v) = entry.get("defects") {
         // Re-encode the sub-value and decode it as a DefectMap; the shim's
         // Value is serde::Content, which round-trips losslessly. An entry's
@@ -304,8 +331,6 @@ fn parse_entry(
         let defects: DefectMap = serde_json::from_str(&text)
             .map_err(|e| schema(format!("job {idx}: \"defects\" is not a defect map: {e}")))?;
         job = job.with_defects(defects);
-    } else if !file_defects.is_pristine() {
-        job = job.with_defects(file_defects);
     }
     Ok(job)
 }
@@ -475,7 +500,7 @@ mod tests {
         let err = parse_manifest(&manifest, Path::new("."))
             .unwrap_err()
             .to_string();
-        assert!(err.contains("job 0 inline assay"), "{err}");
+        assert!(err.contains("job 0: inline assay"), "{err}");
         assert!(err.contains("line 2"), "{err}");
     }
 

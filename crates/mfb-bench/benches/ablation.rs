@@ -11,37 +11,9 @@
 //! times each variant's full synthesis.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mfb_bench::{benchmarks, wash};
-use mfb_core::config::SynthesisConfig;
+use mfb_bench::{ablation_variants, benchmarks, wash};
 use mfb_core::prelude::*;
 use mfb_model::prelude::*;
-use mfb_sched::prelude::BindingRule;
-
-fn variants() -> Vec<(&'static str, SynthesisConfig)> {
-    vec![
-        ("full", SynthesisConfig::paper_dcsa()),
-        ("no-case1", {
-            let mut c = SynthesisConfig::paper_dcsa();
-            c.binding = BindingRule::EarliestReady;
-            c
-        }),
-        ("case1-any", {
-            let mut c = SynthesisConfig::paper_dcsa();
-            c.binding = BindingRule::StorageAwareUnordered;
-            c
-        }),
-        ("no-weights", {
-            let mut c = SynthesisConfig::paper_dcsa();
-            c.router.wash_aware_weights = false;
-            c
-        }),
-        ("cleanup", {
-            let mut c = SynthesisConfig::paper_dcsa();
-            c.optimize_channels = true;
-            c
-        }),
-    ]
-}
 
 fn print_quality_once() {
     static ONCE: std::sync::Once = std::sync::Once::new();
@@ -58,11 +30,7 @@ fn print_quality_once() {
             .filter(|b| matches!(b.name, "CPA" | "Synthetic4"))
         {
             let comps = b.allocation.instantiate(&lib);
-            for (name, mut cfg) in variants() {
-                // Crippled variants route worse; give them more retries so
-                // the quality comparison is about solution quality, not
-                // routability luck.
-                cfg.max_placement_attempts = 64;
+            for (name, cfg) in ablation_variants() {
                 match Synthesizer::new(cfg).synthesize(&b.graph, &comps, &wash) {
                     Ok(sol) => {
                         let m = SolutionMetrics::of(&sol, &comps);
@@ -95,7 +63,7 @@ fn bench_ablation(c: &mut Criterion) {
     let comps = cpa.allocation.instantiate(&lib);
     let mut group = c.benchmark_group("ablation_cpa");
     group.sample_size(10);
-    for (name, cfg) in variants() {
+    for (name, cfg) in ablation_variants() {
         group.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |bench, cfg| {
             bench.iter(|| {
                 Synthesizer::new(cfg.clone())

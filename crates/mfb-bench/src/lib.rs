@@ -14,6 +14,7 @@ pub mod perf;
 use mfb_bench_suite::{table1_benchmarks, Benchmark};
 use mfb_core::prelude::*;
 use mfb_model::prelude::*;
+use mfb_sched::prelude::BindingRule;
 
 /// The paper-calibrated wash model used by every experiment.
 pub fn wash() -> LogLinearWash {
@@ -45,4 +46,37 @@ pub fn compare_all() -> Result<Vec<ComparisonRow>, String> {
     })
     .into_iter()
     .collect()
+}
+
+/// The ablation study's variants, each disabling one design choice of the
+/// paper's DCSA flow: `full`, `no-case1` (earliest-ready binding),
+/// `case1-any` (any parent's component), `no-weights` (uniform routing
+/// weights) and `cleanup` (channel cleanup pass on).
+///
+/// Crippled variants route worse; every variant gets 64 placement
+/// attempts so the comparison is about solution quality, not routability
+/// luck.
+pub fn ablation_variants() -> [(&'static str, SynthesisConfig); 5] {
+    let variant = |edit: fn(&mut SynthesisConfig)| {
+        let mut c = SynthesisConfig::paper_dcsa();
+        c.max_placement_attempts = 64;
+        edit(&mut c);
+        c
+    };
+    [
+        ("full", variant(|_| {})),
+        (
+            "no-case1",
+            variant(|c| c.binding = BindingRule::EarliestReady),
+        ),
+        (
+            "case1-any",
+            variant(|c| c.binding = BindingRule::StorageAwareUnordered),
+        ),
+        (
+            "no-weights",
+            variant(|c| c.router.wash_aware_weights = false),
+        ),
+        ("cleanup", variant(|c| c.optimize_channels = true)),
+    ]
 }

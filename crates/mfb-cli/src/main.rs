@@ -6,7 +6,8 @@
 //! mfb fig8                         regenerate Fig. 8 (channel cache time)
 //! mfb fig9                         regenerate Fig. 9 (channel wash time)
 //! mfb motivating                   run the Fig. 2(a) running example
-//! mfb run <bench> [options]        synthesize one benchmark
+//! mfb run <bench|file.assay> [options]
+//!                                  synthesize a benchmark or an assay file
 //!     --flow ours|ba               which flow (default ours)
 //!     --svg <file>                 write the layout as SVG
 //!     --map                        print the ASCII layout
@@ -20,10 +21,10 @@
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
+use mfb_batch::prelude::*;
 use mfb_bench_suite::{benchmark_by_name, motivating_example, table1_benchmarks, Benchmark};
 use mfb_core::prelude::*;
 use mfb_model::prelude::*;
-use mfb_sched::prelude::BindingRule;
 use mfb_viz::prelude::*;
 use out::{Failure, Stdout};
 use std::process::ExitCode;
@@ -59,8 +60,8 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<ExitCode, Failure> {
         "fig8" => cmd_fig(8).map(ok),
         "fig9" => cmd_fig(9).map(ok),
         "motivating" => cmd_motivating().map(ok),
-        "run" => cmd_run(rest),
-        "run-file" => cmd_run_file(rest),
+        // `run-file` predates `run` accepting assay files; kept as an alias.
+        "run" | "run-file" => cmd_run(rest),
         "fmt" => cmd_fmt(rest),
         "audit" => cmd_audit(rest).map(ok),
         "events" => cmd_events(rest).map(ok),
@@ -191,8 +192,15 @@ USAGE:
     mfb fig8                       regenerate Fig. 8 (channel cache time)
     mfb fig9                       regenerate Fig. 9 (channel wash time)
     mfb motivating                 run the Fig. 2(a) running example
-    mfb run <bench> [options]      synthesize one benchmark
-        --flow ours|ba             which flow (default: ours)
+    mfb run <bench|file.assay> [options]
+                                   synthesize a Table-I benchmark or a
+                                   user-defined assay (a benchmark name
+                                   wins over a file of the same name; the
+                                   file must contain an `alloc` line, and
+                                   its `flow` and `defect` statements are
+                                   honored, `--flow` overriding the former)
+        --flow ours|ba             which flow (default: ours, or the
+                                   file's own `flow` statement)
         --svg <file>               write the layout as SVG
         --map                      print the ASCII layout
         --gantt                    print the schedule Gantt chart
@@ -200,22 +208,19 @@ USAGE:
         --save <file.json>         archive the full solution as JSON
         --timeout <secs>           abort with `deadline exceeded` if
                                    synthesis runs past the budget
-    mfb run-file <file.assay>      synthesize a user-defined assay
-                                   (same options as `run`; the file must
-                                   contain an `alloc` line; `flow` and
-                                   `defect` statements in the file are
-                                   honored, `--flow` overriding the former)
+    mfb run-file <file.assay>      alias of `run`
     mfb fmt <file.assay>... [--check]
                                    rewrite assay files in the canonical
                                    DSL form; with --check, exit 1 if any
                                    file is not already canonical (for CI)
-    mfb audit <bench>              physical audits of a synthesized chip:
+    mfb audit <bench|file.assay>   physical audits of a synthesized chip:
                                    transport-time slack under a pressure-
                                    driven flow model, occupied area vs a
                                    conventional dedicated-storage design,
                                    and the control-layer estimate
-    mfb events <bench> [--flow f]  chronological chip event log
-    mfb validate <file.json> <bench>
+    mfb events <bench|file.assay> [--flow f]
+                                   chronological chip event log
+    mfb validate <file.json> <bench|file.assay>
                                    load an archived solution and replay it
                                    through the independent validator
     mfb verify <bench|file.assay> [options]
@@ -268,7 +273,7 @@ USAGE:
                                    repeat counts, and solution digests)
         --out <file>               write the report to a file
         --repeats <n>              timed repetitions, best-of (default: 3)
-    mfb batch <manifest.json>      pipelined batch synthesis through the
+    mfb batch <manifest.json>      batch synthesis through the shared
                                    content-addressed stage cache; reports
                                    assays/sec and cache hit/miss counters
                                    (exit 1 if any job fails)
@@ -351,32 +356,31 @@ fn cmd_fig(which: u8) -> Result<(), Failure> {
     Ok(())
 }
 
-fn synthesize(b: &Benchmark, flow: &str) -> Result<(ComponentSet, Solution), String> {
-    synthesize_budgeted(b, flow, &Budget::unlimited())
+/// Parses a `--flow` keyword through the one keyword table,
+/// [`FlowKind::parse`].
+fn parse_flow(keyword: &str) -> Result<FlowKind, String> {
+    FlowKind::parse(keyword)
+        .ok_or_else(|| format!("unknown flow `{keyword}` (expected ours|dcsa|ba|baseline)"))
 }
 
-fn synthesize_budgeted(
-    b: &Benchmark,
-    flow: &str,
-    budget: &Budget,
-) -> Result<(ComponentSet, Solution), String> {
-    let comps = b.components(&ComponentLibrary::default());
-    let synth = match flow {
-        "ours" => Synthesizer::paper_dcsa(),
-        "ba" => Synthesizer::paper_baseline(),
-        other => return Err(format!("unknown flow `{other}` (expected ours|ba)")),
+/// Resolves a `<bench|file.assay>` argument through the batch intake: a
+/// Table-I name first, then a path. `flow` is the `--flow` value, which
+/// beats an assay file's own `flow` statement.
+fn resolve_target(target: &str, flow: Option<&str>) -> Result<BatchJob, String> {
+    let overrides = FlowDecl {
+        kind: flow.map(parse_flow).transpose()?,
+        ..FlowDecl::default()
     };
-    let solution = synth
-        .synthesize_with(
-            &b.graph,
-            &comps,
-            &wash(),
-            &DefectMap::pristine(),
-            None,
-            budget,
-        )
-        .map_err(|e| e.to_string())?;
-    Ok((comps, solution))
+    let source = if benchmark_by_name(target).is_some() {
+        AssaySource::Bench(target)
+    } else if std::path::Path::new(target).exists() {
+        AssaySource::File(target)
+    } else {
+        return Err(format!(
+            "`{target}` is neither a benchmark (see `mfb list`) nor an assay file"
+        ));
+    };
+    resolve_job(source, Some(std::path::Path::new("")), &overrides).map_err(|e| e.to_string())
 }
 
 /// Parses the value of a `--timeout <secs>` flag: a finite, positive
@@ -427,8 +431,13 @@ fn print_solution(name: &str, comps: &ComponentSet, solution: &Solution) -> Resu
 
 fn cmd_motivating() -> Result<(), Failure> {
     let b = motivating_example();
-    let (comps, ours) = synthesize(&b, "ours")?;
-    let (_, ba) = synthesize(&b, "ba")?;
+    let comps = b.components(&ComponentLibrary::default());
+    let ours = Synthesizer::paper_dcsa()
+        .synthesize(&b.graph, &comps, &wash())
+        .map_err(|e| e.to_string())?;
+    let ba = Synthesizer::paper_baseline()
+        .synthesize(&b.graph, &comps, &wash())
+        .map_err(|e| e.to_string())?;
     writeln!(Stdout, "== Fig. 2(a) running example ==\n")?;
     writeln!(Stdout, "-- our flow --")?;
     print_solution(b.name, &comps, &ours)?;
@@ -440,8 +449,8 @@ fn cmd_motivating() -> Result<(), Failure> {
 }
 
 fn cmd_run(args: &[String]) -> Result<ExitCode, Failure> {
-    let mut bench: Option<String> = None;
-    let mut flow = "ours".to_string();
+    let mut target: Option<String> = None;
+    let mut flow: Option<String> = None;
     let mut svg_out: Option<String> = None;
     let mut want_map = false;
     let mut want_gantt = false;
@@ -451,24 +460,24 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, Failure> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--flow" => flow = it.next().ok_or("--flow needs a value")?.clone(),
+            "--flow" => flow = Some(it.next().ok_or("--flow needs a value")?.clone()),
             "--svg" => svg_out = Some(it.next().ok_or("--svg needs a file")?.clone()),
             "--map" => want_map = true,
             "--gantt" => want_gantt = true,
             "--heat" => want_heat = true,
             "--save" => save = Some(it.next().ok_or("--save needs a file")?.clone()),
             "--timeout" => timeout = Some(parse_timeout_secs(it.next())?),
-            other if bench.is_none() => bench = Some(other.to_string()),
+            other if target.is_none() => target = Some(other.to_string()),
             other => return Err(format!("unexpected argument `{other}`").into()),
         }
     }
-    let bench = bench.ok_or("usage: mfb run <benchmark> [--flow ours|ba]")?;
-    let b = benchmark_by_name(&bench)
-        .ok_or_else(|| format!("unknown benchmark `{bench}`; see `mfb list`"))?;
-    let (comps, solution) = synthesize_budgeted(&b, &flow, &budget_for(timeout))?;
-    print_solution(b.name, &comps, &solution)?;
+    let target = target.ok_or("usage: mfb run <bench|file.assay> [--flow ours|ba]")?;
+    let job = resolve_target(&target, flow.as_deref())?.with_budget(budget_for(timeout));
+    let solution = job.solve(None).map_err(|e| e.to_string())?;
+    let comps = &job.components;
+    print_solution(job.graph.name(), comps, &solution)?;
 
-    let report = solution.verify(&b.graph, &comps, &wash());
+    let report = solution.verify(&job.graph, comps, &*job.wash);
     let valid = report.is_valid();
     if valid {
         writeln!(Stdout, "  replay validation  : OK")?;
@@ -484,13 +493,13 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, Failure> {
     }
 
     if want_gantt {
-        writeln!(Stdout, "\n{}", render_gantt(&solution.schedule, &comps))?;
+        writeln!(Stdout, "\n{}", render_gantt(&solution.schedule, comps))?;
     }
     if want_map {
         writeln!(
             Stdout,
             "\n{}",
-            render_ascii(&solution.placement, &comps, Some(&solution.routing))
+            render_ascii(&solution.placement, comps, Some(&solution.routing))
         )?;
     }
     if want_heat {
@@ -501,7 +510,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, Failure> {
         )?;
     }
     if let Some(path) = svg_out {
-        let svg = render_svg(&solution.placement, &comps, Some(&solution.routing));
+        let svg = render_svg(&solution.placement, comps, Some(&solution.routing));
         std::fs::write(&path, svg).map_err(|e| format!("writing {path}: {e}"))?;
         writeln!(Stdout, "layout written to {path}")?;
     }
@@ -516,32 +525,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, Failure> {
     } else {
         ExitCode::from(2)
     })
-}
-
-/// The synthesis configuration for an assay: an explicit `--flow` flag
-/// wins, then the file's own `flow` statement, then the paper's DCSA
-/// flow; the file's `t_c=`/`seed=` settings overlay the base either way.
-fn config_for_flow(flag: Option<&str>, file: &FlowDecl) -> Result<SynthesisConfig, String> {
-    let mut config = match flag {
-        Some("ours") | Some("dcsa") => SynthesisConfig::paper_dcsa(),
-        Some("ba") | Some("baseline") => SynthesisConfig::paper_baseline(),
-        Some(other) => {
-            return Err(format!(
-                "unknown flow `{other}` (expected ours|dcsa|ba|baseline)"
-            ))
-        }
-        None => match file.kind {
-            Some(FlowKind::Baseline) => SynthesisConfig::paper_baseline(),
-            _ => SynthesisConfig::paper_dcsa(),
-        },
-    };
-    if let Some(t_c) = file.t_c {
-        config.t_c = t_c;
-    }
-    if let Some(seed) = file.seed {
-        config = config.with_seed(seed);
-    }
-    Ok(config)
 }
 
 /// `mfb fmt <file.assay>... [--check]`: rewrites assay files into the
@@ -585,112 +568,39 @@ fn cmd_fmt(args: &[String]) -> Result<ExitCode, Failure> {
     })
 }
 
-fn cmd_run_file(args: &[String]) -> Result<ExitCode, Failure> {
-    let mut file: Option<String> = None;
+fn cmd_events(args: &[String]) -> Result<(), Failure> {
+    let mut target: Option<String> = None;
     let mut flow: Option<String> = None;
-    let mut svg_out: Option<String> = None;
-    let mut want_map = false;
-    let mut want_gantt = false;
-    let mut timeout: Option<f64> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--flow" => flow = Some(it.next().ok_or("--flow needs a value")?.clone()),
-            "--svg" => svg_out = Some(it.next().ok_or("--svg needs a file")?.clone()),
-            "--map" => want_map = true,
-            "--gantt" => want_gantt = true,
-            "--timeout" => timeout = Some(parse_timeout_secs(it.next())?),
-            other if file.is_none() => file = Some(other.to_string()),
+            other if target.is_none() => target = Some(other.to_string()),
             other => return Err(format!("unexpected argument `{other}`").into()),
         }
     }
-    let file = file.ok_or("usage: mfb run-file <file.assay> [--flow ours|ba]")?;
-    let text = std::fs::read_to_string(&file).map_err(|e| format!("reading {file}: {e}"))?;
-    let assay = parse_assay(&text).map_err(|e| format!("{file}: {e}"))?;
-    let alloc = assay
-        .allocation
-        .ok_or("the assay file must contain an `alloc M H F D` line")?;
-    let comps = alloc.instantiate(&ComponentLibrary::default());
-    let synth = Synthesizer::new(config_for_flow(flow.as_deref(), &assay.flow)?);
-    let solution = synth
-        .synthesize_with(
-            &assay.graph,
-            &comps,
-            &wash(),
-            &assay.defects,
-            None,
-            &budget_for(timeout),
-        )
+    let target = target.ok_or("usage: mfb events <bench|file.assay> [--flow ours|ba]")?;
+    let solution = resolve_target(&target, flow.as_deref())?
+        .solve(None)
         .map_err(|e| e.to_string())?;
-    print_solution(assay.graph.name(), &comps, &solution)?;
-    let report = solution.verify(&assay.graph, &comps, &wash());
-    let valid = report.is_valid();
-    writeln!(
-        Stdout,
-        "  replay validation  : {}",
-        if valid {
-            "OK".to_string()
-        } else {
-            format!("{} violations", report.violations.len())
-        }
-    )?;
-    if want_gantt {
-        writeln!(Stdout, "\n{}", render_gantt(&solution.schedule, &comps))?;
-    }
-    if want_map {
-        writeln!(
-            Stdout,
-            "\n{}",
-            render_ascii(&solution.placement, &comps, Some(&solution.routing))
-        )?;
-    }
-    if let Some(path) = svg_out {
-        let svg = render_svg(&solution.placement, &comps, Some(&solution.routing));
-        std::fs::write(&path, svg).map_err(|e| format!("writing {path}: {e}"))?;
-        writeln!(Stdout, "layout written to {path}")?;
-    }
-    Ok(if valid {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    })
-}
-
-fn cmd_events(args: &[String]) -> Result<(), Failure> {
-    let mut bench: Option<String> = None;
-    let mut flow = "ours".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--flow" => flow = it.next().ok_or("--flow needs a value")?.clone(),
-            other if bench.is_none() => bench = Some(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`").into()),
-        }
-    }
-    let bench = bench.ok_or("usage: mfb events <benchmark> [--flow ours|ba]")?;
-    let b = benchmark_by_name(&bench)
-        .ok_or_else(|| format!("unknown benchmark `{bench}`; see `mfb list`"))?;
-    let (_comps, solution) = synthesize(&b, &flow)?;
     let log = mfb_sim::prelude::event_log(&solution.schedule, &solution.routing);
     write!(Stdout, "{}", mfb_sim::prelude::render_event_log(&log))?;
     Ok(())
 }
 
 fn cmd_validate(args: &[String]) -> Result<(), Failure> {
-    let [file, bench] = args else {
-        return Err("usage: mfb validate <file.json> <benchmark>".into());
+    let [file, target] = args else {
+        return Err("usage: mfb validate <file.json> <bench|file.assay>".into());
     };
     let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
     let solution: Solution = serde_json::from_str(&text).map_err(|e| format!("{file}: {e}"))?;
-    let b = benchmark_by_name(bench)
-        .ok_or_else(|| format!("unknown benchmark `{bench}`; see `mfb list`"))?;
-    let comps = b.components(&ComponentLibrary::default());
-    let report = solution.verify(&b.graph, &comps, &wash());
+    let job = resolve_target(target, None)?;
+    let report = solution.verify(&job.graph, &job.components, &*job.wash);
     if report.is_valid() {
         writeln!(
             Stdout,
             "{file}: physically executable on {} ({} transports, makespan {:.1}s)",
-            b.name,
+            job.graph.name(),
             solution.routing.paths.len(),
             report.stats.makespan.as_secs_f64()
         )?;
@@ -741,45 +651,6 @@ fn print_rule_table(
         )?;
     }
     Ok(())
-}
-
-/// A resolved `verify`/`analyze` target: the assay, its components, and —
-/// when the target is a DSL file — its `flow` constraints and `defect`
-/// statements (empty and pristine for benchmarks).
-struct AssayTarget {
-    graph: SequencingGraph,
-    comps: ComponentSet,
-    flow: FlowDecl,
-    defects: DefectMap,
-}
-
-/// Resolves a benchmark name or `.assay` file path into an assay and its
-/// component allocation.
-fn resolve_assay_target(target: &str) -> Result<AssayTarget, String> {
-    if let Some(b) = benchmark_by_name(target) {
-        Ok(AssayTarget {
-            graph: b.graph.clone(),
-            comps: b.components(&ComponentLibrary::default()),
-            flow: FlowDecl::default(),
-            defects: DefectMap::pristine(),
-        })
-    } else if std::path::Path::new(target).exists() {
-        let text = std::fs::read_to_string(target).map_err(|e| format!("reading {target}: {e}"))?;
-        let assay = parse_assay(&text).map_err(|e| format!("{target}: {e}"))?;
-        let alloc = assay
-            .allocation
-            .ok_or("the assay file must contain an `alloc M H F D` line")?;
-        Ok(AssayTarget {
-            graph: assay.graph,
-            comps: alloc.instantiate(&ComponentLibrary::default()),
-            flow: assay.flow,
-            defects: assay.defects,
-        })
-    } else {
-        Err(format!(
-            "`{target}` is neither a benchmark (see `mfb list`) nor an assay file"
-        ))
-    }
 }
 
 fn cmd_verify(args: &[String]) -> Result<ExitCode, Failure> {
@@ -848,28 +719,17 @@ fn cmd_check(
     let target = target.ok_or_else(|| {
         format!("usage: mfb {command} <bench|file.assay> [--format pretty|json|sarif]")
     })?;
-    let t = resolve_assay_target(&target)?;
-
-    let synth = Synthesizer::new(config_for_flow(flow.as_deref(), &t.flow)?);
-    let router = synth.config().router;
-    let mut solution = synth
-        .synthesize_with(
-            &t.graph,
-            &t.comps,
-            &wash(),
-            &t.defects,
-            None,
-            &Budget::unlimited(),
-        )
-        .map_err(|e| e.to_string())?;
+    let job = resolve_target(&target, flow.as_deref())?;
+    let mut solution = job.solve(None).map_err(|e| e.to_string())?;
     if let Some(kind) = &inject {
         inject_defect(&mut solution, kind)?;
         eprintln!("injected `{kind}` defect into the routed solution");
     }
+    let (graph, comps, router) = (&job.graph, &job.components, job.config.router);
     let report = if command == "analyze" {
-        solution.analyze_with(&t.graph, &t.comps, &wash(), router, &registry)
+        solution.analyze_with(graph, comps, &*job.wash, router, &registry)
     } else {
-        solution.drc_with(&t.graph, &t.comps, &wash(), router, &registry)
+        solution.drc_with(graph, comps, &*job.wash, router, &registry)
     };
 
     let rendered = match format.as_str() {
@@ -990,11 +850,10 @@ fn cmd_faults(args: &[String]) -> Result<(), Failure> {
     } else {
         &[(0.02, 0.10)]
     };
-    let synth = match flow.as_str() {
-        "ours" => Synthesizer::paper_dcsa(),
-        "ba" => Synthesizer::paper_baseline(),
-        other => return Err(format!("unknown flow `{other}` (expected ours|ba)").into()),
-    };
+    let synth = Synthesizer::new(SynthesisConfig::for_flow(&FlowDecl {
+        kind: Some(parse_flow(&flow)?),
+        ..FlowDecl::default()
+    }));
     let policy = RecoveryPolicy::standard();
     let registry = RuleRegistry::with_all_rules();
 
@@ -1209,8 +1068,6 @@ fn cmd_bench(args: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_batch(args: &[String]) -> Result<ExitCode, Failure> {
-    use mfb_batch::prelude::*;
-
     let mut manifest: Option<String> = None;
     let mut json = false;
     let mut warm = false;
@@ -1481,12 +1338,12 @@ fn client_session<S: std::io::Read + std::io::Write>(
 }
 
 fn cmd_audit(args: &[String]) -> Result<(), Failure> {
-    let bench = args.first().ok_or("usage: mfb audit <benchmark>")?.clone();
-    let b = benchmark_by_name(&bench)
-        .ok_or_else(|| format!("unknown benchmark `{bench}`; see `mfb list`"))?;
-    let (comps, solution) = synthesize(&b, "ours")?;
+    let target = args.first().ok_or("usage: mfb audit <bench|file.assay>")?;
+    let job = resolve_target(target, None)?;
+    let solution = job.solve(None).map_err(|e| e.to_string())?;
+    let comps = &job.components;
 
-    writeln!(Stdout, "physical audits for {}:", b.name)?;
+    writeln!(Stdout, "physical audits for {}:", job.graph.name())?;
 
     // Transport-time slack: is the scheduler's constant t_c honest for the
     // routed channel lengths under realistic pumping pressure?
@@ -1527,9 +1384,9 @@ fn cmd_audit(args: &[String]) -> Result<(), Failure> {
     let plan = mfb_route::prelude::plan_washes(
         &solution.routing,
         &solution.schedule,
-        &b.graph,
+        &job.graph,
         &solution.placement,
-        &wash(),
+        &*job.wash,
         &mfb_route::prelude::RouterConfig::paper(),
     );
     writeln!(
@@ -1543,13 +1400,12 @@ fn cmd_audit(args: &[String]) -> Result<(), Failure> {
 
     // Control layer.
     let control =
-        mfb_control::ControlEstimate::of_chip(&solution.routing, &solution.placement, &comps);
+        mfb_control::ControlEstimate::of_chip(&solution.routing, &solution.placement, comps);
     writeln!(Stdout, "  control layer      : {control}")?;
     Ok(())
 }
 
 fn cmd_ablation() -> Result<(), Failure> {
-    use mfb_core::config::SynthesisConfig;
     let lib = ComponentLibrary::default();
     writeln!(
         Stdout,
@@ -1566,31 +1422,7 @@ fn cmd_ablation() -> Result<(), Failure> {
             continue; // the paper-scale stress cases
         }
         let comps = b.allocation.instantiate(&lib);
-        let variants: [(&str, SynthesisConfig); 5] = [
-            ("full", SynthesisConfig::paper_dcsa()),
-            ("no-case1", {
-                let mut c = SynthesisConfig::paper_dcsa();
-                c.binding = BindingRule::EarliestReady;
-                c
-            }),
-            ("case1-any", {
-                let mut c = SynthesisConfig::paper_dcsa();
-                c.binding = BindingRule::StorageAwareUnordered;
-                c
-            }),
-            ("no-weights", {
-                let mut c = SynthesisConfig::paper_dcsa();
-                c.router.wash_aware_weights = false;
-                c
-            }),
-            ("cleanup", {
-                let mut c = SynthesisConfig::paper_dcsa();
-                c.optimize_channels = true;
-                c
-            }),
-        ];
-        for (name, mut cfg) in variants {
-            cfg.max_placement_attempts = 64;
+        for (name, cfg) in mfb_bench::ablation_variants() {
             match Synthesizer::new(cfg).synthesize(&b.graph, &comps, &wash()) {
                 Ok(sol) => {
                     let m = SolutionMetrics::of(&sol, &comps);

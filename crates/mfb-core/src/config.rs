@@ -97,6 +97,23 @@ impl SynthesisConfig {
         self.sa = self.sa.with_seed(seed);
         self
     }
+
+    /// The configuration a `.assay` `flow` declaration selects: the BA
+    /// flow for `baseline`, the DCSA flow otherwise, with its `t_c=` and
+    /// `seed=` settings overlaid.
+    pub fn for_flow(flow: &FlowDecl) -> Self {
+        let mut config = match flow.kind {
+            Some(FlowKind::Baseline) => SynthesisConfig::paper_baseline(),
+            _ => SynthesisConfig::paper_dcsa(),
+        };
+        if let Some(t_c) = flow.t_c {
+            config.t_c = t_c;
+        }
+        match flow.seed {
+            Some(seed) => config.with_seed(seed),
+            None => config,
+        }
+    }
 }
 
 impl Default for SynthesisConfig {

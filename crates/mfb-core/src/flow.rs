@@ -339,9 +339,9 @@ impl Synthesizer {
 
     /// Runs only the scheduling and netlist stages, leaving their results
     /// in `cache` for a later cached [`synthesize_with`](Synthesizer::synthesize_with)
-    /// to pick up warm. This is the "stage A" of the pipelined batch
-    /// executor: scheduling of job *i+1* overlaps placement and routing of
-    /// job *i*.
+    /// to pick up warm. The batch executor runs it as each job's timed
+    /// prep step, so a batch report splits a job's time into schedule +
+    /// netlist and the rest of the flow.
     ///
     /// # Errors
     ///

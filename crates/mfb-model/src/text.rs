@@ -144,6 +144,17 @@ pub enum FlowKind {
 }
 
 impl FlowKind {
+    /// The flow a keyword names: `dcsa`/`ours` or `baseline`/`ba`. This is
+    /// the one keyword table; the DSL, batch manifests and the CLI's
+    /// `--flow` flag all read it.
+    pub fn parse(keyword: &str) -> Option<FlowKind> {
+        match keyword {
+            "dcsa" | "ours" => Some(FlowKind::Dcsa),
+            "baseline" | "ba" => Some(FlowKind::Baseline),
+            _ => None,
+        }
+    }
+
     /// The canonical keyword.
     pub fn name(self) -> &'static str {
         match self {
@@ -847,15 +858,12 @@ fn parse_flow_stmt(
     };
     while let Some((tok, col)) = cur.next_token() {
         any = true;
+        if let Some(kind) = FlowKind::parse(tok) {
+            set("flow", col, cur)?;
+            flow.kind = Some(kind);
+            continue;
+        }
         match tok {
-            "dcsa" | "ours" => {
-                set("flow", col, cur)?;
-                flow.kind = Some(FlowKind::Dcsa);
-            }
-            "baseline" | "ba" => {
-                set("flow", col, cur)?;
-                flow.kind = Some(FlowKind::Baseline);
-            }
             _ if tok.starts_with("t_c=") => {
                 set("t_c", col, cur)?;
                 let v = &tok[4..];

@@ -27,12 +27,12 @@ pub const MAX_PRIORITY: u8 = 9;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Request {
-    /// Enqueue one synthesis job. `job_json` is the re-encoded manifest
-    /// entry (same schema as one element of an `mfb batch` manifest).
-    /// In particular `{"job": {"assay": "<dsl>"}}` with a newline in the
-    /// string submits an inline `.assay` program — self-contained, no
-    /// file on the server needed — while a newline-free value is a path
-    /// resolved on the server.
+    /// Enqueue one synthesis job. `job_json` is the re-encoded job entry
+    /// (the schema of one element of an `mfb batch` manifest, with
+    /// `"repeat"` at most 1). Its `"assay"` must be inline `.assay` source
+    /// — a string with a newline, self-contained, no file on the server
+    /// needed. A newline-free `"assay"` would name a server-side path, so
+    /// it is rejected as `bad_request` before any filesystem access.
     Submit {
         /// Re-encoded JSON of the `"job"` object.
         job_json: String,

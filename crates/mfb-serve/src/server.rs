@@ -9,7 +9,8 @@
 //! warm — and the cache is persisted to `--cache-dir` so restarts stay
 //! warm too.
 //!
-//! A job's life: `submit` parses the manifest entry, builds the job's
+//! A job's life: `submit` resolves the job entry (a benchmark name or
+//! inline assay source, never a server-side path), builds the job's
 //! [`CancelToken`] and deadline **at admission time** (a job that waits
 //! out its own deadline in the queue fails at the worker's first budget
 //! checkpoint, so the 2× response-time bound holds regardless of queue
@@ -28,7 +29,7 @@ use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -635,19 +636,18 @@ fn submit(
             "server is draining",
         ));
     }
-    let manifest = format!("[{job_json}]");
-    let jobs = parse_manifest(&manifest, Path::new("."))
+    let entry: serde_json::Value = serde_json::from_str(job_json)
         .map_err(|e| ProtocolError::new(ErrorKind::BadRequest, e.to_string()))?;
-    if jobs.len() != 1 {
+    if entry.get("repeat").is_some_and(|k| k.as_u64() != Some(1)) {
         return Err(ProtocolError::new(
             ErrorKind::BadRequest,
             "submit takes exactly one job (use \"repeat\": 1)",
         ));
     }
-    let job = match jobs.into_iter().next() {
-        Some(j) => j,
-        None => unreachable!("len checked above"),
-    };
+    // No base directory: a client names a benchmark or sends the assay
+    // source inline, never a path on the server.
+    let job = parse_entry(&entry, 0, None)
+        .map_err(|e| ProtocolError::new(ErrorKind::BadRequest, e.to_string()))?;
 
     let cancel = CancelToken::new();
     let deadline =

@@ -78,9 +78,10 @@ proptest! {
         let path = dir.join("prog.assay");
         std::fs::write(&path, &src).expect("write assay");
 
-        // The exact shape `mfb serve` builds in `submit`: one manifest
-        // entry wrapped in a bare array. Pin the name so the file stem
-        // cannot differ from the inline default.
+        // One manifest entry per form: `mfb serve` resolves a submitted
+        // job through the same per-entry intake (and refuses the path
+        // form). Pin the name so the file stem cannot differ from the
+        // inline default.
         let inline = format!(r#"[ {{ "assay": {}, "name": "p" }} ]"#, json_str(&src));
         let by_path = r#"[ { "assay": "prog.assay", "name": "p" } ]"#;
 

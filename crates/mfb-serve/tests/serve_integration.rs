@@ -285,3 +285,37 @@ fn inline_assay_submission_synthesizes_end_to_end() {
     handle.drain();
     join.join().expect("server thread");
 }
+
+#[test]
+fn submitted_assay_paths_are_refused_without_reading_the_file() {
+    let (addr, handle, join) = start_server(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut c = Client::connect(addr);
+
+    // A valid assay on the server's disk, named by its absolute path: a
+    // client must not be able to make the daemon read (or quote) files.
+    let dir = tmp_dir("path");
+    let path = dir.join("secret.assay");
+    let src = "assay-dsl 1\nassay \"secret-name\"\n\nop a mix 5s wash=2s\nop b detect 4s wash=1s\n\nedge a -> b\n\nalloc 1 0 0 1\n";
+    std::fs::write(&path, src).expect("write assay");
+    let job = format!(
+        r#"{{"op":"submit","job":{{"assay":{}}}}}"#,
+        serde_json::to_string(&path.display().to_string()).expect("encode")
+    );
+    let sub = c.call(&job);
+    assert_eq!(
+        sub.get("error").and_then(Value::as_str),
+        Some("bad_request"),
+        "{sub:?}"
+    );
+    let message = sub.get("message").and_then(Value::as_str).unwrap_or("");
+    for leaked in ["secret-name", "assay-dsl", "detect"] {
+        assert!(!message.contains(leaked), "file content leaked: {message}");
+    }
+
+    handle.drain();
+    join.join().expect("server thread");
+    std::fs::remove_dir_all(&dir).ok();
+}

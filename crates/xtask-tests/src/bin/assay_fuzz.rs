@@ -68,22 +68,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The synthesis config an accepted file asks for (mirrors the CLI's
-/// flag-free path: file `flow` statement, then the DCSA default).
-fn config_for(file: &AssayFile) -> SynthesisConfig {
-    let mut config = match file.flow.kind {
-        Some(FlowKind::Baseline) => SynthesisConfig::paper_baseline(),
-        _ => SynthesisConfig::paper_dcsa(),
-    };
-    if let Some(t_c) = file.flow.t_c {
-        config.t_c = t_c;
-    }
-    if let Some(seed) = file.flow.seed {
-        config = config.with_seed(seed);
-    }
-    config
-}
-
 /// Runs one generated program through the pipeline. Returns an error
 /// message when a *property* fails (an un-positioned error, an invalid
 /// accepted solution); panics propagate to the caller's `catch_unwind`.
@@ -102,7 +86,7 @@ fn run_case(text: &str) -> Result<(), String> {
     };
     let comps = allocation.instantiate(&ComponentLibrary::default());
     let wash = LogLinearWash::paper_calibrated();
-    let synth = Synthesizer::new(config_for(&file));
+    let synth = Synthesizer::new(SynthesisConfig::for_flow(&file.flow));
     let router = synth.config().router;
     match synth.synthesize_with(
         &file.graph,

@@ -30,28 +30,12 @@ fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Mirrors the flag-free CLI path: the file's `flow` statement picks the
-/// base config, its `t_c=`/`seed=` overlay it.
-fn config_for(file: &AssayFile) -> SynthesisConfig {
-    let mut config = match file.flow.kind {
-        Some(FlowKind::Baseline) => SynthesisConfig::paper_baseline(),
-        _ => SynthesisConfig::paper_dcsa(),
-    };
-    if let Some(t_c) = file.flow.t_c {
-        config.t_c = t_c;
-    }
-    if let Some(seed) = file.flow.seed {
-        config = config.with_seed(seed);
-    }
-    config
-}
-
 /// Synthesizes one corpus file and returns the serialized solution.
 fn synthesize_json(file: &AssayFile) -> String {
     let allocation = file.allocation.expect("corpus files carry an alloc line");
     let comps = allocation.instantiate(&ComponentLibrary::default());
     let wash = LogLinearWash::paper_calibrated();
-    let synth = Synthesizer::new(config_for(file));
+    let synth = Synthesizer::new(SynthesisConfig::for_flow(&file.flow));
     let solution = synth
         .synthesize_with(
             &file.graph,

@@ -10,20 +10,6 @@ use mfb_model::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use xtask_tests::assaygen::{mutated_assay, valid_assay, GenOptions};
 
-fn config_for(file: &AssayFile) -> SynthesisConfig {
-    let mut config = match file.flow.kind {
-        Some(FlowKind::Baseline) => SynthesisConfig::paper_baseline(),
-        _ => SynthesisConfig::paper_dcsa(),
-    };
-    if let Some(t_c) = file.flow.t_c {
-        config.t_c = t_c;
-    }
-    if let Some(seed) = file.flow.seed {
-        config = config.with_seed(seed);
-    }
-    config
-}
-
 /// Parses one program and, when accepted and allocatable, pushes it
 /// through the full pipeline. Any panic or invalid accepted solution is
 /// a test failure.
@@ -42,7 +28,7 @@ fn pipeline_survives(text: &str) -> Result<(), String> {
     };
     let comps = allocation.instantiate(&ComponentLibrary::default());
     let wash = LogLinearWash::paper_calibrated();
-    let synth = Synthesizer::new(config_for(&file));
+    let synth = Synthesizer::new(SynthesisConfig::for_flow(&file.flow));
     match synth.synthesize_with(
         &file.graph,
         &comps,
