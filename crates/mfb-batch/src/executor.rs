@@ -11,7 +11,7 @@
 //!   shared cache, which picks the prepped stages up warm and spends its
 //!   time on placement SA and routing (span `batch.solve`).
 //!
-//! Prep is about 1 % of a job's time, so the two steps run back to back
+//! Prep is about 1.3 % of a job's time, so the two steps run back to back
 //! rather than in a pipeline that would overlap one job's prep with
 //! another's solve. Because every stage is a pure function addressed by
 //! content (see `mfb_core::cache`), the order in which workers claim jobs
