@@ -11,6 +11,8 @@
 //!
 //! Components expose several port cells (every routable cell adjacent to
 //! their rectangle), so the search is multi-source / multi-target.
+//! [`find_park_with`] searches for a remote parking cell between two such
+//! sets with a two-sided Dijkstra that stops once the best park is fixed.
 
 use crate::grid::RoutingGrid;
 use mfb_model::prelude::*;
@@ -47,9 +49,10 @@ impl Default for AstarOptions {
 /// [`SearchScratch`]; the router emits them as `astar.*` trace counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Queries started (`find_path` + `dijkstra_map` calls).
+    /// Queries started ([`find_path_with`] + [`find_park_with`] calls).
     pub queries: u64,
-    /// Heap pops that survived the stale-entry check and were expanded.
+    /// Heap pops that survived the stale-entry check and were expanded,
+    /// in both A* and park searches.
     pub expansions: u64,
     /// Heap pushes.
     pub heap_pushes: u64,
@@ -59,6 +62,13 @@ pub struct SearchStats {
     /// Rip-up-and-reroute evictions performed by the conflict-aware router
     /// (each blocker torn out of the grid counts once).
     pub rips: u64,
+    /// [`find_park_with`] calls (remote-parking searches).
+    pub park_searches: u64,
+    /// The share of [`expansions`](Self::expansions) made by park searches.
+    pub park_expansions: u64,
+    /// Tasks the conflict-aware router realized through a remote park
+    /// rather than a tail-parked path.
+    pub parks_chosen: u64,
 }
 
 /// Reusable search arena: one per router, shared by every net.
@@ -95,8 +105,10 @@ pub struct SearchScratch {
     /// A* heap, cleared (not reallocated) between queries. Entries are
     /// `(f, g·2³² | y·2¹⁶ | x)` — see [`pack`].
     heap: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Dijkstra heap for [`dijkstra_map_with`]; entries are [`pack`]ed.
-    dheap: BinaryHeap<Reverse<u64>>,
+    /// The two directions of [`find_park_with`]: from the sources and from
+    /// the targets.
+    park_fwd: Sweep,
+    park_bwd: Sweep,
     /// Execution budget polled every [`BUDGET_CHECK_MASK`]+1 expansions.
     /// `None` (the default, and any unlimited budget) skips the poll
     /// entirely, keeping the hot loop identical to the unbudgeted search.
@@ -178,14 +190,85 @@ impl SearchScratch {
             self.h_stamp.fill(0);
             self.feas_stamp.fill(0);
             self.cost_stamp.fill(0);
+            self.park_fwd.reset_stamps();
+            self.park_bwd.reset_stamps();
             self.epoch = 1;
         } else {
             self.epoch += 1;
         }
         self.heap.clear();
-        self.dheap.clear();
         self.stats.queries += 1;
     }
+}
+
+/// One direction of [`find_park_with`]: a Dijkstra sweep whose arrays are
+/// validated by the owning [`SearchScratch`]'s epoch.
+#[derive(Debug, Default)]
+struct Sweep {
+    /// Stamp validating `dist`/`prev`.
+    visit_stamp: Vec<u32>,
+    dist: Vec<u64>,
+    prev: Vec<Option<CellPos>>,
+    /// Stamp marking settled cells, whose `dist`/`prev` are final.
+    settled: Vec<u32>,
+    /// Memoized feasibility under this direction's window.
+    feas_stamp: Vec<u32>,
+    feas_val: Vec<bool>,
+    /// Entries are [`pack`]ed.
+    heap: BinaryHeap<Reverse<u64>>,
+}
+
+impl Sweep {
+    /// Readies the sweep for a query over `n` cells: grows the arrays if
+    /// needed and drops the previous query's heap.
+    fn begin(&mut self, n: usize) {
+        if self.visit_stamp.len() < n {
+            self.visit_stamp.resize(n, 0);
+            self.dist.resize(n, u64::MAX);
+            self.prev.resize(n, None);
+            self.settled.resize(n, 0);
+            self.feas_stamp.resize(n, 0);
+            self.feas_val.resize(n, false);
+        }
+        self.heap.clear();
+    }
+
+    /// Invalidates every stamp ([`SearchScratch::begin`] on epoch wrap).
+    fn reset_stamps(&mut self) {
+        self.visit_stamp.fill(0);
+        self.settled.fill(0);
+        self.feas_stamp.fill(0);
+    }
+
+    /// The cheapest open entry's key, if its `g` is at most `limit`.
+    fn open_below(&self, limit: u64) -> Option<u64> {
+        self.heap
+            .peek()
+            .map(|&Reverse(key)| key)
+            .filter(|&key| key >> 32 <= limit)
+    }
+
+    /// The predecessor chain of `cell`, `cell` itself excluded.
+    fn chain(&self, spec: GridSpec, mut cell: CellPos) -> Vec<CellPos> {
+        let mut cells = Vec::new();
+        while let Some(p) = self.prev[spec.index(cell)] {
+            cells.push(p);
+            cell = p;
+        }
+        cells
+    }
+}
+
+/// The cost of stepping onto `cell`: one length unit, the ring tax, and
+/// the wash weight when `options` asks for it.
+fn step_cost(grid: &RoutingGrid, cell: CellPos, options: AstarOptions) -> u64 {
+    LENGTH_COST
+        + if grid.is_ring(cell) { RING_TAX } else { 0 }
+        + if options.use_weights {
+            grid.weight(cell).as_ticks()
+        } else {
+            0
+        }
 }
 
 /// Packs `(g, y, x)` into one `u64` whose natural order **is** the
@@ -320,13 +403,7 @@ pub fn find_path_with(
         if cost_stamp[idx] == epoch {
             return cost_val[idx];
         }
-        let c = LENGTH_COST
-            + if grid.is_ring(cell) { RING_TAX } else { 0 }
-            + if options.use_weights {
-                grid.weight(cell).as_ticks()
-            } else {
-                0
-            };
+        let c = step_cost(grid, cell, options);
         cost_stamp[idx] = epoch;
         cost_val[idx] = c;
         c
@@ -412,121 +489,170 @@ pub fn find_path_with(
     None
 }
 
-/// Single-source(-set) shortest-path map under a fixed occupancy window:
-/// Dijkstra over all cells feasible for `window`, returning per-cell cost
-/// (`u64::MAX` where unreachable) and predecessor maps.
-///
-/// Used by the remote-parking fallback, which needs distances from the
-/// source ports *and* from the destination ports to every candidate parking
-/// cell.
-pub fn dijkstra_map(
-    grid: &RoutingGrid,
-    sources: &[CellPos],
-    window: Interval,
-    fluid: OpId,
-    wash_of: impl Fn(OpId) -> Duration + Copy,
-    options: AstarOptions,
-) -> (Vec<u64>, Vec<Option<CellPos>>) {
-    let mut scratch = SearchScratch::new();
-    dijkstra_map_with(&mut scratch, grid, sources, window, fluid, wash_of, options)
+/// A parking cell and the two legs through it, found by
+/// [`find_park_with`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Park {
+    /// The cell where the plug dwells.
+    pub cell: CellPos,
+    /// The outbound leg: a source cell first, [`cell`](Self::cell) last.
+    pub leg1: Vec<CellPos>,
+    /// The return leg after [`cell`](Self::cell), ending on a target cell
+    /// (empty when the park is itself a target).
+    pub leg2: Vec<CellPos>,
 }
 
-/// [`dijkstra_map`] on a caller-owned [`SearchScratch`]: the heap is reused
-/// and feasibility is memoized per cell, but the returned maps are freshly
-/// allocated (they outlive the query).
-pub fn dijkstra_map_with(
+/// Finds the cheapest parking cell between `sources` and `targets`.
+///
+/// Let `d1(c)` be the Dijkstra cost from the sources to `c` over cells
+/// feasible for window `leg1`, and `d2(c)` the cost from the targets over
+/// cells feasible for `leg2`; both count `c` itself. The park is the cell
+/// accepted by `can_park` that minimizes `(d1 + d2, y, x)` — the first
+/// strict minimum of a row-major scan over two full Dijkstra maps — and
+/// the legs are the two predecessor chains through it. `None` when no
+/// reachable cell is accepted, or when the budget trips.
+///
+/// Both directions run at once, each step advancing the one whose heap
+/// top is smaller. Let `μ` be the cost of the best park so far. A cell
+/// not yet settled in one direction costs at least that heap's top `g`
+/// there and at least `LENGTH_COST` in the other, so a direction stops
+/// once `g + LENGTH_COST > μ`: every cell of cost ≤ `μ` — ties included —
+/// is then settled in both directions and has been offered to `can_park`.
+/// Each direction pops exactly a prefix of its full sweep, and Dijkstra
+/// fixes a cell's predecessor when it settles the cell; every cell on a
+/// leg is settled before the park it leads to, so the legs equal those of
+/// the full maps. Without any park `μ` stays infinite and both directions
+/// sweep every reachable cell.
+#[allow(clippy::too_many_arguments)]
+pub fn find_park_with(
     scratch: &mut SearchScratch,
     grid: &RoutingGrid,
     sources: &[CellPos],
-    window: Interval,
+    targets: &[CellPos],
+    leg1: Interval,
+    leg2: Interval,
     fluid: OpId,
     wash_of: impl Fn(OpId) -> Duration + Copy,
     options: AstarOptions,
-) -> (Vec<u64>, Vec<Option<CellPos>>) {
+    can_park: impl Fn(CellPos) -> bool,
+) -> Option<Park> {
     let spec = grid.spec();
     let n = spec.cell_count() as usize;
     scratch.begin(n);
+    scratch.park_fwd.begin(n);
+    scratch.park_bwd.begin(n);
     let SearchScratch {
         epoch,
-        feas_stamp,
-        feas_val,
         cost_stamp,
         cost_val,
-        dheap: heap,
+        park_fwd: fwd,
+        park_bwd: bwd,
         budget,
         interrupted,
         stats,
         ..
     } = scratch;
     let epoch = *epoch;
+    stats.park_searches += 1;
     let mut cell_cost = |cell: CellPos, idx: usize| -> u64 {
-        if cost_stamp[idx] == epoch {
-            return cost_val[idx];
+        if cost_stamp[idx] != epoch {
+            cost_stamp[idx] = epoch;
+            cost_val[idx] = step_cost(grid, cell, options);
         }
-        let c = LENGTH_COST
-            + if grid.is_ring(cell) { RING_TAX } else { 0 }
-            + if options.use_weights {
-                grid.weight(cell).as_ticks()
-            } else {
-                0
-            };
-        cost_stamp[idx] = epoch;
-        cost_val[idx] = c;
-        c
+        cost_val[idx]
     };
-    let mut feasible = |cell: CellPos, idx: usize| -> bool {
-        if feas_stamp[idx] == epoch {
-            return feas_val[idx];
+    let feasible = |sweep: &mut Sweep, window: Interval, cell: CellPos, idx: usize| -> bool {
+        if sweep.feas_stamp[idx] != epoch {
+            sweep.feas_stamp[idx] = epoch;
+            sweep.feas_val[idx] = grid.feasible(cell, window, fluid, wash_of);
         }
-        let f = grid.feasible(cell, window, fluid, wash_of);
-        feas_stamp[idx] = epoch;
-        feas_val[idx] = f;
-        f
+        sweep.feas_val[idx]
     };
-    let mut dist = vec![u64::MAX; n];
-    let mut prev: Vec<Option<CellPos>> = vec![None; n];
-    for &s in sources {
-        let idx = spec.index(s);
-        if !feasible(s, idx) {
-            continue;
-        }
-        let g = cell_cost(s, idx);
-        if g < dist[idx] {
-            dist[idx] = g;
-            heap.push(Reverse(pack(g, s)));
+
+    for (sweep, seeds, window) in [(&mut *fwd, sources, leg1), (&mut *bwd, targets, leg2)] {
+        for &s in seeds {
+            let idx = spec.index(s);
+            if !feasible(sweep, window, s, idx) {
+                continue;
+            }
+            let g = cell_cost(s, idx);
+            if sweep.visit_stamp[idx] == epoch && g >= sweep.dist[idx] {
+                continue;
+            }
+            sweep.visit_stamp[idx] = epoch;
+            sweep.dist[idx] = g;
+            sweep.prev[idx] = None;
+            sweep.heap.push(Reverse(pack(g, s)));
             stats.heap_pushes += 1;
         }
     }
-    while let Some(Reverse(key)) = heap.pop() {
+
+    // Best park so far as `(d1 + d2, y, x)`.
+    let mut best: Option<(u64, u32, u32)> = None;
+    loop {
+        let limit = best.map_or(u64::MAX, |(mu, ..)| mu.saturating_sub(LENGTH_COST));
+        let forward = match (fwd.open_below(limit), bwd.open_below(limit)) {
+            (None, None) => break,
+            (Some(f), Some(b)) => f <= b,
+            (f, _) => f.is_some(),
+        };
+        let (this, other, window) = if forward {
+            (&mut *fwd, &*bwd, leg1)
+        } else {
+            (&mut *bwd, &*fwd, leg2)
+        };
+        let Some(Reverse(key)) = this.heap.pop() else {
+            break;
+        };
         let (g, cell) = unpack(key);
         let idx = spec.index(cell);
-        if g > dist[idx] {
-            continue;
+        if g > this.dist[idx] {
+            continue; // stale entry — the cell was settled cheaper
         }
+        this.settled[idx] = epoch;
         stats.expansions += 1;
+        stats.park_expansions += 1;
         if stats.expansions & BUDGET_CHECK_MASK == 0 {
             if let Some(b) = budget {
                 if let Err(why) = b.check() {
                     *interrupted = Some(why);
-                    // Abandon the sweep: callers see the interrupt flag and
-                    // discard the (partial) maps.
-                    break;
+                    return None;
                 }
+            }
+        }
+        if other.settled[idx] == epoch && can_park(cell) {
+            let candidate = (g + other.dist[idx], cell.y, cell.x);
+            if best.map_or(true, |b| candidate < b) {
+                best = Some(candidate);
             }
         }
         for nb in cell.neighbours(spec.width, spec.height) {
             let nidx = spec.index(nb);
             let ng = g + cell_cost(nb, nidx);
-            if ng >= dist[nidx] || !feasible(nb, nidx) {
+            if this.visit_stamp[nidx] == epoch && ng >= this.dist[nidx] {
                 continue;
             }
-            dist[nidx] = ng;
-            prev[nidx] = Some(cell);
-            heap.push(Reverse(pack(ng, nb)));
+            if !feasible(this, window, nb, nidx) {
+                continue;
+            }
+            this.visit_stamp[nidx] = epoch;
+            this.dist[nidx] = ng;
+            this.prev[nidx] = Some(cell);
+            this.heap.push(Reverse(pack(ng, nb)));
             stats.heap_pushes += 1;
         }
     }
-    (dist, prev)
+
+    let (_, y, x) = best?;
+    let cell = CellPos::new(x, y);
+    let mut leg1 = fwd.chain(spec, cell);
+    leg1.reverse();
+    leg1.push(cell);
+    Some(Park {
+        cell,
+        leg1,
+        leg2: bwd.chain(spec, cell),
+    })
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ pub mod washplan;
 /// One-stop import of the routing API.
 pub mod prelude {
     pub use crate::astar::{
-        dijkstra_map_with, find_path, find_path_with, AstarOptions, SearchScratch, SearchStats,
+        find_park_with, find_path, find_path_with, AstarOptions, Park, SearchScratch, SearchStats,
     };
     pub use crate::baseline::{route_corrected, route_corrected_with_defects};
     pub use crate::error::RouteError;

@@ -122,8 +122,8 @@ pub fn find_path_reference(
     None
 }
 
-/// The historical `dijkstra_map`: fresh allocations per call, feasibility
-/// probed before the cost test.
+/// The historical full-grid Dijkstra map: fresh allocations per call,
+/// feasibility probed before the cost test.
 pub fn dijkstra_map_reference(
     grid: &RoutingGrid,
     sources: &[CellPos],

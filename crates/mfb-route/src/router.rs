@@ -8,7 +8,7 @@
 //! task, cell weights become the wash time of the residue just deposited
 //! (Fig. 7), steering subsequent tasks onto cheap-to-wash shared channels.
 
-use crate::astar::{find_path_with, AstarOptions, SearchScratch};
+use crate::astar::{find_park_with, find_path_with, AstarOptions, SearchScratch};
 use crate::error::RouteError;
 use crate::grid::{ChannelWash, RoutingGrid};
 use mfb_model::prelude::*;
@@ -303,65 +303,25 @@ pub(crate) fn find_remote_parking(
     wash_of: impl Fn(OpId) -> Duration + Copy,
     options: AstarOptions,
 ) -> Option<(Vec<CellPos>, Vec<Interval>)> {
-    use crate::astar::dijkstra_map_with;
-    let spec = grid.spec();
     let t_c = transport.length();
     let leg2 = Interval::new(full.end.max(Instant::ZERO + t_c) - t_c, full.end);
-
-    let (d1, p1) = dijkstra_map_with(scratch, grid, sources, transport, fluid, wash_of, options);
-    let (d2, p2) = dijkstra_map_with(scratch, grid, targets, leg2, fluid, wash_of, options);
-
-    // Best parking cell: reachable on both legs and free for the full stay.
-    let mut best: Option<(u64, CellPos)> = None;
-    for y in 0..spec.height {
-        for x in 0..spec.width {
-            let cell = CellPos::new(x, y);
-            let i = spec.index(cell);
-            if d1[i] == u64::MAX || d2[i] == u64::MAX {
-                continue;
-            }
-            // No parking on a foreign component's access ring.
-            if grid.is_ring(cell) && !targets.contains(&cell) && !sources.contains(&cell) {
-                continue;
-            }
-            if !grid.feasible(cell, full, fluid, wash_of) {
-                continue;
-            }
-            let cost = d1[i].saturating_add(d2[i]);
-            if best.map_or(true, |(b, _)| cost < b) {
-                best = Some((cost, cell));
-            }
-        }
-    }
-    let (_, park) = best?;
-
-    // Reconstruct: src -> park (leg 1), park -> dst (leg 2, walked
-    // backwards along the reverse search's predecessors).
-    let mut leg1_cells = vec![park];
-    let mut cur = park;
-    while let Some(p) = p1[spec.index(cur)] {
-        leg1_cells.push(p);
-        cur = p;
-    }
-    leg1_cells.reverse();
-
-    let mut leg2_cells = Vec::new();
-    let mut cur = park;
-    while let Some(p) = p2[spec.index(cur)] {
-        leg2_cells.push(p);
-        cur = p;
-    }
-
-    let mut cells = Vec::with_capacity(leg1_cells.len() + leg2_cells.len());
-    let mut windows = Vec::with_capacity(leg1_cells.len() + leg2_cells.len());
-    for &c in &leg1_cells {
-        cells.push(c);
-        windows.push(if c == park { full } else { transport });
-    }
-    for &c in &leg2_cells {
-        cells.push(c);
-        windows.push(leg2);
-    }
+    // No parking on a foreign component's access ring, and the park must
+    // be free for the full stay.
+    let can_park = |cell: CellPos| {
+        !(grid.is_ring(cell) && !targets.contains(&cell) && !sources.contains(&cell))
+            && grid.feasible(cell, full, fluid, wash_of)
+    };
+    let park = find_park_with(
+        scratch, grid, sources, targets, transport, leg2, fluid, wash_of, options, can_park,
+    )?;
+    let windows = park
+        .leg1
+        .iter()
+        .map(|&c| if c == park.cell { full } else { transport })
+        .chain(park.leg2.iter().map(|_| leg2))
+        .collect();
+    let mut cells = park.leg1;
+    cells.extend(park.leg2);
     Some((cells, windows))
 }
 
@@ -472,6 +432,18 @@ pub fn route_dcsa_budgeted(
         mfb_obs::obs_counter!(
             "route.window_retries",
             d.window_retries - stats_before.window_retries
+        );
+        mfb_obs::obs_counter!(
+            "route.park_searches",
+            d.park_searches - stats_before.park_searches
+        );
+        mfb_obs::obs_counter!(
+            "route.park_expansions",
+            d.park_expansions - stats_before.park_expansions
+        );
+        mfb_obs::obs_counter!(
+            "route.parks_chosen",
+            d.parks_chosen - stats_before.parks_chosen
         );
     }
     result
@@ -691,6 +663,14 @@ pub(crate) fn route_one(
     // to the producer's end until a conflict-free path appears.
     let producer_end = schedule.op(t.fluid).end;
     let step = Duration::from_secs(1);
+    // A remote-parking route walks from a source port to a target port, so
+    // it has at least `shortest` cells, and it replaces a tail-parked path
+    // only with strictly fewer cells. A tail-parked path of `shortest`
+    // cells therefore always wins, and the remote search is skipped.
+    let shortest = src_ports
+        .iter()
+        .flat_map(|&s| dst_ports.iter().map(move |&d| s.manhattan(d) as usize + 1))
+        .min();
     let mut depart = t.depart;
     loop {
         let transport = Interval::new(depart, depart + schedule.t_c);
@@ -712,10 +692,11 @@ pub(crate) fn route_one(
             wash_of,
             options,
         );
+        let tail_minimal = tail.as_ref().map(|(cells, _)| cells.len()) == shortest;
         // Remote parking books an outbound leg [depart, depart+t_c) and a
         // return leg [consumed-t_c, consumed); those must not overlap, so
         // the stay must cover two full transport legs.
-        let remote = if full.length() >= schedule.t_c * 2 {
+        let remote = if !tail_minimal && full.length() >= schedule.t_c * 2 {
             find_remote_parking(
                 scratch, grid, src_ports, dst_ports, transport, full, t.fluid, wash_of, options,
             )
@@ -723,8 +704,11 @@ pub(crate) fn route_one(
             None
         };
         let attempt = match (tail, remote) {
-            (Some(a), Some(b)) => Some(if b.0.len() < a.0.len() { b } else { a }),
-            (a, b) => a.or(b),
+            (a, Some(b)) if a.as_ref().map_or(true, |a| b.0.len() < a.0.len()) => {
+                scratch.stats.parks_chosen += 1;
+                Some(b)
+            }
+            (a, _) => a,
         };
         if attempt.is_some() || depart <= producer_end {
             return attempt;
@@ -747,7 +731,6 @@ pub(crate) fn collect_washes(
     wash_of: impl Fn(OpId) -> Duration + Copy,
 ) -> Vec<ChannelWash> {
     let mut washes = Vec::new();
-    let spec = grid.spec();
     for cell in grid.used_cells() {
         // Reservations are stored sorted by (window.start, window.end,
         // task) — exactly the order the accounting needs, so no per-cell
@@ -768,7 +751,6 @@ pub(crate) fn collect_washes(
             }
         }
     }
-    let _ = spec;
     washes
 }
 

@@ -84,32 +84,269 @@ fn arena_find_path_matches_reference_on_busy_grid() {
     }
 }
 
-#[test]
-fn arena_dijkstra_matches_reference() {
-    let g = busy_grid();
-    let mut scratch = SearchScratch::new();
-    for opts in [AstarOptions::default(), AstarOptions { use_weights: false }] {
-        for w in [iv(0, 5), iv(9, 25)] {
-            let fast = dijkstra_map_with(
-                &mut scratch,
-                &g,
-                &[CellPos::new(0, 0), CellPos::new(11, 11)],
-                w,
-                OpId::new(1),
-                wash2,
-                opts,
-            );
-            let slow = dijkstra_map_reference(
-                &g,
-                &[CellPos::new(0, 0), CellPos::new(11, 11)],
-                w,
-                OpId::new(1),
-                wash2,
-                opts,
-            );
-            assert_eq!(fast, slow, "dijkstra map diverged for {w:?}");
+/// Several fluids' wash times, so reserved cells carry distinct weights.
+fn wash_by_fluid(op: OpId) -> Duration {
+    Duration::from_secs(1 + op.index() as u64 % 3)
+}
+
+/// A seeded 14×14 grid: three components, a few blocked cells and a dozen
+/// straight reservations of four fluids at random windows; every third
+/// grid also gets a wall across column 7 held by fluid 3 for the first
+/// minute, so ports on opposite sides share no reachable cell. Returns
+/// the grid and three endpoint sets: the ports of two components, and five
+/// plain channel cells whose one-cell step cost makes the search bound
+/// tight.
+fn seeded_grid(seed: u64) -> (RoutingGrid, Vec<Vec<CellPos>>) {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let spec = GridSpec::square(14);
+    let placement = loop {
+        let rects = (0..3)
+            .map(|_| {
+                let (w, h) = (rng.gen_range(1..4), rng.gen_range(1..4));
+                let origin = CellPos::new(rng.gen_range(0..14 - w), rng.gen_range(0..14 - h));
+                CellRect::new(origin, w, h)
+            })
+            .collect();
+        let p = Placement::new(spec, rects);
+        if p.is_legal() {
+            break p;
+        }
+    };
+    let mut defects = DefectMap::pristine();
+    for _ in 0..4 {
+        defects.block_cell(CellPos::new(rng.gen_range(0..14), rng.gen_range(0..14)));
+    }
+    let mut grid = RoutingGrid::new_with_defects(&placement, Duration::from_secs(10), &defects);
+    for task in 0..12 {
+        let start: u64 = rng.gen_range(0..30);
+        let window = iv(start, start + rng.gen_range(2u64..12));
+        let fluid = OpId::new(rng.gen_range(0..4));
+        let (x, y): (u32, u32) = (rng.gen_range(0..14), rng.gen_range(0..14));
+        let len: u32 = rng.gen_range(2..9);
+        let horizontal = rng.gen_bool(0.5);
+        for k in 0..len {
+            let cell = if horizontal {
+                CellPos::new((x + k).min(13), y)
+            } else {
+                CellPos::new(x, (y + k).min(13))
+            };
+            if grid.is_routable(cell) {
+                grid.reserve(cell, TaskId::new(task), fluid, window, wash_by_fluid);
+            }
         }
     }
+    if seed % 3 == 0 {
+        for y in 0..14 {
+            let cell = CellPos::new(7, y);
+            if grid.is_routable(cell) {
+                grid.reserve(
+                    cell,
+                    TaskId::new(12),
+                    OpId::new(3),
+                    iv(0, 60),
+                    wash_by_fluid,
+                );
+            }
+        }
+    }
+    let mut spots = Vec::new();
+    while spots.len() < 5 {
+        let cell = CellPos::new(rng.gen_range(0..14), rng.gen_range(0..14));
+        if grid.is_routable(cell) && !grid.is_ring(cell) && !spots.contains(&cell) {
+            spots.push(cell);
+        }
+    }
+    let sets = (0..2)
+        .map(|c| ports(&placement, &grid, ComponentId::new(c)))
+        .chain([spots])
+        .collect();
+    (grid, sets)
+}
+
+/// The park search's oracle: two full `dijkstra_map_reference` sweeps, the
+/// row-major strict-minimum scan, then the two predecessor chains. Also
+/// returns how many cells the sweeps settled and whether another cell ties
+/// the park's cost.
+#[allow(clippy::too_many_arguments)]
+fn park_reference(
+    grid: &RoutingGrid,
+    sources: &[CellPos],
+    targets: &[CellPos],
+    leg1: Interval,
+    leg2: Interval,
+    fluid: OpId,
+    opts: AstarOptions,
+    can_park: impl Fn(CellPos) -> bool,
+) -> (Option<Park>, u64, bool) {
+    let spec = grid.spec();
+    let (d1, p1) = dijkstra_map_reference(grid, sources, leg1, fluid, wash_by_fluid, opts);
+    let (d2, p2) = dijkstra_map_reference(grid, targets, leg2, fluid, wash_by_fluid, opts);
+    let settled = d1.iter().chain(&d2).filter(|&&d| d != u64::MAX).count() as u64;
+    let mut best: Option<(u64, CellPos)> = None;
+    let mut tied = false;
+    for y in 0..spec.height {
+        for x in 0..spec.width {
+            let cell = CellPos::new(x, y);
+            let i = spec.index(cell);
+            if d1[i] == u64::MAX || d2[i] == u64::MAX || !can_park(cell) {
+                continue;
+            }
+            let cost = d1[i] + d2[i];
+            if best.map_or(true, |(b, _)| cost < b) {
+                best = Some((cost, cell));
+                tied = false;
+            } else if best.is_some_and(|(b, _)| cost == b) {
+                tied = true;
+            }
+        }
+    }
+    let chain = |prev: &[Option<CellPos>], mut cur: CellPos| {
+        let mut cells = Vec::new();
+        while let Some(p) = prev[spec.index(cur)] {
+            cells.push(p);
+            cur = p;
+        }
+        cells
+    };
+    let park = best.map(|(_, cell)| {
+        let mut leg1 = chain(&p1, cell);
+        leg1.reverse();
+        leg1.push(cell);
+        Park {
+            cell,
+            leg1,
+            leg2: chain(&p2, cell),
+        }
+    });
+    (park, settled, tied)
+}
+
+/// What [`check_park_query`] saw across many queries.
+#[derive(Default)]
+struct ParkTally {
+    found: usize,
+    tied: usize,
+    unreachable: usize,
+    settled: u64,
+    full_settled: u64,
+}
+
+/// Runs one park search for a stay `[depart, consumed)` with the router's
+/// parking rule (or, with `no_park`, a rule that accepts no cell) and
+/// asserts it returns the oracle's answer while settling no more cells.
+#[allow(clippy::too_many_arguments)]
+fn check_park_query(
+    scratch: &mut SearchScratch,
+    grid: &RoutingGrid,
+    sources: &[CellPos],
+    targets: &[CellPos],
+    (depart, consumed): (u64, u64),
+    fluid: OpId,
+    opts: AstarOptions,
+    no_park: bool,
+    tally: &mut ParkTally,
+) {
+    let (leg1, leg2) = (iv(depart, depart + 2), iv(consumed - 2, consumed));
+    let full = iv(depart, consumed);
+    let foreign_ring =
+        |c: CellPos| grid.is_ring(c) && !targets.contains(&c) && !sources.contains(&c);
+    let can_park =
+        |c: CellPos| !no_park && !foreign_ring(c) && grid.feasible(c, full, fluid, wash_by_fluid);
+    let before = scratch.stats.park_expansions;
+    let fast = find_park_with(
+        scratch,
+        grid,
+        sources,
+        targets,
+        leg1,
+        leg2,
+        fluid,
+        wash_by_fluid,
+        opts,
+        can_park,
+    );
+    let settled = scratch.stats.park_expansions - before;
+    let (slow, full_settled, tied) =
+        park_reference(grid, sources, targets, leg1, leg2, fluid, opts, can_park);
+    let what = format!(
+        "{opts:?} {sources:?}->{targets:?} [{depart}, {consumed}) {fluid:?} no_park {no_park}"
+    );
+    assert_eq!(fast, slow, "{what}");
+    assert!(
+        settled <= full_settled,
+        "{what}: {settled} > {full_settled}"
+    );
+    if fast.is_none() {
+        assert_eq!(
+            settled, full_settled,
+            "{what}: without a park both sides sweep"
+        );
+        tally.unreachable += usize::from(!no_park);
+    } else {
+        tally.found += 1;
+        tally.tied += usize::from(tied);
+    }
+    tally.settled += settled;
+    tally.full_settled += full_settled;
+}
+
+/// The bounded two-sided park search returns the oracle's park and legs
+/// while settling no more cells. The queries cover cost ties (unweighted
+/// search), overlapping source and target sets, the foreign-ring ban, and
+/// searches with no admissible park (which must sweep exactly as much).
+#[test]
+fn park_search_matches_two_full_sweeps() {
+    let mut scratch = SearchScratch::new();
+    let mut tally = ParkTally::default();
+    for seed in 0..24 {
+        let (grid, sets) = seeded_grid(seed);
+        let (a, b, spots) = (&sets[0], &sets[1], &sets[2]);
+        let mixed: Vec<CellPos> = a.iter().chain(b.iter().take(2)).copied().collect();
+        let pairs: [(&[CellPos], &[CellPos]); 6] = [
+            (a, b),
+            (b, a),
+            (a, a),
+            (&mixed, b),
+            (&spots[..2], &spots[2..4]),
+            (&spots[..3], &spots[2..]),
+        ];
+        for opts in [AstarOptions::default(), AstarOptions { use_weights: false }] {
+            for (sources, targets) in pairs {
+                for stay in [(0, 6), (5, 20), (14, 40)] {
+                    for fluid in [OpId::new(1), OpId::new(7)] {
+                        for no_park in [false, true] {
+                            check_park_query(
+                                &mut scratch,
+                                &grid,
+                                sources,
+                                targets,
+                                stay,
+                                fluid,
+                                opts,
+                                no_park,
+                                &mut tally,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let t = tally;
+    assert!(
+        t.found > 100 && t.tied > 10 && t.unreachable > 10,
+        "{} parks found, {} of them tied, {} searches without a park",
+        t.found,
+        t.tied,
+        t.unreachable
+    );
+    assert!(
+        t.settled < t.full_settled,
+        "bounded search settled {} cells, full sweeps {}",
+        t.settled,
+        t.full_settled
+    );
 }
 
 #[test]
