@@ -48,6 +48,10 @@ pub struct PerfRow {
     /// `attempts_run - attempts_used`: attempts whose result was thrown
     /// away.
     pub wasted_attempts: u64,
+    /// Attempts that failed: every attempt before the winner
+    /// (`attempts_used - 1`) when the run succeeds, `attempts_run` when it
+    /// fails.
+    pub attempts_failed: u64,
     /// Span timings of the traced run, grouped by name. Empty when the
     /// `obs-trace` feature is compiled out.
     pub stage_trace: Vec<mfb_obs::StageSummary>,
@@ -124,18 +128,15 @@ fn perf_row(graph: &SequencingGraph, allocation: Allocation, repeats: u32) -> Pe
         .filter(|e| e.kind == mfb_obs::EventKind::Span && e.name == "stage.place")
         .count() as u64;
 
-    let (error, solution_fnv64, attempts_used) = match &result {
+    let (error, solution_fnv64, attempts_used, attempts_failed) = match &result {
         Ok(solution) => {
             let json = serde_json::to_string(solution).expect("Solution serializes");
             let mut h = StableHasher::new();
             h.write_bytes(json.as_bytes());
-            (
-                None,
-                Some(h.finish().to_hex()),
-                u64::from(solution.attempts),
-            )
+            let used = u64::from(solution.attempts);
+            (None, Some(h.finish().to_hex()), used, used - 1)
         }
-        Err(e) => (Some(e.to_string()), None, 0),
+        Err(e) => (Some(e.to_string()), None, 0, attempts_run),
     };
     PerfRow {
         benchmark: graph.name().to_string(),
@@ -148,6 +149,7 @@ fn perf_row(graph: &SequencingGraph, allocation: Allocation, repeats: u32) -> Pe
         attempts_run,
         attempts_used,
         wasted_attempts: attempts_run.saturating_sub(attempts_used),
+        attempts_failed,
         stage_trace: mfb_obs::stage_summaries(&events),
         trace_counters: mfb_obs::counter_totals(&events),
     }
@@ -186,18 +188,27 @@ pub fn perf_text(report: &PerfReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<12} {:>4} {:>5} {:>10} {:>8} {:>9} {:>9} {:>9}",
-        "benchmark", "ops", "comps", "e2e_ms", "attempts", "wasted", "place_ms", "route_ms"
+        "{:<12} {:>4} {:>5} {:>10} {:>8} {:>7} {:>9} {:>9} {:>9}",
+        "benchmark",
+        "ops",
+        "comps",
+        "e2e_ms",
+        "attempts",
+        "failed",
+        "wasted",
+        "place_ms",
+        "route_ms"
     );
     for r in &report.rows {
         let _ = writeln!(
             out,
-            "{:<12} {:>4} {:>5} {:>10.2} {:>8} {:>9} {:>9.2} {:>9.2}{}",
+            "{:<12} {:>4} {:>5} {:>10.2} {:>8} {:>7} {:>9} {:>9.2} {:>9.2}{}",
             r.benchmark,
             r.ops,
             r.components,
             r.end_to_end_ms,
             r.attempts_run,
+            r.attempts_failed,
             r.wasted_attempts,
             r.span_ms("stage.place"),
             r.span_ms("stage.route"),
@@ -259,6 +270,7 @@ mod tests {
                 row.wasted_attempts,
                 row.attempts_run.saturating_sub(row.attempts_used)
             );
+            assert_eq!(row.attempts_failed, row.attempts_used - 1);
         }
         // The same digest the Table-I golden in mfb-core pins.
         assert_eq!(

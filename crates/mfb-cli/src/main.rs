@@ -854,14 +854,16 @@ fn cmd_faults(args: &[String]) -> Result<(), Failure> {
         kind: Some(parse_flow(&flow)?),
         ..FlowDecl::default()
     }));
-    let policy = RecoveryPolicy::standard();
     let registry = RuleRegistry::with_all_rules();
 
     writeln!(
         Stdout,
         "fault-injection sweep: seed {seed}, {trials} trial(s)/severity, flow {flow}, \
          ladder reseed={} grow={} relax-tc={} rebind={}",
-        policy.reseed_attempts, policy.grow_steps, policy.relax_tc_steps, policy.rebind_attempts
+        Rung::Reseed.attempts(),
+        Rung::GrowGrid.attempts(),
+        Rung::RelaxTc.attempts(),
+        Rung::Rebind.attempts()
     )?;
     writeln!(
         Stdout,
@@ -918,7 +920,6 @@ fn cmd_faults(args: &[String]) -> Result<(), Failure> {
                     &comps,
                     &wash(),
                     &defects,
-                    &policy,
                     None,
                     &budget_for(timeout),
                 );

@@ -19,7 +19,9 @@ pub enum SynthesisError {
     Route {
         /// The final routing error.
         last: RouteError,
-        /// How many placements were tried.
+        /// The driver's 1-based number of the attempt that failed: in the
+        /// flat flow, how many placements were tried; in the recovery
+        /// ladder, the attempt number counted across all rungs.
         attempts: u32,
     },
     /// A pipeline stage panicked. Produced only by the resilient driver,
@@ -79,6 +81,30 @@ impl SynthesisError {
             } => Some(*why),
             _ => None,
         }
+    }
+}
+
+/// True when another attempt of the same retry cannot fix `e`: the error
+/// is deterministic, or the budget tripped (every further attempt would
+/// stop at its first checkpoint). The retry loop of both drivers stops
+/// on it.
+pub(crate) fn ends_retry(e: &SynthesisError) -> bool {
+    e.is_deterministic() || e.interrupt().is_some()
+}
+
+/// True when no rung of the recovery ladder can change the outcome: the
+/// error is an infeasibility proof for the inputs themselves, or the
+/// budget tripped.
+pub(crate) fn globally_fatal(e: &SynthesisError) -> bool {
+    match e {
+        // Scheduling failures are about the allocation: no grid, seed, or
+        // t_c adds components, and rebinding only removes them.
+        SynthesisError::Sched(_) => true,
+        SynthesisError::Route { last, .. } => route_error_is_placement_independent(last),
+        // A tripped budget can only trip again: every further rung attempt
+        // would abort at its first checkpoint.
+        SynthesisError::DeadlineExceeded | SynthesisError::Cancelled => true,
+        _ => false,
     }
 }
 

@@ -3,7 +3,7 @@
 
 use crate::cache::{scheduler_config, BaseKeys, StageCache, StageCtx};
 use crate::config::SynthesisConfig;
-use crate::error::{route_error_is_placement_independent, SynthesisError};
+use crate::error::{ends_retry, SynthesisError};
 use mfb_analyze::analysis_registry;
 use mfb_model::hash::ContentHash;
 use mfb_model::prelude::*;
@@ -12,7 +12,7 @@ use mfb_route::prelude::*;
 use mfb_sched::prelude::*;
 use mfb_sim::prelude::{replay, SimReport};
 use mfb_verify::prelude::{RuleRegistry, VerifyInput, VerifyReport};
-use std::ops::ControlFlow::{self, Break, Continue};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A complete flow-layer physical design for one bioassay.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -261,80 +261,28 @@ impl Synthesizer {
             ctx.netlist(&schedule, schedule_h)
         };
 
-        let base_grid = cfg.grid.unwrap_or_else(|| auto_grid(components));
-        let attempts = cfg.max_placement_attempts.max(1);
-
-        // One place-and-route attempt: a pure function of the attempt index
-        // (the SA seed and grid growth derive from it), so attempts can run
-        // in any order — or concurrently — without changing any result.
-        let attempt_once =
-            |attempt: u32| -> Result<(Placement, Routing, ContentHash), AttemptError> {
-                let grid = grown_grid(base_grid, attempt / 8);
-                budget.check().map_err(AttemptError::Interrupt)?;
-                let seed = cfg.sa.seed.wrapping_add(u64::from(attempt));
-                let (placement, place_h) = {
-                    let _span = mfb_obs::obs_span!("stage.place", attempt = attempt, seed = seed);
-                    ctx.place(&netlist, netlist_key, grid, seed)
-                        .map_err(AttemptError::Place)?
-                };
-
-                let _route_span = mfb_obs::obs_span!("stage.route", attempt = attempt);
-                let (routed, route_key) = ctx.route(&schedule, schedule_h, &placement, place_h);
-                match routed {
-                    Ok(routing) => Ok((placement, routing, route_key)),
-                    Err(e) => Err(AttemptError::Route(e)),
-                }
-            };
-
-        let mut last_route_err = None;
-        let found = search_attempts(attempts, budget, attempt_once, |attempt, res| match res {
-            Ok((placement, routing, route_key)) => {
-                Break(Ok((attempt, placement, routing, route_key)))
-            }
-            // A budget interrupt in any stage of any attempt ends the
-            // whole run with the flow-level typed error — later attempts
-            // would only trip the same checkpoint.
-            Err(AttemptError::Interrupt(why)) => Break(Err(why.into())),
-            Err(AttemptError::Place(PlaceError::Interrupted(why))) => Break(Err(why.into())),
-            Err(AttemptError::Route(RouteError::Interrupted(why))) => Break(Err(why.into())),
-            Err(AttemptError::Place(e)) => Break(Err(e.into())),
-            // A placement-independent routing error (e.g. a schedule the
-            // router cannot account for) reproduces identically on every
-            // placement — return it now instead of burning the remaining
-            // attempt budget on a foregone conclusion.
-            Err(AttemptError::Route(e)) if route_error_is_placement_independent(&e) => {
-                Break(Err(SynthesisError::Route {
-                    last: e,
-                    attempts: attempt + 1,
-                }))
-            }
-            Err(AttemptError::Route(e)) => {
-                last_route_err = Some(e);
-                Continue(())
-            }
-        })
-        .map_err(SynthesisError::from)?;
-
-        let Some(found) = found else {
-            let last = match last_route_err {
-                Some(e) => e,
-                None => unreachable!("attempts >= 1 and every iteration records or returns"),
-            };
-            return Err(SynthesisError::Route { last, attempts });
-        };
-        let (attempt, placement, mut routing, route_key) = found?;
-        budget.check().map_err(SynthesisError::from)?;
-        if cfg.optimize_channels {
-            let _span = mfb_obs::obs_span!("stage.optimize");
-            routing = ctx.optimize(&routing, route_key, &schedule, &placement);
-        }
-        Ok(Solution {
+        let prep = Prepared {
             schedule,
+            schedule_h,
             netlist,
-            placement,
-            routing,
-            attempts: attempt + 1,
-        })
+            netlist_key,
+        };
+
+        // Attempt `i` re-anneals with seed `seed + i` and grows the grid
+        // every eighth attempt.
+        let base_grid = cfg.grid.unwrap_or_else(|| auto_grid(components));
+        let (attempt, routed) = retry(
+            cfg.max_placement_attempts,
+            budget,
+            |i| {
+                let grid = grown_grid(base_grid, i / 8);
+                let seed = cfg.sa.seed.wrapping_add(u64::from(i));
+                place_and_route(&ctx, &prep, grid, seed, i, false)
+            },
+            |i, res| res.map(|routed| (i, routed)).map_err(|failed| failed.error),
+        )?;
+        budget.check().map_err(SynthesisError::from)?;
+        Ok(prep.finish(&ctx, routed, attempt + 1))
     }
 
     /// Runs only the scheduling and netlist stages, leaving their results
@@ -379,19 +327,109 @@ impl Synthesizer {
     }
 }
 
-/// One retry-loop attempt's failure: a placement error aborts the whole
-/// flow, a routing error is retried (unless placement-independent), and a
-/// budget interrupt — whether caught at the attempt's own checkpoint or
-/// inside a stage — aborts with the flow-level typed error.
-enum AttemptError {
-    Place(PlaceError),
-    Route(RouteError),
-    Interrupt(BudgetExceeded),
+/// The schedule and netlist every attempt of one run places and routes,
+/// with the hashes their downstream cache keys build on.
+#[derive(Clone)]
+pub(crate) struct Prepared {
+    pub(crate) schedule: Schedule,
+    pub(crate) schedule_h: ContentHash,
+    pub(crate) netlist: NetList,
+    pub(crate) netlist_key: ContentHash,
 }
 
-/// The attempt search shared by the flat retry loop and the recovery
-/// ladder's reseed rung: runs `run(i)` for `i` in `0..attempts` and hands
-/// each result to `visit` in index order until it breaks.
+impl Prepared {
+    /// The solution of the winning attempt `routed`, numbered `attempts`,
+    /// with its channels optimized when the configuration asks for it.
+    /// Only the winner is optimized, however many attempts ran.
+    pub(crate) fn finish(self, ctx: &StageCtx<'_>, routed: Routed, attempts: u32) -> Solution {
+        let Routed {
+            placement,
+            mut routing,
+            route_key,
+        } = routed;
+        if ctx.cfg.optimize_channels {
+            let _span = mfb_obs::obs_span!("stage.optimize");
+            routing = ctx.optimize(&routing, route_key, &self.schedule, &placement);
+        }
+        Solution {
+            schedule: self.schedule,
+            netlist: self.netlist,
+            placement,
+            routing,
+            attempts,
+        }
+    }
+}
+
+/// A routed attempt: its placement, the routing, and the routing key the
+/// optimizer's cache key builds on.
+pub(crate) struct Routed {
+    pub(crate) placement: Placement,
+    routing: Routing,
+    route_key: ContentHash,
+}
+
+/// A failed attempt: its error, and its placement when routing (not
+/// placement) failed.
+pub(crate) struct Failed {
+    pub(crate) error: SynthesisError,
+    pub(crate) placement: Option<Placement>,
+}
+
+/// One place-then-route attempt on `grid` with SA seed `seed`: the attempt
+/// body of both the flat loop and the recovery ladder. It is a pure
+/// function of its arguments, so attempts can run in any order, or
+/// concurrently, without changing any result.
+///
+/// `attempt` is the 0-based index the `stage.place`/`stage.route` spans
+/// record; a routing error is stamped with the 1-based `attempt + 1`. A
+/// budget interrupt, whether caught at the attempt's own checkpoint or
+/// inside a stage, comes back as the flow-level typed error. With `catch`,
+/// a panicking stage comes back as [`SynthesisError::StagePanic`] instead
+/// of unwinding.
+pub(crate) fn place_and_route(
+    ctx: &StageCtx<'_>,
+    prep: &Prepared,
+    grid: GridSpec,
+    seed: u64,
+    attempt: u32,
+    catch: bool,
+) -> Result<Routed, Failed> {
+    let failed = |error: SynthesisError, placement| Failed {
+        error: error.interrupt().map_or(error, SynthesisError::from),
+        placement,
+    };
+    ctx.budget.check().map_err(|why| failed(why.into(), None))?;
+    let (placement, place_h) = guard("place", catch, || {
+        let _span = mfb_obs::obs_span!("stage.place", attempt = attempt, seed = seed);
+        Ok(ctx.place(&prep.netlist, prep.netlist_key, grid, seed)?)
+    })
+    .map_err(|e| failed(e, None))?;
+    let routed = guard("route", catch, || {
+        let _span = mfb_obs::obs_span!("stage.route", attempt = attempt);
+        match ctx.route(&prep.schedule, prep.schedule_h, &placement, place_h) {
+            (Ok(routing), route_key) => Ok((routing, route_key)),
+            (Err(last), _) => Err(SynthesisError::Route {
+                last,
+                attempts: attempt + 1,
+            }),
+        }
+    });
+    match routed {
+        Ok((routing, route_key)) => Ok(Routed {
+            placement,
+            routing,
+            route_key,
+        }),
+        Err(e) => Err(failed(e, Some(placement))),
+    }
+}
+
+/// The retry loop shared by the flat flow and the recovery ladder: runs
+/// `run(i)` for `i` in `0..attempts` (at least one) and hands each result
+/// to `visit` in index order, which turns it into a winner or an error.
+/// The loop stops at the first winner, or at the first error that another
+/// attempt cannot fix ([`ends_retry`]).
 ///
 /// Attempt 0 runs alone (the common case succeeds first try, and a
 /// deterministic error must surface after exactly one run); later attempts
@@ -401,15 +439,19 @@ enum AttemptError {
 /// byte-identical to the serial loop for any `MFB_THREADS`. The budget is
 /// checked before each chunk.
 ///
-/// Returns the visitor's break value, `None` when every attempt was
-/// visited, or the interrupt when the budget tripped between chunks.
-pub(crate) fn search_attempts<T: Send, B>(
+/// # Errors
+///
+/// The error that stopped the loop, the last attempt's error when none
+/// won, or the budget interrupt that tripped between chunks.
+pub(crate) fn retry<T: Send, W>(
     attempts: u32,
     budget: &Budget,
     run: impl Fn(u32) -> T + Sync,
-    mut visit: impl FnMut(u32, T) -> ControlFlow<B>,
-) -> Result<Option<B>, BudgetExceeded> {
+    mut visit: impl FnMut(u32, T) -> Result<W, SynthesisError>,
+) -> Result<W, SynthesisError> {
+    let attempts = attempts.max(1);
     let batch = mfb_model::par::thread_limit().max(1) as u32;
+    let mut last = None;
     let mut start = 0u32;
     while start < attempts {
         budget.check()?;
@@ -420,13 +462,41 @@ pub(crate) fn search_attempts<T: Send, B>(
         };
         let results = mfb_model::par::par_map_ordered(chunk as usize, |k| run(start + k as u32));
         for (k, res) in results.into_iter().enumerate() {
-            if let Break(b) = visit(start + k as u32, res) {
-                return Ok(Some(b));
+            match visit(start + k as u32, res) {
+                Ok(winner) => return Ok(winner),
+                Err(e) if ends_retry(&e) => return Err(e),
+                Err(e) => last = Some(e),
             }
         }
         start += chunk;
     }
-    Ok(None)
+    match last {
+        Some(e) => Err(e),
+        None => unreachable!("attempts >= 1 and every visited attempt errs"),
+    }
+}
+
+/// Runs `f`, converting a panic into [`SynthesisError::StagePanic`] when
+/// `catch` is set.
+pub(crate) fn guard<T>(
+    stage: &'static str,
+    catch: bool,
+    f: impl FnOnce() -> Result<T, SynthesisError>,
+) -> Result<T, SynthesisError> {
+    if !catch {
+        return f();
+    }
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(r) => r,
+        Err(payload) => {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            Err(SynthesisError::StagePanic { stage, message })
+        }
+    }
 }
 
 #[cfg(test)]

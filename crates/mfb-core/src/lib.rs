@@ -55,10 +55,14 @@
 //! pristine chip. [`synthesize_with`](flow::Synthesizer::synthesize_with)
 //! is the same flat retry loop with a defect map, an optional shared
 //! [`StageCache`](cache::StageCache) and an execution budget.
-//! [`synthesize_resilient`](flow::Synthesizer::synthesize_resilient) climbs
-//! the escalation ladder of [`recovery`] instead, and
+//! [`synthesize_resilient`](flow::Synthesizer::synthesize_resilient)
+//! `(.., defects, cache, budget)` climbs the fixed escalation ladder of
+//! [`recovery`] instead, and
 //! [`prepare_cached`](flow::Synthesizer::prepare_cached) only warms a cache
-//! with the schedule and netlist.
+//! with the schedule and netlist. Both synthesis drivers run one
+//! place-and-route attempt body and one retry loop (`flow.rs`); the
+//! ladder's reseed rung is that retry over 8 seeds, and each later step is
+//! a single attempt.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -86,7 +90,7 @@ pub mod prelude {
     pub use crate::flow::{Solution, Synthesizer};
     pub use crate::metrics::SolutionMetrics;
     pub use crate::recovery::{
-        DegradedSolution, RecoveryPolicy, RecoveryTrace, ResilientOutcome, Rung, RungAttempt,
+        DegradedSolution, RecoveryTrace, ResilientOutcome, Rung, RungAttempt,
     };
     pub use crate::report::{fig8_text, fig9_text, table1_text, ComparisonRow};
     pub use mfb_analyze::analysis_registry;

@@ -2,43 +2,50 @@
 //!
 //! [`Synthesizer::synthesize`] retries failed routings with fresh annealing
 //! seeds and an occasional larger grid, but it has a single lever and no
-//! memory of *why* an attempt failed. This module replaces that flat loop
-//! with a typed ladder of recovery rungs, climbed in order:
+//! memory of *why* an attempt failed. This module climbs a typed ladder of
+//! recovery rungs instead, in order:
 //!
-//! 1. **Reseed** — re-anneal the same problem with fresh seeds. Cheap, and
-//!    sufficient when a destination was merely boxed in by wash shadows at
-//!    exactly the wrong moment.
-//! 2. **Grow grid** — enlarge the chip (4/3 linear per step). Recovers
-//!    placements that are infeasible by area — including chips whose defect
-//!    map has consumed too many cells, since defect coordinates are
-//!    absolute and growth only adds pristine area.
-//! 3. **Relax `t_c`** — lengthen the constant transport time and re-run
-//!    Algorithm 1. Slower schedules overlap less, easing congestion the
-//!    router could not untangle geometrically.
-//! 4. **Rebind** — mark the component implicated in the failure as dead
-//!    and re-run Algorithm 1 on the reduced allocation, routing the assay
-//!    around the broken resource entirely.
+//! 1. **Reseed** — re-anneal the same problem with 8 fresh seeds. Cheap,
+//!    and sufficient when a destination was merely boxed in by wash
+//!    shadows at exactly the wrong moment.
+//! 2. **Grow grid** — enlarge the chip 3 times (4/3 linear per step).
+//!    Recovers placements that are infeasible by area — including chips
+//!    whose defect map has consumed too many cells, since defect
+//!    coordinates are absolute and growth only adds pristine area.
+//! 3. **Relax `t_c`** — lengthen the constant transport time twice (+1 s
+//!    each) and re-run Algorithm 1. Slower schedules overlap less, easing
+//!    congestion the router could not untangle geometrically.
+//! 4. **Rebind** — up to twice, mark the component implicated in the last
+//!    failure as dead and re-run Algorithm 1 on the reduced allocation,
+//!    routing the assay around the broken resource entirely.
 //!
-//! Every attempt is bounded by the per-rung budgets of a
-//! [`RecoveryPolicy`], deterministically seeded, and wrapped in panic
-//! containment: a stage that panics surfaces as
+//! The reseed rung is one run of the flat flow's retry loop over 8 seeds
+//! on the base grid; every later step is a single attempt. Every attempt
+//! runs the flat flow's place-and-route body, is deterministically
+//! seeded, and contains panics: a stage that panics surfaces as
 //! [`SynthesisError::StagePanic`] and the ladder climbs on. Errors that are
 //! deterministic properties of the inputs (see
-//! [`SynthesisError::is_deterministic`]) skip the remaining attempts of a
-//! rung whose lever cannot affect them, and infeasibility proofs that no
-//! rung can fix abort the ladder immediately. When every rung is
-//! exhausted, the caller still receives the best partial artifacts as a
-//! [`DegradedSolution`].
+//! [`SynthesisError::is_deterministic`]) skip the remaining reseeds, and
+//! infeasibility proofs that no rung can fix abort the ladder immediately.
+//! When every rung is exhausted, the caller still receives the best
+//! partial artifacts as a [`DegradedSolution`].
 
 use crate::cache::{StageCache, StageCtx};
-use crate::error::{route_error_is_placement_independent, SynthesisError};
-use crate::flow::{search_attempts, Solution, Synthesizer};
+use crate::error::{globally_fatal, SynthesisError};
+use crate::flow::{guard, place_and_route, retry, Failed, Prepared, Solution, Synthesizer};
 use mfb_model::prelude::*;
 use mfb_place::prelude::*;
 use mfb_route::prelude::*;
 use mfb_sched::prelude::*;
-use std::ops::ControlFlow::{Break, Continue};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Fresh-seed attempts on the base grid (rung 1).
+const RESEEDS: u32 = 8;
+/// Grid-growth steps, 4/3 linear each (rung 2).
+const GROW_STEPS: u32 = 3;
+/// `t_c` relaxation steps, +1 s each (rung 3).
+const RELAX_TC_STEPS: u32 = 2;
+/// Rebind-around-failure steps (rung 4).
+const REBINDS: u32 = 2;
 
 /// One rung of the escalation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,6 +60,21 @@ pub enum Rung {
     Rebind,
 }
 
+impl Rung {
+    /// How many attempts the ladder makes on this rung at most. Every
+    /// budget is an exact attempt count, so the ladder's behavior on a
+    /// given input is fixed — there is no wall-clock or randomized cutoff
+    /// anywhere.
+    pub fn attempts(self) -> u32 {
+        match self {
+            Rung::Reseed => RESEEDS,
+            Rung::GrowGrid => GROW_STEPS,
+            Rung::RelaxTc => RELAX_TC_STEPS,
+            Rung::Rebind => REBINDS,
+        }
+    }
+}
+
 impl std::fmt::Display for Rung {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -61,56 +83,6 @@ impl std::fmt::Display for Rung {
             Rung::RelaxTc => "relax-tc",
             Rung::Rebind => "rebind",
         })
-    }
-}
-
-/// Per-rung budgets for the escalation ladder. Every budget is an exact
-/// attempt count, so a policy fully determines the ladder's behavior on a
-/// given input — there is no wall-clock or randomized cutoff anywhere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Fresh-seed attempts on the original grid (rung 1).
-    pub reseed_attempts: u32,
-    /// Grid-growth steps, 4/3 linear each (rung 2).
-    pub grow_steps: u32,
-    /// `t_c` relaxation steps, +1 s each (rung 3).
-    pub relax_tc_steps: u32,
-    /// Rebind-around-failure attempts (rung 4).
-    pub rebind_attempts: u32,
-    /// Contain stage panics as [`SynthesisError::StagePanic`] instead of
-    /// unwinding through the caller.
-    pub catch_panics: bool,
-}
-
-impl RecoveryPolicy {
-    /// The default ladder: 8 reseeds, 3 grid growths, 2 `t_c` relaxations,
-    /// 2 rebinds, panics contained.
-    pub fn standard() -> Self {
-        RecoveryPolicy {
-            reseed_attempts: 8,
-            grow_steps: 3,
-            relax_tc_steps: 2,
-            rebind_attempts: 2,
-            catch_panics: true,
-        }
-    }
-
-    /// A policy equivalent to the flat retry loop: reseeding only, no
-    /// escalation. Useful as the control arm in resilience experiments.
-    pub fn reseed_only(attempts: u32) -> Self {
-        RecoveryPolicy {
-            reseed_attempts: attempts,
-            grow_steps: 0,
-            relax_tc_steps: 0,
-            rebind_attempts: 0,
-            catch_panics: true,
-        }
-    }
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy::standard()
     }
 }
 
@@ -194,26 +166,117 @@ impl ResilientOutcome {
     }
 }
 
-/// Latest per-stage artifacts across all attempts, feeding the
-/// [`DegradedSolution`] report.
-#[derive(Default)]
-struct Partial {
-    schedule: Option<Schedule>,
-    placement: Option<Placement>,
+/// One step of the ladder, in climbing order.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// The retry over [`RESEEDS`] seeds on the base grid.
+    Reseed,
+    /// Grow the grid `g` times, with seed `seed + RESEEDS + g`.
+    Grow(u32),
+    /// Relax `t_c` by `k` seconds on the largest grid.
+    RelaxTc(u32),
+    /// Kill the component the last error implicates, on the largest grid.
+    Rebind,
 }
 
-impl Partial {
-    /// Folds one attempt's artifacts in: a stage that ran overwrites the
-    /// stored artifact, a stage that was never reached leaves it alone —
-    /// consumed in attempt order, this reproduces the serial ladder's
-    /// "latest artifact wins" bookkeeping exactly.
-    fn absorb(&mut self, other: Partial) {
-        if other.schedule.is_some() {
-            self.schedule = other.schedule;
-        }
-        if other.placement.is_some() {
-            self.placement = other.placement;
-        }
+/// The ladder's running record: the failure trace, the latest artifacts
+/// for the [`DegradedSolution`], and the global attempt number.
+struct Ladder {
+    trace: RecoveryTrace,
+    partial: DegradedSolution,
+    attempt: u32,
+}
+
+impl Ladder {
+    /// Schedules at `t_c` through `ctx`, then retries `tries` place-and-
+    /// route attempts, attempt `i` on the `(grid, seed)` of `plan(i)`.
+    /// Records every failure under `rung` with `detail(i)`. Returns the
+    /// solution, or the error that ended the step.
+    fn climb(
+        &mut self,
+        ctx: &StageCtx<'_>,
+        rung: Rung,
+        t_c: Duration,
+        tries: u32,
+        plan: impl Fn(u32) -> (GridSpec, u64) + Sync,
+        detail: impl Fn(u32) -> String,
+    ) -> Result<Solution, SynthesisError> {
+        let first = self.attempt;
+        let scheduled = guard("schedule", true, || Ok(ctx.schedule(t_c)?));
+        let (schedule, schedule_h) = match scheduled {
+            Ok(s) => s,
+            Err(e) => {
+                self.attempt += 1;
+                return Err(self.record(rung, detail(0), e));
+            }
+        };
+        self.partial.schedule = Some(schedule.clone());
+        let (netlist, netlist_key) = ctx.netlist(&schedule, schedule_h);
+        let prep = Prepared {
+            schedule,
+            schedule_h,
+            netlist,
+            netlist_key,
+        };
+        retry(
+            tries,
+            ctx.budget,
+            |i| {
+                let (grid, seed) = plan(i);
+                place_and_route(ctx, &prep, grid, seed, first + i, true)
+            },
+            |i, res| {
+                let attempt = first + i + 1;
+                self.attempt = attempt;
+                let failed = match res {
+                    Ok(routed) => {
+                        let placement = routed.placement.clone();
+                        match guard("route", true, || {
+                            Ok(prep.clone().finish(ctx, routed, attempt))
+                        }) {
+                            Ok(solution) => {
+                                mfb_obs::obs_instant!(
+                                    "recovery.rung",
+                                    rung = rung.to_string(),
+                                    attempt = attempt,
+                                    outcome = "recovered",
+                                );
+                                return Ok(solution);
+                            }
+                            Err(error) => Failed {
+                                error,
+                                placement: Some(placement),
+                            },
+                        }
+                    }
+                    Err(failed) => failed,
+                };
+                if failed.placement.is_some() {
+                    self.partial.placement = failed.placement;
+                }
+                Err(self.record(rung, detail(i), failed.error))
+            },
+        )
+    }
+
+    /// Records the failure of the current attempt in the trace, mirrors it
+    /// as a `recovery.rung` instant event, and hands the error back.
+    fn record(&mut self, rung: Rung, detail: String, e: SynthesisError) -> SynthesisError {
+        let error = e.to_string();
+        mfb_obs::obs_instant!(
+            "recovery.rung",
+            rung = rung.to_string(),
+            attempt = self.attempt,
+            outcome = "failed",
+            error = error.clone(),
+        );
+        self.trace.attempts.push(RungAttempt {
+            rung,
+            attempt: self.attempt,
+            detail,
+            error,
+        });
+        e
     }
 }
 
@@ -222,9 +285,8 @@ impl Synthesizer {
     /// [module docs](self), honoring `defects` in every stage.
     ///
     /// Unlike [`synthesize`](Synthesizer::synthesize) this never panics on
-    /// a stage bug (with `catch_panics` set) and never returns empty-handed:
-    /// an exhausted ladder still reports its failure history and best
-    /// partial artifacts.
+    /// a stage bug and never returns empty-handed: an exhausted ladder
+    /// still reports its failure history and best partial artifacts.
     ///
     /// The ladder always climbs through a stage cache — `cache`, or a
     /// fresh one when `None` — so rungs that vary only one lever (a fresh
@@ -235,21 +297,19 @@ impl Synthesizer {
     /// recorded trace, the result — is byte-identical with any cache
     /// state.
     ///
-    /// The budget is polled at every rung boundary and inside each
+    /// The budget is polled at every step boundary and inside each
     /// attempt's stages; when it trips, the ladder stops climbing and the
     /// outcome carries [`SynthesisError::DeadlineExceeded`] or
     /// [`SynthesisError::Cancelled`] **plus** the trace and best partial
     /// artifacts accumulated so far — an expired job still reports how far
     /// it got. A run that finishes within its budget is byte-identical to
     /// an unlimited run.
-    #[allow(clippy::too_many_arguments)]
     pub fn synthesize_resilient(
         &self,
         graph: &SequencingGraph,
         components: &ComponentSet,
         wash: &dyn WashModel,
         defects: &DefectMap,
-        policy: &RecoveryPolicy,
         cache: Option<&StageCache>,
         budget: &Budget,
     ) -> ResilientOutcome {
@@ -262,172 +322,111 @@ impl Synthesizer {
         let cache = cache.unwrap_or(&fresh);
         let cfg = self.config();
         let base_grid = cfg.grid.unwrap_or_else(|| auto_grid(components));
-        let max_grid = grown_grid(base_grid, policy.grow_steps);
-        let catch = policy.catch_panics;
+        let max_grid = grown_grid(base_grid, GROW_STEPS);
+        let seed_of = |i: u32| cfg.sa.seed.wrapping_add(u64::from(i));
+        let steps = std::iter::once(Step::Reseed)
+            .chain((1..=GROW_STEPS).map(Step::Grow))
+            .chain((1..=RELAX_TC_STEPS).map(Step::RelaxTc))
+            .chain((0..REBINDS).map(|_| Step::Rebind));
 
-        let mut trace = RecoveryTrace::default();
-        let mut partial = Partial::default();
-        let mut last_err: Option<SynthesisError> = None;
+        // Every step but a rebind keeps the caller's defect map and shares
+        // one stage context; a rebind builds a fresh one after each kill,
+        // since the defect map participates in every stage key.
+        let ctx = StageCtx::new(Some(cache), graph, components, wash, defects, cfg, budget);
         let mut defects_now = defects.clone();
-        let mut attempt_no: u32 = 0;
-
-        // Each rung records failures and decides whether climbing further
-        // can possibly help; `break 'ladder` is the "provably hopeless"
-        // exit, falling off the block end the "budgets exhausted" one.
-        'ladder: {
-            // Rungs 1–3 keep the caller's defect map and share one stage
-            // context; the rebind rung builds a fresh one after each kill,
-            // since the defect map participates in every stage key.
-            let ctx = StageCtx::new(
-                Some(cache),
-                graph,
-                components,
-                wash,
-                &defects_now,
-                cfg,
-                budget,
-            );
-
-            // ---- Rung 1: fresh seeds on the original grid. ----
-            // Each attempt is a pure function of its seed, so the shared
-            // attempt search may fan reseeds out across threads and still
-            // record a trace byte-identical to the serial rung.
-            let seed_of = |i: u32| cfg.sa.seed.wrapping_add(u64::from(i));
-            let reseeded = search_attempts(
-                policy.reseed_attempts.max(1),
-                budget,
-                |i| attempt_once(&ctx, base_grid, seed_of(i), cfg.t_c, catch, i + 1),
-                |i, (res, artifacts)| {
-                    attempt_no = i + 1;
-                    partial.absorb(artifacts);
-                    let e = match res {
-                        Ok(s) => return Break(Some(s)),
-                        Err(e) => e,
-                    };
-                    // The seed is the only thing this rung varies: an error
-                    // that does not depend on it escalates without burning
-                    // the rest of the budget.
-                    let deterministic = e.is_deterministic();
+        let mut ladder = Ladder {
+            trace: RecoveryTrace::default(),
+            partial: DegradedSolution {
+                schedule: None,
+                placement: None,
+            },
+            attempt: 0,
+        };
+        let mut last_err = None;
+        for step in steps {
+            if let Err(why) = budget.check() {
+                last_err = Some(why.into());
+                break;
+            }
+            let result = match step {
+                // Only the seed varies here, so an error that does not
+                // depend on it ends the retry early.
+                Step::Reseed => {
                     let (w, h) = (base_grid.width, base_grid.height);
-                    let detail = format!("seed {} on {w}x{h} grid", seed_of(i));
-                    let rung = Rung::Reseed;
-                    if record_failure(&mut trace, &mut last_err, rung, attempt_no, detail, e)
-                        || deterministic
-                    {
-                        Break(None)
-                    } else {
-                        Continue(())
+                    ladder.climb(
+                        &ctx,
+                        Rung::Reseed,
+                        cfg.t_c,
+                        RESEEDS,
+                        |i| (base_grid, seed_of(i)),
+                        |i| format!("seed {} on {w}x{h} grid", seed_of(i)),
+                    )
+                }
+                Step::Grow(g) => {
+                    let grid = grown_grid(base_grid, g);
+                    ladder.climb(
+                        &ctx,
+                        Rung::GrowGrid,
+                        cfg.t_c,
+                        1,
+                        |_| (grid, seed_of(RESEEDS + g)),
+                        |_| format!("grown to {}x{} grid", grid.width, grid.height),
+                    )
+                }
+                Step::RelaxTc(k) => {
+                    let t_c = cfg.t_c + Duration::from_secs(u64::from(k));
+                    ladder.climb(
+                        &ctx,
+                        Rung::RelaxTc,
+                        t_c,
+                        1,
+                        |_| (max_grid, cfg.sa.seed),
+                        |_| format!("t_c relaxed to {t_c}"),
+                    )
+                }
+                Step::Rebind => {
+                    let Some(victim) = implicated_component(
+                        last_err.as_ref(),
+                        ladder.partial.schedule.as_ref(),
+                        components,
+                        &defects_now,
+                    ) else {
+                        break;
+                    };
+                    defects_now.kill_component(victim);
+                    let rebound = StageCtx::new(
+                        Some(cache),
+                        graph,
+                        components,
+                        wash,
+                        &defects_now,
+                        cfg,
+                        budget,
+                    );
+                    ladder.climb(
+                        &rebound,
+                        Rung::Rebind,
+                        cfg.t_c,
+                        1,
+                        |_| (max_grid, cfg.sa.seed),
+                        |_| format!("component {victim} marked dead, rebound"),
+                    )
+                }
+            };
+            match result {
+                Ok(solution) => {
+                    return ResilientOutcome {
+                        result: Ok(solution),
+                        trace: ladder.trace,
+                        degraded: None,
                     }
-                },
-            );
-            match reseeded {
-                Err(why) => {
-                    last_err = Some(why.into());
-                    break 'ladder;
                 }
-                Ok(Some(Some(s))) => return success(s, trace, Rung::Reseed, attempt_no),
-                Ok(_) if last_err.as_ref().is_some_and(globally_fatal) => break 'ladder,
-                Ok(_) => {}
-            }
-
-            // ---- Rung 2: grow the grid. ----
-            for g in 1..=policy.grow_steps {
-                if let Err(why) = budget.check() {
-                    last_err = Some(why.into());
-                    break 'ladder;
-                }
-                attempt_no += 1;
-                let grid = grown_grid(base_grid, g);
-                let seed = seed_of(policy.reseed_attempts.max(1) + g);
-                let (res, artifacts) = attempt_once(&ctx, grid, seed, cfg.t_c, catch, attempt_no);
-                partial.absorb(artifacts);
-                let e = match res {
-                    Ok(s) => return success(s, trace, Rung::GrowGrid, attempt_no),
-                    Err(e) => e,
-                };
-                let detail = format!("grown to {}x{} grid", grid.width, grid.height);
-                if record_failure(
-                    &mut trace,
-                    &mut last_err,
-                    Rung::GrowGrid,
-                    attempt_no,
-                    detail,
-                    e,
-                ) {
-                    break 'ladder;
-                }
-            }
-
-            // ---- Rung 3: relax t_c and reschedule. ----
-            for k in 1..=policy.relax_tc_steps {
-                if let Err(why) = budget.check() {
-                    last_err = Some(why.into());
-                    break 'ladder;
-                }
-                attempt_no += 1;
-                let t_c = cfg.t_c + Duration::from_secs(u64::from(k));
-                let (res, artifacts) =
-                    attempt_once(&ctx, max_grid, cfg.sa.seed, t_c, catch, attempt_no);
-                partial.absorb(artifacts);
-                let e = match res {
-                    Ok(s) => return success(s, trace, Rung::RelaxTc, attempt_no),
-                    Err(e) => e,
-                };
-                let detail = format!("t_c relaxed to {t_c}");
-                if record_failure(
-                    &mut trace,
-                    &mut last_err,
-                    Rung::RelaxTc,
-                    attempt_no,
-                    detail,
-                    e,
-                ) {
-                    break 'ladder;
-                }
-            }
-
-            // ---- Rung 4: rebind around the implicated component. ----
-            for _ in 0..policy.rebind_attempts {
-                if let Err(why) = budget.check() {
-                    last_err = Some(why.into());
-                    break 'ladder;
-                }
-                let Some(victim) = implicated_component(
-                    last_err.as_ref(),
-                    partial.schedule.as_ref(),
-                    components,
-                    &defects_now,
-                ) else {
-                    break;
-                };
-                defects_now.kill_component(victim);
-                attempt_no += 1;
-                let rebound = StageCtx::new(
-                    Some(cache),
-                    graph,
-                    components,
-                    wash,
-                    &defects_now,
-                    cfg,
-                    budget,
-                );
-                let (res, artifacts) =
-                    attempt_once(&rebound, max_grid, cfg.sa.seed, cfg.t_c, catch, attempt_no);
-                partial.absorb(artifacts);
-                let e = match res {
-                    Ok(s) => return success(s, trace, Rung::Rebind, attempt_no),
-                    Err(e) => e,
-                };
-                let detail = format!("component {victim} marked dead, rebound");
-                if record_failure(
-                    &mut trace,
-                    &mut last_err,
-                    Rung::Rebind,
-                    attempt_no,
-                    detail,
-                    e,
-                ) {
-                    break 'ladder;
+                Err(e) => {
+                    let fatal = globally_fatal(&e);
+                    last_err = Some(e);
+                    if fatal {
+                        break;
+                    }
                 }
             }
         }
@@ -438,71 +437,9 @@ impl Synthesizer {
         });
         ResilientOutcome {
             result: Err(last),
-            trace,
-            degraded: Some(DegradedSolution {
-                schedule: partial.schedule,
-                placement: partial.placement,
-            }),
+            trace: ladder.trace,
+            degraded: Some(ladder.partial),
         }
-    }
-}
-
-fn success(solution: Solution, trace: RecoveryTrace, rung: Rung, attempt: u32) -> ResilientOutcome {
-    mfb_obs::obs_instant!(
-        "recovery.rung",
-        rung = rung.to_string(),
-        attempt = attempt,
-        outcome = "recovered",
-    );
-    ResilientOutcome {
-        result: Ok(solution),
-        trace,
-        degraded: None,
-    }
-}
-
-/// Records one failed rung attempt in the trace, mirrors it as a
-/// `recovery.rung` instant event, and keeps its error as the ladder's
-/// latest. Returns true when the error is globally fatal.
-fn record_failure(
-    trace: &mut RecoveryTrace,
-    last_err: &mut Option<SynthesisError>,
-    rung: Rung,
-    attempt: u32,
-    detail: String,
-    e: SynthesisError,
-) -> bool {
-    let error = e.to_string();
-    mfb_obs::obs_instant!(
-        "recovery.rung",
-        rung = rung.to_string(),
-        attempt = attempt,
-        outcome = "failed",
-        error = error.clone(),
-    );
-    trace.attempts.push(RungAttempt {
-        rung,
-        attempt,
-        detail,
-        error,
-    });
-    let fatal = globally_fatal(&e);
-    *last_err = Some(e);
-    fatal
-}
-
-/// True when no rung of the ladder can change the outcome: the error is an
-/// infeasibility proof for the inputs themselves.
-fn globally_fatal(e: &SynthesisError) -> bool {
-    match e {
-        // Scheduling failures are about the allocation: no grid, seed, or
-        // t_c adds components, and rebinding only removes them.
-        SynthesisError::Sched(_) => true,
-        SynthesisError::Route { last, .. } => route_error_is_placement_independent(last),
-        // A tripped budget can only trip again: every further rung attempt
-        // would abort at its first checkpoint.
-        SynthesisError::DeadlineExceeded | SynthesisError::Cancelled => true,
-        _ => false,
     }
 }
 
@@ -538,96 +475,6 @@ fn implicated_component(
     (live_peers >= 1).then_some(candidate)
 }
 
-/// One full pipeline run at fixed parameters, each stage individually
-/// panic-guarded. Returns the attempt's own artifacts alongside the result
-/// (instead of mutating shared state) so attempts can run concurrently and
-/// be folded into [`Partial`] in attempt order.
-fn attempt_once(
-    ctx: &StageCtx<'_>,
-    grid: GridSpec,
-    seed: u64,
-    t_c: Duration,
-    catch: bool,
-    attempt_no: u32,
-) -> (Result<Solution, SynthesisError>, Partial) {
-    let mut partial = Partial::default();
-    let result = attempt_inner(ctx, grid, seed, t_c, catch, attempt_no, &mut partial);
-    // Normalize stage-level interrupts (`PlaceError::Interrupted`,
-    // `RouteError::Interrupted`) to the flow-level typed error so the
-    // ladder and the trace see one canonical shape.
-    let result = result.map_err(|e| match e.interrupt() {
-        Some(why) => why.into(),
-        None => e,
-    });
-    (result, partial)
-}
-
-/// The `?`-friendly body of [`attempt_once`].
-fn attempt_inner(
-    ctx: &StageCtx<'_>,
-    grid: GridSpec,
-    seed: u64,
-    t_c: Duration,
-    catch: bool,
-    attempt_no: u32,
-    partial: &mut Partial,
-) -> Result<Solution, SynthesisError> {
-    ctx.budget.check().map_err(SynthesisError::from)?;
-    let (schedule, schedule_h) =
-        guard("schedule", catch, || ctx.schedule(t_c).map_err(Into::into))?;
-    partial.schedule = Some(schedule.clone());
-    let (netlist, netlist_key) = ctx.netlist(&schedule, schedule_h);
-
-    let (placement, place_h) = guard("place", catch, || {
-        ctx.place(&netlist, netlist_key, grid, seed)
-            .map_err(Into::into)
-    })?;
-    partial.placement = Some(placement.clone());
-
-    let routing = guard("route", catch, || {
-        let (routed, route_key) = ctx.route(&schedule, schedule_h, &placement, place_h);
-        let mut routing = routed.map_err(|e| SynthesisError::Route {
-            last: e,
-            attempts: attempt_no,
-        })?;
-        if ctx.cfg.optimize_channels {
-            routing = ctx.optimize(&routing, route_key, &schedule, &placement);
-        }
-        Ok(routing)
-    })?;
-
-    Ok(Solution {
-        schedule,
-        netlist,
-        placement,
-        routing,
-        attempts: attempt_no,
-    })
-}
-
-/// Runs `f`, converting a panic into [`SynthesisError::StagePanic`] when
-/// `catch` is set.
-fn guard<T>(
-    stage: &'static str,
-    catch: bool,
-    f: impl FnOnce() -> Result<T, SynthesisError>,
-) -> Result<T, SynthesisError> {
-    if !catch {
-        return f();
-    }
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(r) => r,
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(SynthesisError::StagePanic { stage, message })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,7 +505,6 @@ mod tests {
             &comps,
             &wash(),
             &DefectMap::pristine(),
-            &RecoveryPolicy::standard(),
             None,
             &Budget::unlimited(),
         );
@@ -681,24 +527,14 @@ mod tests {
         cfg.grid = Some(GridSpec::new(6, 6, 10.0));
         let flat = Synthesizer::new(cfg.clone()).synthesize(&g, &comps, &wash());
         assert!(matches!(flat, Err(SynthesisError::Place(_))));
-        // ...and reseeding alone cannot help either...
-        let reseed_only = Synthesizer::new(cfg.clone()).synthesize_resilient(
-            &g,
-            &comps,
-            &wash(),
-            &DefectMap::pristine(),
-            &RecoveryPolicy::reseed_only(8),
-            None,
-            &Budget::unlimited(),
-        );
-        assert!(!reseed_only.is_success());
+        // ...which no seed can fix, so reseeding alone cannot help...
+        assert!(flat.as_ref().is_err_and(SynthesisError::is_deterministic));
         // ...but the grid-growth rung does.
         let out = Synthesizer::new(cfg).synthesize_resilient(
             &g,
             &comps,
             &wash(),
             &DefectMap::pristine(),
-            &RecoveryPolicy::standard(),
             None,
             &Budget::unlimited(),
         );
@@ -730,7 +566,6 @@ mod tests {
             &comps,
             &wash(),
             &DefectMap::pristine(),
-            &RecoveryPolicy::standard(),
             None,
             &Budget::unlimited(),
         );
@@ -755,7 +590,6 @@ mod tests {
             &comps,
             &wash(),
             &defects,
-            &RecoveryPolicy::standard(),
             None,
             &Budget::unlimited(),
         );

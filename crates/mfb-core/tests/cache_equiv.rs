@@ -132,7 +132,6 @@ fn cached_recovery_ladder_matches_uncached_trace() {
         defects.block_cell(CellPos::new(x, 3));
     }
     let syn = Synthesizer::paper_dcsa();
-    let policy = RecoveryPolicy::default();
 
     let ladder = |cache: Option<&StageCache>| {
         syn.synthesize_resilient(
@@ -140,7 +139,6 @@ fn cached_recovery_ladder_matches_uncached_trace() {
             &comps,
             &wash(),
             &defects,
-            &policy,
             cache,
             &Budget::unlimited(),
         )

@@ -91,30 +91,12 @@ fn ladder_recovers_a_table1_defect_combo_reseeding_cannot() {
         }
     }
 
-    // The flat loop dies on the deterministic placement error...
+    // The flat loop dies on the placement error, which no seed can fix...
     let flat = synth.synthesize_with(&b.graph, &comps, &w, &defects, None, &Budget::unlimited());
-    assert!(matches!(flat, Err(SynthesisError::Place(_))));
-    // ...reseeding alone cannot help...
-    let reseed_only = synth.synthesize_resilient(
-        &b.graph,
-        &comps,
-        &w,
-        &defects,
-        &RecoveryPolicy::reseed_only(16),
-        None,
-        &Budget::unlimited(),
-    );
-    assert!(!reseed_only.is_success());
-    // ...but the full ladder escalates to grid growth and succeeds.
-    let out = synth.synthesize_resilient(
-        &b.graph,
-        &comps,
-        &w,
-        &defects,
-        &RecoveryPolicy::standard(),
-        None,
-        &Budget::unlimited(),
-    );
+    assert!(matches!(&flat, Err(e @ SynthesisError::Place(_)) if e.is_deterministic()));
+    // ...but the ladder escalates to grid growth and succeeds.
+    let out =
+        synth.synthesize_resilient(&b.graph, &comps, &w, &defects, None, &Budget::unlimited());
     let sol = out
         .solution()
         .unwrap_or_else(|| panic!("ladder failed: {:?}\ntrace: {:#?}", out.result, out.trace));
@@ -269,8 +251,8 @@ proptest! {
         }
     }
 
-    /// The resilient driver is deterministic: same inputs, same policy,
-    /// same outcome and same trace.
+    /// The resilient driver is deterministic: same inputs, same outcome
+    /// and same trace.
     #[test]
     fn resilient_driver_is_deterministic(
         n in 2usize..10,
@@ -284,9 +266,8 @@ proptest! {
         let mut cfg = SynthesisConfig::paper_dcsa();
         cfg.grid = Some(grid);
         let synth = Synthesizer::new(cfg);
-        let policy = RecoveryPolicy::standard();
-        let a = synth.synthesize_resilient(&g, &comps, &wash(), &defects, &policy, None, &Budget::unlimited());
-        let b = synth.synthesize_resilient(&g, &comps, &wash(), &defects, &policy, None, &Budget::unlimited());
+        let a = synth.synthesize_resilient(&g, &comps, &wash(), &defects, None, &Budget::unlimited());
+        let b = synth.synthesize_resilient(&g, &comps, &wash(), &defects, None, &Budget::unlimited());
         prop_assert_eq!(a.trace, b.trace);
         prop_assert_eq!(a.is_success(), b.is_success());
         if let (Some(sa), Some(sb)) = (a.solution(), b.solution()) {

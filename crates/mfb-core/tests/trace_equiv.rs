@@ -108,15 +108,7 @@ fn ladder_rungs_emit_one_event_per_escalation() {
     let collector = mfb_obs::TraceCollector::new();
     let out = {
         let _guard = mfb_obs::install(&collector);
-        synth.synthesize_resilient(
-            &b.graph,
-            &comps,
-            &w,
-            &defects,
-            &RecoveryPolicy::standard(),
-            None,
-            &Budget::unlimited(),
-        )
+        synth.synthesize_resilient(&b.graph, &comps, &w, &defects, None, &Budget::unlimited())
     };
     assert!(out.is_success(), "ladder recovers: {:?}", out.trace);
     let trace = collector.finish();
@@ -157,14 +149,7 @@ fn ladder_rungs_emit_one_event_per_escalation() {
 
     // And the whole thing still holds the headline guarantee: the traced
     // resilient run matches an untraced one byte for byte.
-    let untraced = synth.synthesize_resilient(
-        &b.graph,
-        &comps,
-        &w,
-        &defects,
-        &RecoveryPolicy::standard(),
-        None,
-        &Budget::unlimited(),
-    );
+    let untraced =
+        synth.synthesize_resilient(&b.graph, &comps, &w, &defects, None, &Budget::unlimited());
     assert_eq!(format!("{untraced:?}"), format!("{out:?}"));
 }
