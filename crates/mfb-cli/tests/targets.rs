@@ -1,6 +1,7 @@
 //! Every command that takes a `<bench|file.assay>` target resolves it the
-//! same way and accepts the same `--flow` keywords: the `mfb` binary is
-//! driven end to end from the workspace root.
+//! same way and accepts the same `--flow` keywords, and the experiment
+//! tables keep their bytes: the `mfb` binary is driven end to end from the
+//! workspace root.
 
 use std::process::{Command, Output};
 
@@ -51,7 +52,9 @@ fn run_file_is_an_alias_of_run() {
 }
 
 /// The fault sweep's bytes pin the recovery ladder's rung budgets (the
-/// header) and, per severity, how many attempts the ladder spent.
+/// header) and, per severity, how many attempts the ladder spent. The rows
+/// are the Synthetic4 rows of the full `--sweep` over Table I: trial seeds
+/// follow the benchmark's Table-I row, not its place in the run's list.
 #[test]
 fn faults_sweep_output_is_pinned() {
     let stdout = assert_success(&[
@@ -70,8 +73,58 @@ fn faults_sweep_output_is_pinned() {
          ladder reseed=8 grow=3 relax-tc=2 rebind=2\n\
          benchmark   cell_p  comp_p  survival  mean_att  mean_degr midassay_surv drc_faults\n\
          Synthetic4    0.00    0.00      2/2        3.0      +0.0%             -          0\n\
-         Synthetic4    0.01    0.05      2/2        5.0      +0.0%           2/2          0\n\
+         Synthetic4    0.01    0.05      2/2        6.5      +0.0%           2/2          0\n\
          Synthetic4    0.03    0.10      2/2        1.5      +4.0%           2/2          0\n\
-         Synthetic4    0.05    0.20      2/2        3.0      +4.0%           2/2          0\n"
+         Synthetic4    0.05    0.20      1/2        4.0     +28.5%           2/2          0\n"
+    );
+}
+
+/// The seed-stability table is a pure function of the flow: every value,
+/// and the layout, is pinned.
+#[test]
+fn stability_table_is_pinned() {
+    let stdout = assert_success(&["stability"]);
+    assert_eq!(
+        stdout,
+        "=== Seed stability across 10 annealing seeds ===\n\
+         Benchmark       Exec(s) min/med/max        Channel(mm) min/med/max\n\
+         PCR              24 /   24 /   24           80 /    90 /   130   (10 ok)\n\
+         IVD              24 /   24 /   24          300 /   410 /   510   (10 ok)\n\
+         CPA              75 /   75 /   75          550 /   700 /   820   (10 ok)\n\
+         Synthetic1       38 /   38 /   38          610 /   940 /  1380   (10 ok)\n\
+         Synthetic2       37 /   37 /   37         1180 /  1240 /  2370   (10 ok)\n\
+         Synthetic3       53 /   53 /   53         1960 /  2230 /  2900   (10 ok)\n\
+         Synthetic4       62 /   62 /   62         2910 /  3190 /  3400   (10 ok)\n"
+    );
+}
+
+/// The scalability table reports the paper flow only: sizes it routes
+/// carry its quality, and the 80-operation size, which it cannot route,
+/// carries its typed error instead of another flow's numbers.
+#[test]
+fn scalability_reports_the_paper_flow_or_its_error() {
+    let stdout = assert_success(&["scalability"]);
+    // Drop the trailing wall-time column (and any error text after it).
+    let rows: Vec<String> = stdout
+        .lines()
+        .skip(2)
+        .map(|l| l.split_whitespace().take(5).collect::<Vec<_>>().join(" "))
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            "10 (2,0,1,1) 33 83.6 190",
+            "20 (3,2,3,0) 29 73.5 540",
+            "30 (5,3,3,1) 45 59.4 1540",
+            "40 (7,3,4,1) 57 66.5 1730",
+            "60 (10,6,5,1) 57 54.8 4090",
+            "80 (16,4,8,1) - - -",
+        ],
+        "{stdout}"
+    );
+    let last = stdout.lines().last().unwrap_or_default();
+    assert!(
+        last.contains("failed: routing failed after 24 placement attempts"),
+        "{last}"
     );
 }

@@ -66,7 +66,7 @@ use mfb_place::prelude::{
 };
 use mfb_route::prelude::{
     optimize_channel_length_with_defects, route_corrected_with_defects, route_dcsa_budgeted,
-    RouteError, Routing, SearchScratch,
+    RouteError, Routing,
 };
 use mfb_sched::prelude::{schedule_with_defects, validate, SchedError, Schedule, SchedulerConfig};
 use std::collections::{HashMap, HashSet};
@@ -643,7 +643,8 @@ impl BaseKeys {
             }
             PlacementStrategy::Constructive => {
                 h.write_str("constructive");
-                write_spacing(&mut h, constructive_spacing());
+                // The constructive placer's fixed congestion guard.
+                write_spacing(&mut h, SpacingParams::default_routing());
             }
         }
         h.finish()
@@ -693,13 +694,6 @@ pub(crate) fn scheduler_config(cfg: &SynthesisConfig, t_c: Duration) -> Schedule
         t_c,
         rule: cfg.binding,
     }
-}
-
-/// The congestion guard the constructive placer runs with. It is not part
-/// of [`SynthesisConfig`], so the placement stage and its key both read it
-/// from here.
-fn constructive_spacing() -> SpacingParams {
-    SpacingParams::default_routing()
 }
 
 /// The pipeline's stages, each run exactly one way. A `StageCtx` holds
@@ -824,13 +818,9 @@ impl<'a> StageCtx<'a> {
                 place_sa_budgeted(components, netlist, grid, &sa, defects, self.budget)
                     .map(|(p, _)| p)
             }
-            PlacementStrategy::Constructive => place_constructive_with_defects(
-                components,
-                netlist,
-                grid,
-                constructive_spacing(),
-                defects,
-            ),
+            PlacementStrategy::Constructive => {
+                place_constructive_with_defects(components, netlist, grid, defects)
+            }
         };
         let Some((cache, keys)) = &self.cache else {
             return compute().map(|p| (p, ContentHash::from_u64(0)));
@@ -871,7 +861,6 @@ impl<'a> StageCtx<'a> {
                 wash,
                 &cfg.router,
                 defects,
-                &mut SearchScratch::new(),
                 self.budget,
             ),
             RoutingStrategy::ConstructionByCorrection => {

@@ -27,22 +27,12 @@ pub fn place_constructive(
     nets: &NetList,
     grid: GridSpec,
 ) -> Result<Placement, PlaceError> {
-    place_constructive_with_defects(
-        components,
-        nets,
-        grid,
-        SpacingParams::default_routing(),
-        &DefectMap::pristine(),
-    )
+    place_constructive_with_defects(components, nets, grid, &DefectMap::pristine())
 }
 
-/// The full form of [`place_constructive`]: an explicit congestion guard
-/// and a possibly damaged chip. Candidate positions closer than
-/// `spacing.min_gap` to an already-placed component pay the same quadratic
-/// penalty the annealer uses, so both flows leave comparable routing
-/// corridors; candidate positions covering a blocked cell of `defects` are
-/// skipped. With a pristine map this is exactly the plain constructive
-/// placer.
+/// The full form of [`place_constructive`]: a possibly damaged chip.
+/// Candidate positions covering a blocked cell of `defects` are skipped.
+/// With a pristine map this is exactly the plain constructive placer.
 ///
 /// # Errors
 ///
@@ -53,9 +43,12 @@ pub fn place_constructive_with_defects(
     components: &ComponentSet,
     nets: &NetList,
     grid: GridSpec,
-    spacing: SpacingParams,
     defects: &DefectMap,
 ) -> Result<Placement, PlaceError> {
+    // Candidate positions closer than `min_gap` to an already-placed
+    // component pay the same quadratic penalty the annealer uses, so both
+    // flows leave comparable routing corridors.
+    let spacing = SpacingParams::default_routing();
     let mut placement = Placement::new(
         grid,
         components

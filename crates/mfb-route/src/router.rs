@@ -378,23 +378,21 @@ pub fn route_dcsa(
         wash,
         config,
         &DefectMap::pristine(),
-        &mut SearchScratch::new(),
         &Budget::unlimited(),
     )
 }
 
-/// The full form of [`route_dcsa`]: a possibly damaged chip, a
-/// caller-owned search arena, and an execution [`Budget`].
+/// The full form of [`route_dcsa`]: a possibly damaged chip and an
+/// execution [`Budget`].
 ///
 /// * **Defects** — blocked cells of `defects` are permanently occupied
 ///   (∞ cost) for the time-windowed A*, so no path — transport, parking
 ///   or rip-up reference — ever crosses one, and degraded cells pay their
 ///   extra weight in Eq. (5).
-/// * **Scratch** — the arena (and its accumulated
-///   [`crate::astar::SearchStats`]) survives the call, so batch drivers
-///   reuse one arena across placements; the per-call deltas become the
-///   `astar.*` trace counters.
-/// * **Budget** — installed on `scratch` for the call and polled per
+/// * **Search arena** — the call owns one [`SearchScratch`] for every
+///   query it makes; the arena's [`crate::astar::SearchStats`] totals
+///   become the `astar.*` and `route.*` trace counters.
+/// * **Budget** — installed on the arena and polled per
 ///   routed task plus every few thousand A* expansions, so a tripped
 ///   deadline or cancellation surfaces as [`RouteError::Interrupted`]
 ///   within milliseconds instead of after the full pass. An unlimited
@@ -405,7 +403,6 @@ pub fn route_dcsa(
 /// Same as [`route_dcsa`] (a chip whose defects sever every corridor
 /// surfaces as [`RouteError::Unroutable`] or [`RouteError::NoPorts`]),
 /// plus [`RouteError::Interrupted`].
-#[allow(clippy::too_many_arguments)]
 pub fn route_dcsa_budgeted(
     schedule: &Schedule,
     graph: &SequencingGraph,
@@ -413,38 +410,29 @@ pub fn route_dcsa_budgeted(
     wash: &dyn WashModel,
     config: &RouterConfig,
     defects: &DefectMap,
-    scratch: &mut SearchScratch,
     budget: &Budget,
 ) -> Result<Routing, RouteError> {
     let _span = mfb_obs::obs_span!("route.dcsa", tasks = schedule.transports().len() as u64);
+    let mut scratch = SearchScratch::new();
     scratch.set_budget(budget);
-    let stats_before = scratch.stats;
-    let result = route_dcsa_orderings(schedule, graph, placement, wash, config, defects, scratch);
-    scratch.set_budget(&Budget::unlimited());
+    let result = route_dcsa_orderings(
+        schedule,
+        graph,
+        placement,
+        wash,
+        config,
+        defects,
+        &mut scratch,
+    );
     if mfb_obs::enabled() {
         let d = scratch.stats;
-        mfb_obs::obs_counter!("astar.queries", d.queries - stats_before.queries);
-        mfb_obs::obs_counter!("astar.expansions", d.expansions - stats_before.expansions);
-        mfb_obs::obs_counter!(
-            "astar.heap_pushes",
-            d.heap_pushes - stats_before.heap_pushes
-        );
-        mfb_obs::obs_counter!(
-            "route.window_retries",
-            d.window_retries - stats_before.window_retries
-        );
-        mfb_obs::obs_counter!(
-            "route.park_searches",
-            d.park_searches - stats_before.park_searches
-        );
-        mfb_obs::obs_counter!(
-            "route.park_expansions",
-            d.park_expansions - stats_before.park_expansions
-        );
-        mfb_obs::obs_counter!(
-            "route.parks_chosen",
-            d.parks_chosen - stats_before.parks_chosen
-        );
+        mfb_obs::obs_counter!("astar.queries", d.queries);
+        mfb_obs::obs_counter!("astar.expansions", d.expansions);
+        mfb_obs::obs_counter!("astar.heap_pushes", d.heap_pushes);
+        mfb_obs::obs_counter!("route.window_retries", d.window_retries);
+        mfb_obs::obs_counter!("route.park_searches", d.park_searches);
+        mfb_obs::obs_counter!("route.park_expansions", d.park_expansions);
+        mfb_obs::obs_counter!("route.parks_chosen", d.parks_chosen);
     }
     result
 }
@@ -851,8 +839,8 @@ mod tests {
         assert_eq!(plain, with);
     }
 
-    /// `route_dcsa_budgeted` with the paper's router, a fresh arena and an
-    /// unlimited budget.
+    /// `route_dcsa_budgeted` with the paper's router and an unlimited
+    /// budget.
     fn route_with_defects(
         s: &Schedule,
         g: &SequencingGraph,
@@ -866,7 +854,6 @@ mod tests {
             &wash(),
             &RouterConfig::paper(),
             defects,
-            &mut SearchScratch::new(),
             &Budget::unlimited(),
         )
     }

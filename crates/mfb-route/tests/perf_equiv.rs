@@ -451,33 +451,46 @@ fn optimized_router_matches_reference_under_defects() {
         &wash,
         &config,
         &defects,
-        &mut SearchScratch::new(),
         &Budget::unlimited(),
     );
     let slow = route_dcsa_reference_with_defects(&s, &graph, &p, &wash, &config, &defects);
     assert_eq!(fast, slow, "defect routing diverged");
 }
 
+/// The router's search-effort counters, read from a collected trace.
 #[test]
 fn scratch_stats_expose_search_effort() {
     let wash = LogLinearWash::paper_calibrated();
     let config = RouterConfig::paper();
     let b = table1_benchmarks().swap_remove(2); // CPA: routes on a bare SA placement
     let (graph, s, p) = synthesized(&b);
-    let mut scratch = SearchScratch::new();
-    let r = route_dcsa_budgeted(
-        &s,
-        &graph,
-        &p,
-        &wash,
-        &config,
-        &DefectMap::pristine(),
-        &mut scratch,
-        &Budget::unlimited(),
-    )
+    let collector = mfb_obs::TraceCollector::new();
+    let r = mfb_obs::with_collector(&collector, || {
+        route_dcsa_budgeted(
+            &s,
+            &graph,
+            &p,
+            &wash,
+            &config,
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+        )
+    })
     .unwrap();
     assert!(!r.paths.is_empty());
-    assert!(scratch.stats.queries > 0);
-    assert!(scratch.stats.expansions >= scratch.stats.queries);
-    assert!(scratch.stats.heap_pushes >= scratch.stats.expansions);
+    if !cfg!(feature = "obs-trace") {
+        return; // no counters are recorded
+    }
+    let totals = mfb_obs::counter_totals(&collector.finish().events);
+    let counter = |name: &str| {
+        totals
+            .iter()
+            .find(|c| c.name == name)
+            .unwrap_or_else(|| panic!("no `{name}` counter in {totals:?}"))
+            .total
+    };
+    let (queries, expansions) = (counter("astar.queries"), counter("astar.expansions"));
+    assert!(queries > 0);
+    assert!(expansions >= queries);
+    assert!(counter("astar.heap_pushes") >= expansions);
 }

@@ -28,6 +28,7 @@
 //!   cannot smuggle an unchecked schedule into a solution.
 
 use mfb_core::prelude::{SnapshotEntry, StageCache};
+use mfb_model::hash::StableHasher;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
@@ -51,14 +52,12 @@ pub struct LoadReport {
     pub dropped: usize,
 }
 
-/// FNV-1a 64-bit, the checksum guarding each snapshot line.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The checksum guarding each snapshot line: FNV-1a 64-bit over the
+/// entry JSON's bytes.
+fn checksum(json: &str) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_bytes(json.as_bytes());
+    h.finish().as_u64()
 }
 
 /// Serializes the cache's finished entries to `path`, atomically:
@@ -73,7 +72,7 @@ pub fn save_snapshot(cache: &StageCache, path: &Path) -> io::Result<usize> {
     for entry in &entries {
         let json = serde_json::to_string(entry)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        text.push_str(&format!("{:016x} {json}\n", fnv1a64(json.as_bytes())));
+        text.push_str(&format!("{:016x} {json}\n", checksum(&json)));
     }
 
     if let Some(dir) = path.parent() {
@@ -129,7 +128,7 @@ pub fn load_snapshot(cache: &StageCache, path: &Path) -> io::Result<LoadReport> 
             report.dropped += 1;
             continue;
         };
-        if sum != fnv1a64(json.as_bytes()) {
+        if sum != checksum(json) {
             report.dropped += 1;
             continue;
         }
@@ -186,6 +185,14 @@ mod tests {
         let _ = fs::remove_dir_all(&d);
         fs::create_dir_all(&d).unwrap();
         d
+    }
+
+    /// The line checksum is plain FNV-1a 64, so snapshot files written
+    /// by earlier builds keep loading.
+    #[test]
+    fn checksum_is_fnv1a_64() {
+        assert_eq!(format!("{:016x}", checksum("")), "cbf29ce484222325");
+        assert_eq!(format!("{:016x}", checksum("a")), "af63dc4c8601ec8c");
     }
 
     #[test]
