@@ -307,8 +307,6 @@ USAGE:
         --workers <n>              worker threads (default: MFB_THREADS)
         --queue-cap <n>            bounded queue size (default: 64)
         --client-cap <n>           per-client in-flight cap (default: 8)
-        --retry-max <n>            attempt cap for transient (panic)
-                                   failures (default: 3)
         --snapshot-every <n>       jobs between cache snapshots
                                    (default: 1)
     mfb client <addr> [request]    send one JSON request line to a daemon
@@ -915,7 +913,7 @@ fn cmd_faults(args: &[String]) -> Result<(), Failure> {
                 // its own start) and a private cache; an expired trial
                 // simply yields no survivor, so the sweep's accounting
                 // stays well-defined under `--timeout`.
-                let outcome = synth.synthesize_resilient(
+                let resynthesized = synth.synthesize_resilient(
                     &b.graph,
                     &comps,
                     &wash(),
@@ -923,7 +921,7 @@ fn cmd_faults(args: &[String]) -> Result<(), Failure> {
                     None,
                     &budget_for(timeout),
                 );
-                let survivor = outcome.solution().map(|sol| {
+                let survivor = resynthesized.ok().map(|sol| {
                     let completion = sol.routing.completion().as_secs_f64();
                     let degradation =
                         (completion - pristine_completion) / pristine_completion * 100.0;
@@ -1218,7 +1216,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Failure> {
                     return Err("--client-cap must be at least 1".into());
                 }
             }
-            "--retry-max" => cfg.retry_max = parse_num(it.next(), "--retry-max")?,
             "--snapshot-every" => {
                 cfg.snapshot_every = parse_num(it.next(), "--snapshot-every")?;
                 if cfg.snapshot_every == 0 {

@@ -279,7 +279,7 @@ impl Synthesizer {
                 let seed = cfg.sa.seed.wrapping_add(u64::from(i));
                 place_and_route(&ctx, &prep, grid, seed, i, false)
             },
-            |i, res| res.map(|routed| (i, routed)).map_err(|failed| failed.error),
+            |i, res| res.map(|routed| (i, routed)),
         )?;
         budget.check().map_err(SynthesisError::from)?;
         Ok(prep.finish(&ctx, routed, attempt + 1))
@@ -364,16 +364,9 @@ impl Prepared {
 /// A routed attempt: its placement, the routing, and the routing key the
 /// optimizer's cache key builds on.
 pub(crate) struct Routed {
-    pub(crate) placement: Placement,
+    placement: Placement,
     routing: Routing,
     route_key: ContentHash,
-}
-
-/// A failed attempt: its error, and its placement when routing (not
-/// placement) failed.
-pub(crate) struct Failed {
-    pub(crate) error: SynthesisError,
-    pub(crate) placement: Option<Placement>,
 }
 
 /// One place-then-route attempt on `grid` with SA seed `seed`: the attempt
@@ -394,18 +387,15 @@ pub(crate) fn place_and_route(
     seed: u64,
     attempt: u32,
     catch: bool,
-) -> Result<Routed, Failed> {
-    let failed = |error: SynthesisError, placement| Failed {
-        error: error.interrupt().map_or(error, SynthesisError::from),
-        placement,
-    };
-    ctx.budget.check().map_err(|why| failed(why.into(), None))?;
+) -> Result<Routed, SynthesisError> {
+    let failed = |error: SynthesisError| error.interrupt().map_or(error, SynthesisError::from);
+    ctx.budget.check()?;
     let (placement, place_h) = guard("place", catch, || {
         let _span = mfb_obs::obs_span!("stage.place", attempt = attempt, seed = seed);
         Ok(ctx.place(&prep.netlist, prep.netlist_key, grid, seed)?)
     })
-    .map_err(|e| failed(e, None))?;
-    let routed = guard("route", catch, || {
+    .map_err(failed)?;
+    let (routing, route_key) = guard("route", catch, || {
         let _span = mfb_obs::obs_span!("stage.route", attempt = attempt);
         match ctx.route(&prep.schedule, prep.schedule_h, &placement, place_h) {
             (Ok(routing), route_key) => Ok((routing, route_key)),
@@ -414,15 +404,13 @@ pub(crate) fn place_and_route(
                 attempts: attempt + 1,
             }),
         }
-    });
-    match routed {
-        Ok((routing, route_key)) => Ok(Routed {
-            placement,
-            routing,
-            route_key,
-        }),
-        Err(e) => Err(failed(e, Some(placement))),
-    }
+    })
+    .map_err(failed)?;
+    Ok(Routed {
+        placement,
+        routing,
+        route_key,
+    })
 }
 
 /// The retry loop shared by the flat flow and the recovery ladder: runs

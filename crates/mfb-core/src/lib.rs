@@ -89,9 +89,7 @@ pub mod prelude {
     pub use crate::error::SynthesisError;
     pub use crate::flow::{Solution, Synthesizer};
     pub use crate::metrics::SolutionMetrics;
-    pub use crate::recovery::{
-        DegradedSolution, RecoveryTrace, ResilientOutcome, Rung, RungAttempt,
-    };
+    pub use crate::recovery::Rung;
     pub use crate::report::{fig8_text, fig9_text, table1_text, ComparisonRow};
     pub use mfb_analyze::analysis_registry;
     pub use mfb_model::prelude::{Budget, BudgetExceeded, CancelToken};

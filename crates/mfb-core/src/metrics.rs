@@ -40,33 +40,13 @@ impl SolutionMetrics {
         let realized = &routing.realized;
 
         // Eq. (1) on realized times.
-        let mut busy = vec![Duration::ZERO; components.len()];
-        let mut first: Vec<Option<Instant>> = vec![None; components.len()];
-        let mut last: Vec<Option<Instant>> = vec![None; components.len()];
-        for s in schedule.ops() {
-            let i = s.component.index();
-            let (rs, re) = (realized.start[s.op.index()], realized.end[s.op.index()]);
-            busy[i] += re - rs;
-            first[i] = Some(first[i].map_or(rs, |f| f.min(rs)));
-            last[i] = Some(last[i].map_or(re, |l| l.max(re)));
-        }
-        let utilization = if components.is_empty() {
-            0.0
-        } else {
-            components
-                .ids()
-                .map(|c| {
-                    let i = c.index();
-                    match (first[i], last[i]) {
-                        (Some(f), Some(l)) if l > f => {
-                            busy[i].as_secs_f64() / (l - f).as_secs_f64()
-                        }
-                        _ => 0.0,
-                    }
-                })
-                .sum::<f64>()
-                / components.len() as f64
-        };
+        let utilization = mfb_sched::metrics::resource_utilization(
+            schedule.ops().map(|s| {
+                let op = s.op.index();
+                (s.component, realized.start[op], realized.end[op])
+            }),
+            components,
+        );
 
         let cache_time = routing.total_realized_cache_time(schedule.t_c);
 

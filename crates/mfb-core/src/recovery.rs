@@ -27,12 +27,18 @@
 //! deterministic properties of the inputs (see
 //! [`SynthesisError::is_deterministic`]) skip the remaining reseeds, and
 //! infeasibility proofs that no rung can fix abort the ladder immediately.
-//! When every rung is exhausted, the caller still receives the best
-//! partial artifacts as a [`DegradedSolution`].
+//!
+//! The ladder returns the same `Result` as the flat flow: the solution, or
+//! the last typed error once every rung is exhausted. Its history is the
+//! `mfb-obs` trace: one `recovery.rung` instant per failed attempt, with
+//! `rung`, the 1-based global `attempt`, `outcome = "failed"`, the
+//! `error` and the attempt's `detail` (seed and grid, grown grid, relaxed
+//! `t_c`, or the component marked dead), then one `recovered` instant
+//! naming the rung and attempt that produced the solution.
 
 use crate::cache::{StageCache, StageCtx};
 use crate::error::{globally_fatal, SynthesisError};
-use crate::flow::{guard, place_and_route, retry, Failed, Prepared, Solution, Synthesizer};
+use crate::flow::{guard, place_and_route, retry, Prepared, Solution, Synthesizer};
 use mfb_model::prelude::*;
 use mfb_place::prelude::*;
 use mfb_route::prelude::*;
@@ -86,111 +92,17 @@ impl std::fmt::Display for Rung {
     }
 }
 
-/// One recorded ladder attempt: which rung, with what parameters, and how
-/// it failed (successful attempts end the ladder and are not recorded).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RungAttempt {
-    /// The rung that made the attempt.
-    pub rung: Rung,
-    /// 1-based global attempt number across the whole ladder.
-    pub attempt: u32,
-    /// Human-readable parameters of the attempt (seed, grid, `t_c`, …).
-    pub detail: String,
-    /// Display form of the error the attempt produced.
-    pub error: String,
-}
-
-/// The full failure history of one ladder run.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RecoveryTrace {
-    /// Every failed attempt, in execution order.
-    pub attempts: Vec<RungAttempt>,
-}
-
-impl RecoveryTrace {
-    /// Number of failed attempts recorded.
-    pub fn len(&self) -> usize {
-        self.attempts.len()
-    }
-
-    /// True when the first attempt succeeded outright.
-    pub fn is_empty(&self) -> bool {
-        self.attempts.is_empty()
-    }
-
-    /// The distinct rungs that were tried, in first-use order.
-    pub fn rungs_tried(&self) -> Vec<Rung> {
-        let mut out = Vec::new();
-        for a in &self.attempts {
-            if !out.contains(&a.rung) {
-                out.push(a.rung);
-            }
-        }
-        out
-    }
-}
-
-/// Best-effort artifacts from an exhausted ladder: whatever stages did
-/// succeed on some attempt, for post-mortem inspection or manual repair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradedSolution {
-    /// The last schedule that bound successfully, if any attempt got that
-    /// far.
-    pub schedule: Option<Schedule>,
-    /// The last placement that legalized successfully, if any attempt got
-    /// that far.
-    pub placement: Option<Placement>,
-}
-
-/// The complete result of a resilient synthesis run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilientOutcome {
-    /// The solution, or the last error once every rung was exhausted.
-    pub result: Result<Solution, SynthesisError>,
-    /// Every failed attempt along the way.
-    pub trace: RecoveryTrace,
-    /// Best partial artifacts when `result` is an error; `None` on
-    /// success.
-    pub degraded: Option<DegradedSolution>,
-}
-
-impl ResilientOutcome {
-    /// The solution, when synthesis succeeded.
-    pub fn solution(&self) -> Option<&Solution> {
-        self.result.as_ref().ok()
-    }
-
-    /// True when synthesis succeeded on some rung.
-    pub fn is_success(&self) -> bool {
-        self.result.is_ok()
-    }
-}
-
-/// One step of the ladder, in climbing order.
-#[derive(Debug, Clone, Copy)]
-enum Step {
-    /// The retry over [`RESEEDS`] seeds on the base grid.
-    Reseed,
-    /// Grow the grid `g` times, with seed `seed + RESEEDS + g`.
-    Grow(u32),
-    /// Relax `t_c` by `k` seconds on the largest grid.
-    RelaxTc(u32),
-    /// Kill the component the last error implicates, on the largest grid.
-    Rebind,
-}
-
-/// The ladder's running record: the failure trace, the latest artifacts
-/// for the [`DegradedSolution`], and the global attempt number.
+/// The ladder's running state: the global attempt number, and the last
+/// schedule that bound, from which a rebind names its victim.
 struct Ladder {
-    trace: RecoveryTrace,
-    partial: DegradedSolution,
     attempt: u32,
+    schedule: Option<Schedule>,
 }
 
 impl Ladder {
     /// Schedules at `t_c` through `ctx`, then retries `tries` place-and-
     /// route attempts, attempt `i` on the `(grid, seed)` of `plan(i)`.
-    /// Records every failure under `rung` with `detail(i)`. Returns the
+    /// Reports every failure under `rung` with `detail(i)`. Returns the
     /// solution, or the error that ended the step.
     fn climb(
         &mut self,
@@ -207,10 +119,10 @@ impl Ladder {
             Ok(s) => s,
             Err(e) => {
                 self.attempt += 1;
-                return Err(self.record(rung, detail(0), e));
+                return Err(self.failed(rung, || detail(0), e));
             }
         };
-        self.partial.schedule = Some(schedule.clone());
+        self.schedule = Some(schedule.clone());
         let (netlist, netlist_key) = ctx.netlist(&schedule, schedule_h);
         let prep = Prepared {
             schedule,
@@ -228,54 +140,44 @@ impl Ladder {
             |i, res| {
                 let attempt = first + i + 1;
                 self.attempt = attempt;
-                let failed = match res {
-                    Ok(routed) => {
-                        let placement = routed.placement.clone();
-                        match guard("route", true, || {
-                            Ok(prep.clone().finish(ctx, routed, attempt))
-                        }) {
-                            Ok(solution) => {
-                                mfb_obs::obs_instant!(
-                                    "recovery.rung",
-                                    rung = rung.to_string(),
-                                    attempt = attempt,
-                                    outcome = "recovered",
-                                );
-                                return Ok(solution);
-                            }
-                            Err(error) => Failed {
-                                error,
-                                placement: Some(placement),
-                            },
-                        }
+                let solved = res.and_then(|routed| {
+                    guard("route", true, || {
+                        Ok(prep.clone().finish(ctx, routed, attempt))
+                    })
+                });
+                match solved {
+                    Ok(solution) => {
+                        mfb_obs::obs_instant!(
+                            "recovery.rung",
+                            rung = rung.to_string(),
+                            attempt = attempt,
+                            outcome = "recovered",
+                        );
+                        Ok(solution)
                     }
-                    Err(failed) => failed,
-                };
-                if failed.placement.is_some() {
-                    self.partial.placement = failed.placement;
+                    Err(e) => Err(self.failed(rung, || detail(i), e)),
                 }
-                Err(self.record(rung, detail(i), failed.error))
             },
         )
     }
 
-    /// Records the failure of the current attempt in the trace, mirrors it
-    /// as a `recovery.rung` instant event, and hands the error back.
-    fn record(&mut self, rung: Rung, detail: String, e: SynthesisError) -> SynthesisError {
-        let error = e.to_string();
+    /// Reports the failure of the current attempt as a `recovery.rung`
+    /// instant event, and hands the error back. `detail` runs only when
+    /// tracing is enabled.
+    fn failed(
+        &self,
+        rung: Rung,
+        detail: impl FnOnce() -> String,
+        e: SynthesisError,
+    ) -> SynthesisError {
         mfb_obs::obs_instant!(
             "recovery.rung",
             rung = rung.to_string(),
             attempt = self.attempt,
             outcome = "failed",
-            error = error.clone(),
+            error = e.to_string(),
+            detail = detail(),
         );
-        self.trace.attempts.push(RungAttempt {
-            rung,
-            attempt: self.attempt,
-            detail,
-            error,
-        });
         e
     }
 }
@@ -285,8 +187,9 @@ impl Synthesizer {
     /// [module docs](self), honoring `defects` in every stage.
     ///
     /// Unlike [`synthesize`](Synthesizer::synthesize) this never panics on
-    /// a stage bug and never returns empty-handed: an exhausted ladder
-    /// still reports its failure history and best partial artifacts.
+    /// a stage bug: a panicking stage is one more failed attempt. An
+    /// exhausted ladder returns its last typed error; the failure history
+    /// is in the `recovery.rung` trace events.
     ///
     /// The ladder always climbs through a stage cache — `cache`, or a
     /// fresh one when `None` — so rungs that vary only one lever (a fresh
@@ -294,16 +197,20 @@ impl Synthesizer {
     /// earlier rungs, and validation runs once per distinct schedule. A
     /// caller-owned cache lets batch drivers share warm stage results
     /// across ladder runs; the ladder's behavior — which rungs climb, the
-    /// recorded trace, the result — is byte-identical with any cache
+    /// reported events, the result — is byte-identical with any cache
     /// state.
     ///
     /// The budget is polled at every step boundary and inside each
-    /// attempt's stages; when it trips, the ladder stops climbing and the
-    /// outcome carries [`SynthesisError::DeadlineExceeded`] or
-    /// [`SynthesisError::Cancelled`] **plus** the trace and best partial
-    /// artifacts accumulated so far — an expired job still reports how far
-    /// it got. A run that finishes within its budget is byte-identical to
-    /// an unlimited run.
+    /// attempt's stages; when it trips, the ladder stops climbing and
+    /// returns [`SynthesisError::DeadlineExceeded`] or
+    /// [`SynthesisError::Cancelled`]. A run that finishes within its
+    /// budget is byte-identical to an unlimited run.
+    ///
+    /// # Errors
+    ///
+    /// The error of the last attempt once every rung is exhausted, the
+    /// first error that no rung can fix (see
+    /// [`SynthesisError::is_deterministic`]), or the budget interrupt.
     pub fn synthesize_resilient(
         &self,
         graph: &SequencingGraph,
@@ -312,7 +219,7 @@ impl Synthesizer {
         defects: &DefectMap,
         cache: Option<&StageCache>,
         budget: &Budget,
-    ) -> ResilientOutcome {
+    ) -> Result<Solution, SynthesisError> {
         let _span = mfb_obs::obs_span!(
             "flow.resilient",
             ops = graph.ops().count() as u64,
@@ -324,10 +231,18 @@ impl Synthesizer {
         let base_grid = cfg.grid.unwrap_or_else(|| auto_grid(components));
         let max_grid = grown_grid(base_grid, GROW_STEPS);
         let seed_of = |i: u32| cfg.sa.seed.wrapping_add(u64::from(i));
-        let steps = std::iter::once(Step::Reseed)
-            .chain((1..=GROW_STEPS).map(Step::Grow))
-            .chain((1..=RELAX_TC_STEPS).map(Step::RelaxTc))
-            .chain((0..REBINDS).map(|_| Step::Rebind));
+        // Step `k` (1-based) of each rung, in climbing order; the reseed
+        // rung is a single step that retries over all its seeds.
+        let steps = [Rung::Reseed, Rung::GrowGrid, Rung::RelaxTc, Rung::Rebind]
+            .into_iter()
+            .flat_map(|rung| {
+                let n = if rung == Rung::Reseed {
+                    1
+                } else {
+                    rung.attempts()
+                };
+                (1..=n).map(move |k| (rung, k))
+            });
 
         // Every step but a rebind keeps the caller's defect map and shares
         // one stage context; a rebind builds a fresh one after each kill,
@@ -335,59 +250,59 @@ impl Synthesizer {
         let ctx = StageCtx::new(Some(cache), graph, components, wash, defects, cfg, budget);
         let mut defects_now = defects.clone();
         let mut ladder = Ladder {
-            trace: RecoveryTrace::default(),
-            partial: DegradedSolution {
-                schedule: None,
-                placement: None,
-            },
             attempt: 0,
+            schedule: None,
         };
         let mut last_err = None;
-        for step in steps {
+        for (rung, k) in steps {
             if let Err(why) = budget.check() {
                 last_err = Some(why.into());
                 break;
             }
-            let result = match step {
+            let result = match rung {
                 // Only the seed varies here, so an error that does not
                 // depend on it ends the retry early.
-                Step::Reseed => {
+                Rung::Reseed => {
                     let (w, h) = (base_grid.width, base_grid.height);
                     ladder.climb(
                         &ctx,
-                        Rung::Reseed,
+                        rung,
                         cfg.t_c,
                         RESEEDS,
                         |i| (base_grid, seed_of(i)),
                         |i| format!("seed {} on {w}x{h} grid", seed_of(i)),
                     )
                 }
-                Step::Grow(g) => {
-                    let grid = grown_grid(base_grid, g);
+                // Grow the grid `k` times, with seed `seed + RESEEDS + k`.
+                Rung::GrowGrid => {
+                    let grid = grown_grid(base_grid, k);
                     ladder.climb(
                         &ctx,
-                        Rung::GrowGrid,
+                        rung,
                         cfg.t_c,
                         1,
-                        |_| (grid, seed_of(RESEEDS + g)),
+                        |_| (grid, seed_of(RESEEDS + k)),
                         |_| format!("grown to {}x{} grid", grid.width, grid.height),
                     )
                 }
-                Step::RelaxTc(k) => {
+                // Relax `t_c` by `k` seconds on the largest grid.
+                Rung::RelaxTc => {
                     let t_c = cfg.t_c + Duration::from_secs(u64::from(k));
                     ladder.climb(
                         &ctx,
-                        Rung::RelaxTc,
+                        rung,
                         t_c,
                         1,
                         |_| (max_grid, cfg.sa.seed),
                         |_| format!("t_c relaxed to {t_c}"),
                     )
                 }
-                Step::Rebind => {
+                // Kill the component the last error implicates, on the
+                // largest grid.
+                Rung::Rebind => {
                     let Some(victim) = implicated_component(
                         last_err.as_ref(),
-                        ladder.partial.schedule.as_ref(),
+                        ladder.schedule.as_ref(),
                         components,
                         &defects_now,
                     ) else {
@@ -405,7 +320,7 @@ impl Synthesizer {
                     );
                     ladder.climb(
                         &rebound,
-                        Rung::Rebind,
+                        rung,
                         cfg.t_c,
                         1,
                         |_| (max_grid, cfg.sa.seed),
@@ -414,13 +329,7 @@ impl Synthesizer {
                 }
             };
             match result {
-                Ok(solution) => {
-                    return ResilientOutcome {
-                        result: Ok(solution),
-                        trace: ladder.trace,
-                        degraded: None,
-                    }
-                }
+                Ok(solution) => return Ok(solution),
                 Err(e) => {
                     let fatal = globally_fatal(&e);
                     last_err = Some(e);
@@ -431,15 +340,10 @@ impl Synthesizer {
             }
         }
 
-        let last = last_err.unwrap_or(SynthesisError::StagePanic {
+        Err(last_err.unwrap_or(SynthesisError::StagePanic {
             stage: "ladder",
             message: "no attempt was made".to_string(),
-        });
-        ResilientOutcome {
-            result: Err(last),
-            trace: ladder.trace,
-            degraded: Some(ladder.partial),
-        }
+        }))
     }
 }
 
@@ -500,22 +404,35 @@ mod tests {
     #[test]
     fn first_attempt_success_leaves_an_empty_trace() {
         let (g, comps) = tiny();
-        let out = Synthesizer::paper_dcsa().synthesize_resilient(
-            &g,
-            &comps,
-            &wash(),
-            &DefectMap::pristine(),
-            None,
-            &Budget::unlimited(),
-        );
-        assert!(out.is_success());
-        assert!(out.trace.is_empty());
-        assert!(out.degraded.is_none());
+        let collector = mfb_obs::TraceCollector::new();
+        let sol = mfb_obs::with_collector(&collector, || {
+            Synthesizer::paper_dcsa().synthesize_resilient(
+                &g,
+                &comps,
+                &wash(),
+                &DefectMap::pristine(),
+                None,
+                &Budget::unlimited(),
+            )
+        })
+        .unwrap();
+        assert_eq!(sol.attempts, 1);
+        #[cfg(feature = "obs-trace")]
+        {
+            let trace = collector.finish();
+            let rungs: Vec<_> = trace
+                .events
+                .iter()
+                .filter(|e| e.name == "recovery.rung")
+                .collect();
+            assert_eq!(rungs.len(), 1, "only the `recovered` event");
+            assert_eq!(rungs[0].str_field("outcome"), Some("recovered"));
+        }
         let plain = Synthesizer::paper_dcsa()
             .synthesize(&g, &comps, &wash())
             .unwrap();
-        assert_eq!(out.solution().unwrap().placement, plain.placement);
-        assert_eq!(out.solution().unwrap().routing, plain.routing);
+        assert_eq!(sol.placement, plain.placement);
+        assert_eq!(sol.routing, plain.routing);
     }
 
     #[test]
@@ -530,29 +447,24 @@ mod tests {
         // ...which no seed can fix, so reseeding alone cannot help...
         assert!(flat.as_ref().is_err_and(SynthesisError::is_deterministic));
         // ...but the grid-growth rung does.
-        let out = Synthesizer::new(cfg).synthesize_resilient(
-            &g,
-            &comps,
-            &wash(),
-            &DefectMap::pristine(),
-            None,
-            &Budget::unlimited(),
-        );
-        assert!(out.is_success(), "{:?}", out.result);
-        assert!(out.trace.rungs_tried().contains(&Rung::GrowGrid));
+        let sol = Synthesizer::new(cfg)
+            .synthesize_resilient(
+                &g,
+                &comps,
+                &wash(),
+                &DefectMap::pristine(),
+                None,
+                &Budget::unlimited(),
+            )
+            .unwrap();
+        assert!(sol.placement.grid().width > 6);
         // The deterministic placement error must not have burnt the whole
-        // reseed budget: one attempt, then escalate.
-        let reseeds = out
-            .trace
-            .attempts
-            .iter()
-            .filter(|a| a.rung == Rung::Reseed)
-            .count();
-        assert_eq!(reseeds, 1);
+        // reseed budget: one reseed attempt, then the second growth wins.
+        assert_eq!(sol.attempts, 3);
     }
 
     #[test]
-    fn infeasible_allocation_fails_fast_with_degraded_report() {
+    fn infeasible_allocation_fails_after_one_attempt() {
         let mut b = SequencingGraph::builder();
         b.operation(
             OperationKind::Filter,
@@ -561,21 +473,22 @@ mod tests {
         );
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 0, 0, 0).instantiate(&ComponentLibrary::default());
-        let out = Synthesizer::paper_dcsa().synthesize_resilient(
-            &g,
-            &comps,
-            &wash(),
-            &DefectMap::pristine(),
-            None,
-            &Budget::unlimited(),
-        );
-        assert!(matches!(out.result, Err(SynthesisError::Sched(_))));
+        let collector = mfb_obs::TraceCollector::new();
+        let out = mfb_obs::with_collector(&collector, || {
+            Synthesizer::paper_dcsa().synthesize_resilient(
+                &g,
+                &comps,
+                &wash(),
+                &DefectMap::pristine(),
+                None,
+                &Budget::unlimited(),
+            )
+        });
+        assert!(matches!(out, Err(SynthesisError::Sched(_))));
         // A scheduling infeasibility proof aborts the ladder after one
         // attempt — no rung adds components.
-        assert_eq!(out.trace.len(), 1);
-        let degraded = out.degraded.unwrap();
-        assert!(degraded.schedule.is_none());
-        assert!(degraded.placement.is_none());
+        #[cfg(feature = "obs-trace")]
+        assert_eq!(collector.finish().instant_count("recovery.rung"), 1);
     }
 
     #[test]
@@ -593,7 +506,7 @@ mod tests {
             None,
             &Budget::unlimited(),
         );
-        assert!(matches!(out.result, Err(SynthesisError::Sched(_))));
+        assert!(matches!(out, Err(SynthesisError::Sched(_))));
     }
 
     #[test]

@@ -97,14 +97,12 @@ fn ladder_recovers_a_table1_defect_combo_reseeding_cannot() {
     // ...but the ladder escalates to grid growth and succeeds.
     let out =
         synth.synthesize_resilient(&b.graph, &comps, &w, &defects, None, &Budget::unlimited());
-    let sol = out
-        .solution()
-        .unwrap_or_else(|| panic!("ladder failed: {:?}\ntrace: {:#?}", out.result, out.trace));
-    // The trace records failures only, so prove the escalation two ways:
-    // the reseed rung failed exactly once (deterministic error, no budget
+    let sol = &out.unwrap_or_else(|e| panic!("ladder failed: {e}"));
+    // Prove the escalation two ways: the winner is attempt 2, so the
+    // reseed rung failed exactly once (deterministic error, no budget
     // burnt), and the recovered chip is strictly larger than the damaged
     // one — only the grow-grid rung can do that.
-    assert_eq!(out.trace.rungs_tried(), vec![Rung::Reseed]);
+    assert_eq!(sol.attempts, 2);
     let recovered = sol.placement.grid();
     assert!(
         recovered.width > grid.width && recovered.height > grid.height,
@@ -251,8 +249,7 @@ proptest! {
         }
     }
 
-    /// The resilient driver is deterministic: same inputs, same outcome
-    /// and same trace.
+    /// The resilient driver is deterministic: same inputs, same result.
     #[test]
     fn resilient_driver_is_deterministic(
         n in 2usize..10,
@@ -268,11 +265,6 @@ proptest! {
         let synth = Synthesizer::new(cfg);
         let a = synth.synthesize_resilient(&g, &comps, &wash(), &defects, None, &Budget::unlimited());
         let b = synth.synthesize_resilient(&g, &comps, &wash(), &defects, None, &Budget::unlimited());
-        prop_assert_eq!(a.trace, b.trace);
-        prop_assert_eq!(a.is_success(), b.is_success());
-        if let (Some(sa), Some(sb)) = (a.solution(), b.solution()) {
-            prop_assert_eq!(&sa.placement, &sb.placement);
-            prop_assert_eq!(&sa.routing, &sb.routing);
-        }
+        prop_assert_eq!(a, b);
     }
 }

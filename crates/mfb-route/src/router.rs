@@ -426,6 +426,7 @@ pub fn route_dcsa_budgeted(
     );
     if mfb_obs::enabled() {
         let d = scratch.stats;
+        mfb_obs::obs_counter!("route.rips", d.rips);
         mfb_obs::obs_counter!("astar.queries", d.queries);
         mfb_obs::obs_counter!("astar.expansions", d.expansions);
         mfb_obs::obs_counter!("astar.heap_pushes", d.heap_pushes);
@@ -600,11 +601,6 @@ fn route_dcsa_ordered(
             }
         }
     }
-
-    mfb_obs::obs_counter!(
-        "route.rips",
-        rip_count.iter().map(|&c| u64::from(c)).sum::<u64>()
-    );
 
     // Channel-wash accounting from the final reservations: per cell, each
     // residue left by one fluid and flushed before a different fluid's
@@ -1018,5 +1014,69 @@ mod tests {
         // The evicted fluid parks in a single channel cell next to the mixer.
         let self_task = s.transports().find(|t| t.src == t.dst).unwrap();
         assert_eq!(r.paths[self_task.id.index()].len(), 1);
+    }
+
+    /// `route.rips` counts every eviction of a routing run, those of a
+    /// failed ordering included. On Synthetic1 placed with SA seed
+    /// `0xD1CE + 3` the start-time order fails after ripping and the
+    /// longest-occupancy order rescues the run; with seed `0xD1CE + 9`
+    /// both orders fail.
+    #[cfg(feature = "obs-trace")]
+    #[test]
+    fn rips_counter_counts_failed_orderings() {
+        use mfb_place::prelude::{place_sa_auto, NetList, SaConfig};
+        let b = mfb_bench_suite::benchmark_by_name("Synthetic1").unwrap();
+        let comps = b.components(&ComponentLibrary::default());
+        let s = run_sched(&b.graph, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let nets = NetList::build(&s, &b.graph, &wash(), 0.6, 0.4);
+        let (cfg, pristine) = (RouterConfig::paper(), DefectMap::pristine());
+        for (seed, rescued) in [(3, true), (9, false)] {
+            let sa = SaConfig::paper().with_seed(0xD1CE + seed);
+            let placement = place_sa_auto(&comps, &nets, &sa).unwrap();
+            let mut by_start: Vec<&TransportTask> = s.transports().collect();
+            by_start.sort_by_key(|t| (t.depart, t.id));
+            let mut first = SearchScratch::new();
+            let ordered = route_dcsa_ordered(
+                &s,
+                &b.graph,
+                &placement,
+                &wash(),
+                &cfg,
+                &by_start,
+                &pristine,
+                &mut first,
+            );
+            assert!(ordered.is_err() && first.stats.rips > 0, "seed {seed}");
+
+            let mut scratch = SearchScratch::new();
+            let both = route_dcsa_orderings(
+                &s,
+                &b.graph,
+                &placement,
+                &wash(),
+                &cfg,
+                &pristine,
+                &mut scratch,
+            );
+            assert_eq!(both.is_ok(), rescued, "seed {seed}");
+            let collector = mfb_obs::TraceCollector::new();
+            let routed = mfb_obs::with_collector(&collector, || {
+                route_dcsa_budgeted(
+                    &s,
+                    &b.graph,
+                    &placement,
+                    &wash(),
+                    &cfg,
+                    &pristine,
+                    &Budget::unlimited(),
+                )
+            });
+            assert_eq!(routed, both, "seed {seed}");
+            assert_eq!(
+                collector.finish().counter_total("route.rips"),
+                scratch.stats.rips,
+                "seed {seed}"
+            );
+        }
     }
 }

@@ -27,16 +27,21 @@ impl ComponentUsage {
     }
 }
 
-/// Per-component usage breakdown for `schedule` over `components`.
-pub fn component_usage(schedule: &Schedule, components: &ComponentSet) -> Vec<ComponentUsage> {
+/// Per-component usage breakdown over `components` of the operation
+/// intervals `ops`, one `(component, start, end)` triple per operation —
+/// scheduled times, or the realized times of a routed solution.
+pub fn component_usage(
+    ops: impl IntoIterator<Item = (ComponentId, Instant, Instant)>,
+    components: &ComponentSet,
+) -> Vec<ComponentUsage> {
     let mut busy = vec![Duration::ZERO; components.len()];
     let mut first: Vec<Option<Instant>> = vec![None; components.len()];
     let mut last: Vec<Option<Instant>> = vec![None; components.len()];
-    for s in schedule.ops() {
-        let i = s.component.index();
-        busy[i] += s.end - s.start;
-        first[i] = Some(first[i].map_or(s.start, |f| f.min(s.start)));
-        last[i] = Some(last[i].map_or(s.end, |l| l.max(s.end)));
+    for (c, start, end) in ops {
+        let i = c.index();
+        busy[i] += end - start;
+        first[i] = Some(first[i].map_or(start, |f| f.min(start)));
+        last[i] = Some(last[i].map_or(end, |l| l.max(end)));
     }
     components
         .ids()
@@ -60,9 +65,13 @@ pub fn component_usage(schedule: &Schedule, components: &ComponentSet) -> Vec<Co
 /// `U_r = (1/|C|) · Σ_i  T_a(i) / (T_le(i) - T_fs(i))`
 ///
 /// averaged over **all** allocated components; a component that never runs
-/// an operation contributes zero (it was allocated but wasted).
-pub fn resource_utilization(schedule: &Schedule, components: &ComponentSet) -> f64 {
-    let usages = component_usage(schedule, components);
+/// an operation contributes zero (it was allocated but wasted). `ops` are
+/// the `(component, start, end)` triples of [`component_usage`].
+pub fn resource_utilization(
+    ops: impl IntoIterator<Item = (ComponentId, Instant, Instant)>,
+    components: &ComponentSet,
+) -> f64 {
+    let usages = component_usage(ops, components);
     if usages.is_empty() {
         return 0.0;
     }
@@ -92,7 +101,7 @@ impl ScheduleMetrics {
     pub fn of(schedule: &Schedule, components: &ComponentSet) -> Self {
         ScheduleMetrics {
             completion: schedule.completion_time() - Instant::ZERO,
-            utilization: resource_utilization(schedule, components),
+            utilization: resource_utilization(schedule.op_intervals(), components),
             cache_time: schedule.total_cache_time(),
             component_wash_time: schedule.total_component_wash_time(),
             transports: schedule.transports().len(),
@@ -126,7 +135,7 @@ mod tests {
             &SchedulerConfig::paper_dcsa(),
         )
         .unwrap();
-        let u = resource_utilization(&s, &comps);
+        let u = resource_utilization(s.op_intervals(), &comps);
         assert!((u - 1.0).abs() < 1e-12, "got {u}");
     }
 
@@ -143,9 +152,9 @@ mod tests {
             &SchedulerConfig::paper_dcsa(),
         )
         .unwrap();
-        let u = resource_utilization(&s, &comps);
+        let u = resource_utilization(s.op_intervals(), &comps);
         assert!((u - 0.5).abs() < 1e-12, "one busy + one idle mixer: {u}");
-        let usages = component_usage(&s, &comps);
+        let usages = component_usage(s.op_intervals(), &comps);
         assert_eq!(usages.len(), 2);
         assert_eq!(usages[1].busy, Duration::ZERO);
         assert_eq!(usages[1].utilization(), 0.0);

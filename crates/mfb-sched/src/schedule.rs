@@ -188,6 +188,12 @@ impl Schedule {
         self.ops.iter()
     }
 
+    /// Each operation's `(component, start, end)`, in `OpId` order: the
+    /// input of the Eq. (1) metrics.
+    pub fn op_intervals(&self) -> impl Iterator<Item = (ComponentId, Instant, Instant)> + '_ {
+        self.ops.iter().map(|s| (s.component, s.start, s.end))
+    }
+
     /// The component each operation is bound to (`Φ`).
     #[inline]
     pub fn binding(&self, op: OpId) -> ComponentId {

@@ -129,8 +129,8 @@ fn motivating_example_dcsa_beats_baseline() {
     assert!(ours.completion_time() <= ba.completion_time());
     // The paper's Fig. 3 contrast: the storage-aware schedule achieves
     // higher resource utilization.
-    let u_ours = resource_utilization(&ours, &comps);
-    let u_ba = resource_utilization(&ba, &comps);
+    let u_ours = resource_utilization(ours.op_intervals(), &comps);
+    let u_ba = resource_utilization(ba.op_intervals(), &comps);
     assert!(
         u_ours >= u_ba,
         "utilization: ours {u_ours:.3} vs BA {u_ba:.3}"

@@ -64,7 +64,7 @@ proptest! {
         let wash = LogLinearWash::paper_calibrated();
         for cfg in [SchedulerConfig::paper_dcsa(), SchedulerConfig::paper_baseline()] {
             let s = schedule(&g, &comps, &wash, &cfg).unwrap();
-            let u = resource_utilization(&s, &comps);
+            let u = resource_utilization(s.op_intervals(), &comps);
             prop_assert!((0.0..=1.0).contains(&u), "u = {}", u);
         }
     }

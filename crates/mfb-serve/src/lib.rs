@@ -25,9 +25,10 @@
 //!   FIFO-within-priority ordering; a full queue is a typed
 //!   `queue_full` rejection the client can retry, not an unbounded
 //!   memory balloon.
-//! * **Retry** — transient failures (contained stage panics) are
-//!   retried with jittered exponential backoff up to a per-job attempt
-//!   cap; deterministic errors and budget interrupts fail fast.
+//! * **No retry** — synthesis is a pure function of the job, so a job
+//!   runs once: a typed error, a budget interrupt or a contained stage
+//!   panic (`StagePanic`) is its terminal state, and the work a job
+//!   costs stays bounded by one run.
 //! * **Crash safety** — the stage cache is persisted to `--cache-dir`
 //!   as a checksummed, versioned snapshot ([`snapshot`]) written with
 //!   atomic renames. A `kill -9` loses at most the entries since the

@@ -15,9 +15,10 @@
 //! out its own deadline in the queue fails at the worker's first budget
 //! checkpoint, so the 2× response-time bound holds regardless of queue
 //! depth), and admits it through the bounded queue. The worker runs it
-//! through [`run_batch`] under its budget; contained panics retry with
-//! jittered exponential backoff up to the attempt cap, deterministic
-//! errors and budget interrupts fail fast with their typed error.
+//! once through [`run_batch`] under its budget. Synthesis is a pure
+//! function of the job, so no failure is retried: a typed error, a budget
+//! interrupt or a contained panic ([`SynthesisError::StagePanic`]) ends
+//! the job in its terminal state.
 
 use crate::protocol::{quote, ErrorKind, ProtocolError, Request, MAX_FRAME};
 use crate::queue::{Admission, JobQueue};
@@ -49,8 +50,6 @@ pub struct ServerConfig {
     pub queue_cap: usize,
     /// Per-client in-flight cap (queued + running).
     pub client_cap: usize,
-    /// Attempt cap for retrying transient (panic) failures.
-    pub retry_max: u32,
     /// Completed jobs between cache snapshots (`1` = snapshot after
     /// every job; crash loses at most the last job's entries).
     pub snapshot_every: u64,
@@ -64,7 +63,6 @@ impl Default for ServerConfig {
             workers: 0,
             queue_cap: 64,
             client_cap: 8,
-            retry_max: 3,
             snapshot_every: 1,
         }
     }
@@ -119,7 +117,6 @@ struct JobRecord {
     deadline: Option<Instant>,
     job: Option<BatchJob>,
     state: JobState,
-    attempts: u32,
     outcome: Option<JobOutcome>,
     error: Option<String>,
     error_kind: Option<&'static str>,
@@ -539,11 +536,10 @@ fn dispatch(shared: &Arc<Shared>, req: Request) -> String {
             .unwrap_or_else(|e| e.to_response()),
         Request::Status { id } => with_job(shared, &id, |id, rec| {
             let mut out = format!(
-                "{{\"ok\":true,\"id\":{},\"name\":{},\"state\":{},\"attempts\":{}",
+                "{{\"ok\":true,\"id\":{},\"name\":{},\"state\":{}",
                 quote(&format!("j{id}")),
                 quote(&rec.name),
                 quote(rec.state.token()),
-                rec.attempts
             );
             if let Some(err) = &rec.error {
                 out.push_str(&format!(
@@ -563,10 +559,9 @@ fn dispatch(shared: &Arc<Shared>, req: Request) -> String {
                 ));
             }
             let mut out = format!(
-                "{{\"ok\":true,\"id\":{},\"state\":{},\"attempts\":{}",
+                "{{\"ok\":true,\"id\":{},\"state\":{}",
                 quote(&format!("j{id}")),
                 quote(rec.state.token()),
-                rec.attempts
             );
             if let Some(outcome) = &rec.outcome {
                 match serde_json::to_string(outcome) {
@@ -661,7 +656,6 @@ fn submit(
         deadline,
         job: Some(job),
         state: JobState::Queued,
-        attempts: 0,
         outcome: None,
         error: None,
         error_kind: None,
@@ -724,20 +718,6 @@ fn stats_response(shared: &Shared) -> String {
     )
 }
 
-/// Deterministic per-(job, attempt) jitter: a splitmix64 step. "Jitter"
-/// here decorrelates concurrent retries; it does not need to be random,
-/// only spread out.
-fn backoff(id: u64, attempt: u32) -> Duration {
-    let base_ms = 20u64.saturating_mul(1 << (attempt.min(4) - 1).min(4));
-    let mut z = id
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(attempt as u64);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    let jitter_ms = (z ^ (z >> 31)) % base_ms.max(1);
-    Duration::from_millis((base_ms + jitter_ms).min(500))
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -764,9 +744,9 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Runs one job to a terminal state: budget from its admission-time
-/// deadline and cancel token, retry-with-backoff for contained panics,
-/// fail-fast for typed errors.
+/// Runs one job, once, to a terminal state under the budget of its
+/// admission-time deadline and cancel token. A contained panic fails the
+/// job with [`SynthesisError::StagePanic`].
 fn run_job(shared: &Arc<Shared>, id: u64) {
     let (job, trace, client) = {
         let mut jobs = lock(&shared.jobs);
@@ -791,7 +771,6 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
                 stage: "serve",
                 message: "job payload missing (already taken)".to_owned(),
             }),
-            1,
             None,
             None,
         );
@@ -799,64 +778,38 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
     };
     shared.running.fetch_add(1, Ordering::SeqCst);
 
-    let mut attempts = 0u32;
-    let (result, outcome, trace_jsonl) = loop {
-        attempts += 1;
-        let collector = if trace {
-            Some(mfb_obs::TraceCollector::new())
-        } else {
-            None
-        };
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let run_once = || run_batch(std::slice::from_ref(&job), &shared.cache);
-            match &collector {
-                Some(c) => mfb_obs::with_collector(c, run_once),
-                None => run_once(),
-            }
-        }));
-        let trace_jsonl = collector.map(|c| mfb_obs::export::to_jsonl(&c.finish().events));
-        match caught {
-            Ok(mut run) => {
-                let solution = run.solutions.pop();
-                let outcome = run.report.outcomes.pop();
-                match solution {
-                    Some(Ok(_)) => break (Ok(()), outcome, trace_jsonl),
-                    Some(Err(e)) => {
-                        // Typed errors fail fast: deterministic errors
-                        // reproduce on retry, and budget interrupts are
-                        // the budget speaking, not a flake.
-                        break (Err(e), outcome, trace_jsonl);
-                    }
-                    None => {
-                        break (
-                            Err(SynthesisError::StagePanic {
-                                stage: "batch",
-                                message: "executor returned no result".to_owned(),
-                            }),
-                            outcome,
-                            trace_jsonl,
-                        )
-                    }
-                }
-            }
-            Err(payload) => {
-                let e = SynthesisError::StagePanic {
-                    stage: "batch",
-                    message: panic_message(payload),
-                };
-                if attempts >= shared.cfg.retry_max.max(1) {
-                    break (Err(e), None, trace_jsonl);
-                }
-                // Transient: a contained panic may be environmental
-                // (allocation pressure, a poisoned scratch arena).
-                // Back off with per-(job, attempt) jitter and retry.
-                std::thread::sleep(backoff(id, attempts));
-            }
+    let collector = trace.then(mfb_obs::TraceCollector::new);
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        let run_once = || run_batch(std::slice::from_ref(&job), &shared.cache);
+        match &collector {
+            Some(c) => mfb_obs::with_collector(c, run_once),
+            None => run_once(),
         }
+    }));
+    let trace_jsonl = collector.map(|c| mfb_obs::export::to_jsonl(&c.finish().events));
+    let (result, outcome) = match caught {
+        Ok(mut run) => {
+            let outcome = run.report.outcomes.pop();
+            let result = match run.solutions.pop() {
+                Some(solved) => solved.map(drop),
+                None => Err(SynthesisError::StagePanic {
+                    stage: "batch",
+                    message: "executor returned no result".to_owned(),
+                }),
+            };
+            (result, outcome)
+        }
+        Err(payload) => (
+            Err(SynthesisError::StagePanic {
+                stage: "batch",
+                message: panic_message(payload),
+            }),
+            None,
+        ),
     };
 
     shared.running.fetch_sub(1, Ordering::SeqCst);
-    finish_job(shared, id, &client, result, attempts, outcome, trace_jsonl);
+    finish_job(shared, id, &client, result, outcome, trace_jsonl);
 }
 
 fn finish_job(
@@ -864,14 +817,12 @@ fn finish_job(
     id: u64,
     client: &str,
     result: Result<(), SynthesisError>,
-    attempts: u32,
     outcome: Option<JobOutcome>,
     trace_jsonl: Option<String>,
 ) {
     {
         let mut jobs = lock(&shared.jobs);
         if let Some(rec) = jobs.get_mut(&id) {
-            rec.attempts = attempts;
             rec.outcome = outcome;
             rec.trace_jsonl = trace_jsonl;
             match &result {
@@ -905,18 +856,6 @@ mod tests {
         assert_eq!(parse_job_id("j42"), Some(42));
         assert_eq!(parse_job_id("42"), None);
         assert_eq!(parse_job_id("jx"), None);
-    }
-
-    #[test]
-    fn backoff_grows_and_stays_bounded() {
-        let a1 = backoff(7, 1);
-        let a2 = backoff(7, 2);
-        let a3 = backoff(7, 5);
-        assert!(a1 >= Duration::from_millis(20));
-        assert!(a2 >= Duration::from_millis(40));
-        assert!(a3 <= Duration::from_millis(500));
-        // Different jobs see different jitter at the same attempt.
-        assert_ne!(backoff(1, 1), backoff(2, 1));
     }
 
     /// Sends one protocol line through `dispatch` and parses the reply.
@@ -988,6 +927,6 @@ mod tests {
     #[test]
     fn default_config_is_sane() {
         let cfg = ServerConfig::default();
-        assert!(cfg.queue_cap > 0 && cfg.client_cap > 0 && cfg.retry_max > 0);
+        assert!(cfg.queue_cap > 0 && cfg.client_cap > 0);
     }
 }
