@@ -78,3 +78,119 @@ fn corrupted_example_reports_rule_ids_in_all_formats() {
         Some("2.1.0")
     );
 }
+
+/// `render_json` digests of the DRC and analysis reports, one line per
+/// design (see `report_pins`). `98a51f26cbab3a0d` is the clean report.
+const REPORT_PINS: &str = "\
+PCR 98a51f26cbab3a0d 98a51f26cbab3a0d
+PCR/teleported b70d64b386d72be5 98a51f26cbab3a0d
+IVD 98a51f26cbab3a0d 98a51f26cbab3a0d
+IVD/teleported 6a1ec4255f03a499 98a51f26cbab3a0d
+CPA 98a51f26cbab3a0d 98a51f26cbab3a0d
+CPA/teleported e49cd540c9961d47 98a51f26cbab3a0d
+Synthetic1 7173d158057e7547 db493fa9092e98c5
+Synthetic1/teleported 77a02fe8341439da db493fa9092e98c5
+binary_mix_tree 98a51f26cbab3a0d 98a51f26cbab3a0d
+binary_mix_tree/teleported 9b2004bb39f9b6a3 98a51f26cbab3a0d
+defect_ladder 98a51f26cbab3a0d 98a51f26cbab3a0d
+defect_ladder/teleported 9b2004bb39f9b6a3 98a51f26cbab3a0d
+farey_dilution 98a51f26cbab3a0d 98a51f26cbab3a0d
+farey_dilution/teleported c831c4f27be68581 98a51f26cbab3a0d
+ivd_panel 98a51f26cbab3a0d 98a51f26cbab3a0d
+ivd_panel/teleported 9b2004bb39f9b6a3 98a51f26cbab3a0d
+pcr_basic 98a51f26cbab3a0d 98a51f26cbab3a0d
+pcr_basic/teleported c831c4f27be68581 98a51f26cbab3a0d
+pcr_multiplex 98a51f26cbab3a0d 98a51f26cbab3a0d
+pcr_multiplex/teleported 69754a7e31950d83 98a51f26cbab3a0d
+protein_wash_stress 98a51f26cbab3a0d 98a51f26cbab3a0d
+protein_wash_stress/teleported c831c4f27be68581 98a51f26cbab3a0d
+storage_interleave 98a51f26cbab3a0d 98a51f26cbab3a0d
+storage_interleave/teleported 6a1ec4255f03a499 98a51f26cbab3a0d
+";
+
+/// FNV-1a 64 of a rendered report: a compact, stable digest.
+fn fnv64(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+/// Two pin lines, `name drc-digest analysis-digest`, both reports rendered
+/// with `render_json`: one for the solution and one for a copy whose
+/// longest path has a mid cell teleported to the far corner, so the
+/// checkers have findings to report.
+fn report_pins(
+    name: &str,
+    graph: &SequencingGraph,
+    comps: &ComponentSet,
+    sol: &Solution,
+) -> String {
+    let line = |tag: &str, sol: &Solution| {
+        let drc = render_json(&sol.drc(graph, comps, &wash()));
+        let analysis = render_json(&sol.analyze(graph, comps, &wash()));
+        format!(
+            "{name}{tag} {:016x} {:016x}\n",
+            fnv64(&drc),
+            fnv64(&analysis)
+        )
+    };
+    let mut broken = sol.clone();
+    let grid = broken.placement.grid();
+    if let Some(path) = broken
+        .routing
+        .paths
+        .iter_mut()
+        .max_by_key(|p| p.cells.len())
+    {
+        let mid = path.cells.len() / 2;
+        path.cells[mid] = CellPos::new(grid.width - 1, grid.height - 1);
+    }
+    line("", sol) + &line("/teleported", &broken)
+}
+
+/// The DRC and analysis reports of four Table-I benchmarks (Synthetic1
+/// carries a wash-coverage warning) and of every corpus assay, each also
+/// with a corrupted path, are pinned byte for byte: a change to a checker's input
+/// plumbing must not change what it reports.
+#[test]
+fn report_digests_are_pinned() {
+    let mut pins = String::new();
+    for b in mfb_bench_suite::table1_benchmarks() {
+        if !["PCR", "IVD", "CPA", "Synthetic1"].contains(&b.name) {
+            continue;
+        }
+        let comps = b.components(&ComponentLibrary::default());
+        let sol = Synthesizer::paper_dcsa()
+            .synthesize(&b.graph, &comps, &wash())
+            .expect("Table-I benchmark synthesizes");
+        pins.push_str(&report_pins(b.name, &b.graph, &comps, &sol));
+    }
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../assets/corpus");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("assets/corpus exists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "assay"))
+        .collect();
+    files.sort();
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("corpus file reads");
+        let file = mfb_model::text::parse_assay(&text).expect("corpus file parses");
+        let comps = file
+            .allocation
+            .expect("corpus files carry an alloc line")
+            .instantiate(&ComponentLibrary::default());
+        let sol = Synthesizer::new(SynthesisConfig::for_flow(&file.flow))
+            .synthesize_with(
+                &file.graph,
+                &comps,
+                &wash(),
+                &file.defects,
+                None,
+                &Budget::unlimited(),
+            )
+            .expect("corpus files synthesize");
+        let name = path.file_stem().expect("file name").to_string_lossy();
+        pins.push_str(&report_pins(&name, &file.graph, &comps, &sol));
+    }
+    assert_eq!(pins, REPORT_PINS, "report digests moved");
+}
