@@ -32,10 +32,11 @@
 //! #         schedule: &mfb_sched::prelude::Schedule,
 //! #         placement: &mfb_place::prelude::Placement,
 //! #         routing: &mfb_route::prelude::Routing,
-//! #         wash: &dyn mfb_model::prelude::WashModel) {
+//! #         wash: &dyn mfb_model::prelude::WashModel,
+//! #         defects: &mfb_model::prelude::DefectMap) {
 //! let input = VerifyInput::new(
 //!     graph, components, schedule, placement, routing, wash,
-//!     mfb_route::prelude::RouterConfig::paper(),
+//!     mfb_route::prelude::RouterConfig::paper(), defects,
 //! );
 //! let report = analysis_registry().run(&input);
 //! println!("{}", render_pretty(&report));

@@ -225,6 +225,7 @@ fn rule_selection_filters_findings() {
         &b.graph,
         &comps,
         &wash(),
+        &DefectMap::pristine(),
         mfb_route::prelude::RouterConfig::paper(),
         &only_taint,
     );
@@ -241,6 +242,7 @@ fn rule_selection_filters_findings() {
         &b.graph,
         &comps,
         &wash(),
+        &DefectMap::pristine(),
         mfb_route::prelude::RouterConfig::paper(),
         &skipped,
     );

@@ -729,9 +729,9 @@ fn cmd_check(
     }
     let (graph, comps, router) = (&job.graph, &job.components, job.config.router);
     let report = if command == "analyze" {
-        solution.analyze_with(graph, comps, &*job.wash, router, &registry)
+        solution.analyze_with(graph, comps, &*job.wash, &job.defects, router, &registry)
     } else {
-        solution.drc_with(graph, comps, &*job.wash, router, &registry)
+        solution.drc_with(graph, comps, &*job.wash, &job.defects, router, &registry)
     };
 
     let rendered = match format.as_str() {
@@ -806,7 +806,7 @@ struct SweepCell {
 
 fn cmd_faults(args: &[String]) -> Result<(), Failure> {
     use mfb_sim::prelude::{assess_faults, FaultEvent, FaultKind};
-    use mfb_verify::prelude::{RuleRegistry, VerifyInput};
+    use mfb_verify::prelude::RuleRegistry;
 
     let mut sweep = false;
     let mut bench: Option<String> = None;
@@ -928,17 +928,14 @@ fn cmd_faults(args: &[String]) -> Result<(), Failure> {
                     // DRC-FAULT-001: no artifact of the survivor may touch
                     // a defect.
                     let w = wash();
-                    let input = VerifyInput::new(
+                    let report = sol.drc_with(
                         &b.graph,
                         &comps,
-                        &sol.schedule,
-                        &sol.placement,
-                        &sol.routing,
                         &w,
+                        &defects,
                         synth.config().router,
-                    )
-                    .with_defects(&defects);
-                    let report = registry.run(&input);
+                        &registry,
+                    );
                     let drc_faults = report
                         .diagnostics
                         .iter()
@@ -1381,11 +1378,11 @@ fn cmd_audit(args: &[String]) -> Result<(), Failure> {
     // buffer in its time gap?
     let plan = mfb_route::prelude::plan_washes(
         &solution.routing,
-        &solution.schedule,
         &job.graph,
         &solution.placement,
         &*job.wash,
-        &mfb_route::prelude::RouterConfig::paper(),
+        &job.config.router,
+        &job.defects,
     );
     writeln!(
         Stdout,

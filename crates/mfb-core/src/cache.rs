@@ -61,14 +61,12 @@ use crate::config::{PlacementStrategy, RoutingStrategy, SynthesisConfig};
 use mfb_model::hash::{content_hash, wash_fingerprint, ContentHash, StableHasher};
 use mfb_model::prelude::*;
 use mfb_place::prelude::{
-    place_constructive_with_defects, place_sa_budgeted, NetList, PlaceError, Placement, SaConfig,
-    SpacingParams,
+    place_constructive, place_sa, NetList, PlaceError, Placement, SaConfig, SpacingParams,
 };
 use mfb_route::prelude::{
-    optimize_channel_length_with_defects, route_corrected_with_defects, route_dcsa_budgeted,
-    RouteError, Routing,
+    optimize_channel_length, route_corrected, route_dcsa, RouteError, Routing,
 };
-use mfb_sched::prelude::{schedule_with_defects, validate, SchedError, Schedule, SchedulerConfig};
+use mfb_sched::prelude::{schedule, validate, SchedError, Schedule, SchedulerConfig};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -740,7 +738,7 @@ impl<'a> StageCtx<'a> {
     pub(crate) fn schedule(&self, t_c: Duration) -> Result<(Schedule, ContentHash), SchedError> {
         let sched_cfg = scheduler_config(self.cfg, t_c);
         let compute = || {
-            schedule_with_defects(
+            schedule(
                 self.graph,
                 self.components,
                 self.wash,
@@ -815,11 +813,10 @@ impl<'a> StageCtx<'a> {
         let compute = || match cfg.placement {
             PlacementStrategy::SimulatedAnnealing => {
                 let sa = SaConfig { seed, ..cfg.sa };
-                place_sa_budgeted(components, netlist, grid, &sa, defects, self.budget)
-                    .map(|(p, _)| p)
+                place_sa(components, netlist, grid, &sa, defects, self.budget).map(|(p, _)| p)
             }
             PlacementStrategy::Constructive => {
-                place_constructive_with_defects(components, netlist, grid, defects)
+                place_constructive(components, netlist, grid, defects)
             }
         };
         let Some((cache, keys)) = &self.cache else {
@@ -854,7 +851,7 @@ impl<'a> StageCtx<'a> {
     ) -> (Result<Routing, RouteError>, ContentHash) {
         let (cfg, graph, wash, defects) = (self.cfg, self.graph, self.wash, self.defects);
         let compute = || match cfg.routing {
-            RoutingStrategy::ConflictAware => route_dcsa_budgeted(
+            RoutingStrategy::ConflictAware => route_dcsa(
                 schedule,
                 graph,
                 placement,
@@ -864,7 +861,7 @@ impl<'a> StageCtx<'a> {
                 self.budget,
             ),
             RoutingStrategy::ConstructionByCorrection => {
-                route_corrected_with_defects(schedule, graph, placement, wash, &cfg.router, defects)
+                route_corrected(schedule, graph, placement, wash, &cfg.router, defects)
             }
         };
         let Some((cache, keys)) = &self.cache else {
@@ -893,7 +890,7 @@ impl<'a> StageCtx<'a> {
         placement: &Placement,
     ) -> Routing {
         let compute = || {
-            optimize_channel_length_with_defects(
+            optimize_channel_length(
                 routing,
                 schedule,
                 self.graph,

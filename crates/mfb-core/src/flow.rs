@@ -48,9 +48,9 @@ impl Solution {
     }
 
     /// Runs the full design-rule checker over the solution with every rule
-    /// enabled and the paper's router configuration. Use
-    /// [`drc_with`](Solution::drc_with) to toggle rules or match a custom
-    /// router setup.
+    /// enabled, the paper's router configuration and a pristine chip. Use
+    /// [`drc_with`](Solution::drc_with) to toggle rules, pass the chip's
+    /// defects or match a custom router setup.
     pub fn drc(
         &self,
         graph: &SequencingGraph,
@@ -61,18 +61,21 @@ impl Solution {
             graph,
             components,
             wash,
+            &DefectMap::pristine(),
             RouterConfig::paper(),
             &RuleRegistry::with_all_rules(),
         )
     }
 
-    /// Runs the design-rule checker with an explicit router configuration
-    /// (consulted when the wash plan must be rebuilt) and rule registry.
+    /// Runs the design-rule checker against the chip's `defects`, with an
+    /// explicit router configuration (consulted when the wash plan must be
+    /// rebuilt) and rule registry.
     pub fn drc_with(
         &self,
         graph: &SequencingGraph,
         components: &ComponentSet,
         wash: &dyn WashModel,
+        defects: &DefectMap,
         router: RouterConfig,
         registry: &RuleRegistry,
     ) -> VerifyReport {
@@ -84,13 +87,14 @@ impl Solution {
             &self.routing,
             wash,
             router,
+            defects,
         );
         registry.run(&input)
     }
 
     /// Runs the cross-stage dataflow analyses (contamination taint,
-    /// storage liveness, valve conflicts) with every `ANA-*` rule enabled
-    /// and the paper's router configuration. Use
+    /// storage liveness, valve conflicts) with every `ANA-*` rule enabled,
+    /// the paper's router configuration and a pristine chip. Use
     /// [`analyze_with`](Solution::analyze_with) to toggle rules.
     pub fn analyze(
         &self,
@@ -102,26 +106,28 @@ impl Solution {
             graph,
             components,
             wash,
+            &DefectMap::pristine(),
             RouterConfig::paper(),
             &analysis_registry(),
         )
     }
 
-    /// Runs the dataflow analyses with an explicit router configuration
-    /// (consulted for wash-plan feasibility) and `ANA-*` rule registry
-    /// (see `mfb_analyze::analysis_registry`). The analyses read the same
-    /// [`VerifyInput`] as the DRC; only the rules and the trace span
-    /// differ from [`drc_with`](Solution::drc_with).
+    /// Runs the dataflow analyses against the chip's `defects`, with an
+    /// explicit router configuration (consulted for wash-plan feasibility)
+    /// and `ANA-*` rule registry (see `mfb_analyze::analysis_registry`).
+    /// The analyses read the same [`VerifyInput`] as the DRC; only the
+    /// rules and the trace span differ from [`drc_with`](Solution::drc_with).
     pub fn analyze_with(
         &self,
         graph: &SequencingGraph,
         components: &ComponentSet,
         wash: &dyn WashModel,
+        defects: &DefectMap,
         router: RouterConfig,
         registry: &RuleRegistry,
     ) -> VerifyReport {
         let _span = mfb_obs::obs_span!("analyze.run");
-        let report = self.drc_with(graph, components, wash, router, registry);
+        let report = self.drc_with(graph, components, wash, defects, router, registry);
         mfb_obs::obs_counter!("analyze.findings", report.diagnostics.len() as u64);
         report
     }

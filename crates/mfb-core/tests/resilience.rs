@@ -6,7 +6,7 @@ use mfb_bench_suite::{benchmark_by_name, synth::SyntheticSpec};
 use mfb_core::prelude::*;
 use mfb_model::prelude::*;
 use mfb_route::prelude::RouterConfig;
-use mfb_verify::prelude::{RuleRegistry, VerifyInput};
+use mfb_verify::prelude::RuleRegistry;
 use proptest::prelude::*;
 
 fn wash() -> LogLinearWash {
@@ -148,18 +148,8 @@ fn drc_fault_count(
     defects: &DefectMap,
 ) -> usize {
     let w = wash();
-    let input = VerifyInput::new(
-        graph,
-        comps,
-        &sol.schedule,
-        &sol.placement,
-        &sol.routing,
-        &w,
-        RouterConfig::paper(),
-    )
-    .with_defects(defects);
-    RuleRegistry::with_all_rules()
-        .run(&input)
+    let registry = RuleRegistry::with_all_rules();
+    sol.drc_with(graph, comps, &w, defects, RouterConfig::paper(), &registry)
         .diagnostics
         .iter()
         .filter(|d| d.rule == "DRC-FAULT-001")

@@ -17,29 +17,14 @@ use mfb_model::prelude::*;
 /// Places `components` one at a time, greedily minimising unweighted
 /// wirelength to already-placed neighbours. The first component goes to the
 /// grid centre; unconnected components fill in towards the centre.
-///
-/// # Errors
-///
-/// Returns [`PlaceError::GridTooSmall`] when some component cannot be placed
-/// legally.
-pub fn place_constructive(
-    components: &ComponentSet,
-    nets: &NetList,
-    grid: GridSpec,
-) -> Result<Placement, PlaceError> {
-    place_constructive_with_defects(components, nets, grid, &DefectMap::pristine())
-}
-
-/// The full form of [`place_constructive`]: a possibly damaged chip.
 /// Candidate positions covering a blocked cell of `defects` are skipped.
-/// With a pristine map this is exactly the plain constructive placer.
 ///
 /// # Errors
 ///
 /// [`PlaceError::GridTooSmall`] when some component cannot be placed
 /// legally at all; [`PlaceError::DefectBlocked`] when only the defect map
 /// stands in the way.
-pub fn place_constructive_with_defects(
+pub fn place_constructive(
     components: &ComponentSet,
     nets: &NetList,
     grid: GridSpec,
@@ -170,6 +155,7 @@ mod tests {
             &comps,
             &LogLinearWash::paper_calibrated(),
             &SchedulerConfig::paper_baseline(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         let nets = NetList::build(&s, &g, &LogLinearWash::paper_calibrated(), 0.6, 0.4);
@@ -180,8 +166,8 @@ mod tests {
     fn constructive_placement_is_legal_and_deterministic() {
         let (_g, comps, nets) = workload();
         let grid = auto_grid(&comps);
-        let a = place_constructive(&comps, &nets, grid).unwrap();
-        let b = place_constructive(&comps, &nets, grid).unwrap();
+        let a = place_constructive(&comps, &nets, grid, &DefectMap::pristine()).unwrap();
+        let b = place_constructive(&comps, &nets, grid, &DefectMap::pristine()).unwrap();
         assert!(a.is_legal());
         assert_eq!(a, b);
     }
@@ -190,7 +176,7 @@ mod tests {
     fn connected_components_end_up_near_each_other() {
         let (_g, comps, nets) = workload();
         let grid = auto_grid(&comps);
-        let p = place_constructive(&comps, &nets, grid).unwrap();
+        let p = place_constructive(&comps, &nets, grid, &DefectMap::pristine()).unwrap();
         // Every net's endpoints should be well under the grid diameter apart.
         let diameter = u64::from(grid.width + grid.height);
         for n in nets.nets() {
@@ -206,7 +192,7 @@ mod tests {
     #[test]
     fn too_small_grid_errors() {
         let (_g, comps, nets) = workload();
-        let err = place_constructive(&comps, &nets, GridSpec::square(5));
+        let err = place_constructive(&comps, &nets, GridSpec::square(5), &DefectMap::pristine());
         assert!(matches!(err, Err(PlaceError::GridTooSmall { .. })));
     }
 }

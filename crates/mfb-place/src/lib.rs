@@ -23,11 +23,17 @@
 //! let g = b.build().unwrap();
 //! let comps = Allocation::new(1, 1, 0, 0).instantiate(&ComponentLibrary::default());
 //! let wash = LogLinearWash::paper_calibrated();
-//! let sched = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+//! let undamaged = DefectMap::pristine();
+//! let sched_cfg = SchedulerConfig::paper_dcsa();
+//! let sched = schedule(&g, &comps, &wash, &sched_cfg, &undamaged).unwrap();
 //!
 //! let nets = NetList::build(&sched, &g, &wash, 0.6, 0.4);
-//! let placement = place_sa_auto(&comps, &nets, &SaConfig::paper()).unwrap();
+//! let grid = auto_grid(&comps);
+//! let cfg = SaConfig::paper();
+//! let (placement, stats) =
+//!     place_sa(&comps, &nets, grid, &cfg, &undamaged, &Budget::unlimited()).unwrap();
 //! assert!(placement.is_legal());
+//! assert!(stats.accepted <= stats.evaluated);
 //! ```
 
 #![warn(missing_docs)]
@@ -45,12 +51,12 @@ pub mod sa;
 
 /// One-stop import of the placement API.
 pub mod prelude {
-    pub use crate::baseline::{place_constructive, place_constructive_with_defects};
+    pub use crate::baseline::place_constructive;
     pub use crate::error::PlaceError;
     pub use crate::floorplan::{
         auto_grid, grown_grid, rect_avoids_defects, rect_gap, Placement, PlacementViolation,
         CLEARANCE,
     };
     pub use crate::nets::{energy, energy_with_spacing, Net, NetList, SpacingParams};
-    pub use crate::sa::{place_sa, place_sa_auto, place_sa_budgeted, Move, SaConfig, SaStats};
+    pub use crate::sa::{place_sa, Move, SaConfig, SaStats};
 }

@@ -231,6 +231,7 @@ mod tests {
             &comps,
             &LogLinearWash::paper_calibrated(),
             &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         (g, comps, s)
@@ -318,6 +319,7 @@ mod tests {
             &comps,
             &LogLinearWash::paper_calibrated(),
             &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         let nets = NetList::build(&s, &g, &LogLinearWash::paper_calibrated(), 0.6, 0.4);

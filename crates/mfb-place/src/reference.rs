@@ -23,22 +23,8 @@ use rand::{Rng, SeedableRng};
 ///
 /// # Errors
 ///
-/// Same as [`crate::sa::place_sa`].
+/// Same as [`crate::sa::place_sa`], minus the interrupt.
 pub fn place_sa_reference(
-    components: &ComponentSet,
-    nets: &NetList,
-    grid: GridSpec,
-    config: &SaConfig,
-) -> Result<Placement, PlaceError> {
-    place_sa_reference_with_defects(components, nets, grid, config, &DefectMap::pristine())
-}
-
-/// Defect-aware variant of [`place_sa_reference`].
-///
-/// # Errors
-///
-/// Same as [`crate::sa::place_sa_budgeted`], minus the interrupt.
-pub fn place_sa_reference_with_defects(
     components: &ComponentSet,
     nets: &NetList,
     grid: GridSpec,

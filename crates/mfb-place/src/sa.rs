@@ -8,8 +8,8 @@
 
 use crate::error::PlaceError;
 use crate::floorplan::{
-    auto_grid, packed_placement, packed_placement_avoiding, rect_avoids_defects, rect_gap,
-    Placement, CLEARANCE,
+    packed_placement, packed_placement_avoiding, rect_avoids_defects, rect_gap, Placement,
+    CLEARANCE,
 };
 use crate::nets::{energy_with_spacing, NetList, SpacingParams};
 use mfb_model::prelude::*;
@@ -63,30 +63,6 @@ impl Default for SaConfig {
     }
 }
 
-/// Places `components` on `grid` (use [`auto_grid`] when in doubt),
-/// minimising the net-weighted wirelength of Eq. (3).
-///
-/// # Errors
-///
-/// Returns [`PlaceError::GridTooSmall`] when no legal initial placement
-/// exists on the grid.
-pub fn place_sa(
-    components: &ComponentSet,
-    nets: &NetList,
-    grid: GridSpec,
-    config: &SaConfig,
-) -> Result<Placement, PlaceError> {
-    place_sa_budgeted(
-        components,
-        nets,
-        grid,
-        config,
-        &DefectMap::pristine(),
-        &Budget::unlimited(),
-    )
-    .map(|(p, _)| p)
-}
-
 /// Counters from one annealing run, emitted as `sa.*` trace counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SaStats {
@@ -98,14 +74,15 @@ pub struct SaStats {
     pub accepted: u64,
 }
 
-/// The full form of [`place_sa`], and the annealing loop behind every
-/// `place_sa*` entry point: on a possibly damaged chip, under an execution
-/// [`Budget`], returning the proposal counters alongside the placement.
+/// Places `components` on `grid` (use
+/// [`auto_grid`](crate::floorplan::auto_grid) when in doubt), minimising
+/// the net-weighted wirelength of Eq. (3), on a possibly damaged chip and
+/// under an execution [`Budget`]; returns the proposal counters alongside
+/// the placement.
 ///
 /// * **Defects** — no component rectangle may cover a blocked cell of
 ///   `defects`, and components marked dead are pinned: the annealer never
-///   proposes moving, rotating or swapping them. A pristine map is exactly
-///   `place_sa` (bit-identical placements).
+///   proposes moving, rotating or swapping them.
 /// * **Budget** — polled **once per temperature epoch** (every `i_max`
 ///   proposals, outside the bitwise-pinned proposal path), so an unlimited
 ///   budget leaves the annealer bit-identical to the frozen reference while
@@ -125,7 +102,7 @@ pub struct SaStats {
 /// all; [`PlaceError::DefectBlocked`] when it could, but every arrangement
 /// collides with blocked cells; [`PlaceError::Interrupted`] when the
 /// deadline passes or the cancellation token fires mid-anneal.
-pub fn place_sa_budgeted(
+pub fn place_sa(
     components: &ComponentSet,
     nets: &NetList,
     grid: GridSpec,
@@ -193,15 +170,6 @@ pub fn place_sa_budgeted(
     mfb_obs::obs_counter!("sa.rejected", stats.evaluated - stats.accepted);
     debug_assert!(best.is_legal());
     Ok((best, stats))
-}
-
-/// Convenience: places on an automatically sized grid.
-pub fn place_sa_auto(
-    components: &ComponentSet,
-    nets: &NetList,
-    config: &SaConfig,
-) -> Result<Placement, PlaceError> {
-    place_sa(components, nets, auto_grid(components), config)
 }
 
 /// Builds a random legal placement by rejection sampling, falling back to a
@@ -710,6 +678,7 @@ fn pair_penalty(a: CellRect, b: CellRect, spacing: SpacingParams) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::floorplan::auto_grid;
     use mfb_sched::list::{schedule, SchedulerConfig};
     use mfb_sched::prelude::Schedule;
 
@@ -731,16 +700,40 @@ mod tests {
             &comps,
             &LogLinearWash::paper_calibrated(),
             &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         (g, comps, s)
+    }
+
+    /// [`place_sa`] on a pristine chip under an unlimited budget,
+    /// placement only.
+    fn place(
+        comps: &ComponentSet,
+        nets: &NetList,
+        grid: GridSpec,
+        cfg: &SaConfig,
+    ) -> Result<Placement, PlaceError> {
+        place_in(comps, nets, grid, cfg, &DefectMap::pristine())
+    }
+
+    /// [`place_sa`] on a damaged chip under an unlimited budget, placement
+    /// only.
+    fn place_in(
+        comps: &ComponentSet,
+        nets: &NetList,
+        grid: GridSpec,
+        cfg: &SaConfig,
+        defects: &DefectMap,
+    ) -> Result<Placement, PlaceError> {
+        place_sa(comps, nets, grid, cfg, defects, &Budget::unlimited()).map(|(p, _)| p)
     }
 
     #[test]
     fn sa_produces_legal_placement() {
         let (g, comps, s) = chain_workload();
         let nets = NetList::build(&s, &g, &LogLinearWash::paper_calibrated(), 0.6, 0.4);
-        let p = place_sa_auto(&comps, &nets, &SaConfig::paper()).unwrap();
+        let p = place(&comps, &nets, auto_grid(&comps), &SaConfig::paper()).unwrap();
         assert!(p.is_legal());
         assert_eq!(p.len(), comps.len());
     }
@@ -750,8 +743,8 @@ mod tests {
         let (g, comps, s) = chain_workload();
         let nets = NetList::build(&s, &g, &LogLinearWash::paper_calibrated(), 0.6, 0.4);
         let cfg = SaConfig::paper().with_seed(7);
-        let a = place_sa_auto(&comps, &nets, &cfg).unwrap();
-        let b = place_sa_auto(&comps, &nets, &cfg).unwrap();
+        let a = place(&comps, &nets, auto_grid(&comps), &cfg).unwrap();
+        let b = place(&comps, &nets, auto_grid(&comps), &cfg).unwrap();
         assert_eq!(a, b);
     }
 
@@ -763,7 +756,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(SaConfig::paper().seed);
         let start = initial_placement(&comps, grid, &mut rng, &DefectMap::pristine()).unwrap();
         let cfg = SaConfig::paper();
-        let optimised = place_sa(&comps, &nets, grid, &cfg).unwrap();
+        let optimised = place(&comps, &nets, grid, &cfg).unwrap();
         assert!(
             energy_with_spacing(&optimised, &nets, cfg.spacing)
                 <= energy_with_spacing(&start, &nets, cfg.spacing),
@@ -775,7 +768,7 @@ mod tests {
     fn tiny_grid_is_rejected() {
         let comps = Allocation::new(4, 2, 2, 2).instantiate(&ComponentLibrary::default());
         let nets = empty_netlist();
-        let err = place_sa(&comps, &nets, GridSpec::square(4), &SaConfig::paper());
+        let err = place(&comps, &nets, GridSpec::square(4), &SaConfig::paper());
         assert!(matches!(err, Err(PlaceError::GridTooSmall { .. })));
     }
 
@@ -789,6 +782,7 @@ mod tests {
             &comps,
             &LogLinearWash::paper_calibrated(),
             &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         NetList::build(&s, &g, &LogLinearWash::paper_calibrated(), 0.6, 0.4)
@@ -798,7 +792,7 @@ mod tests {
     fn single_component_placement() {
         let comps = Allocation::new(1, 0, 0, 0).instantiate(&ComponentLibrary::default());
         let nets = empty_netlist();
-        let p = place_sa_auto(&comps, &nets, &SaConfig::paper()).unwrap();
+        let p = place(&comps, &nets, auto_grid(&comps), &SaConfig::paper()).unwrap();
         assert!(p.is_legal());
         assert_eq!(p.len(), 1);
     }
@@ -814,31 +808,9 @@ mod tests {
             defects.block_cell(CellPos::new(i, i));
         }
         defects.kill_component(ComponentId::new(2));
-        let p = place_with_defects(&comps, &nets, grid, &SaConfig::paper(), &defects).unwrap();
+        let p = place_in(&comps, &nets, grid, &SaConfig::paper(), &defects).unwrap();
         assert!(p.is_legal());
         assert_eq!(p.defect_overlap(&defects), None);
-    }
-
-    #[test]
-    fn pristine_defects_reproduce_plain_sa() {
-        let (g, comps, s) = chain_workload();
-        let nets = NetList::build(&s, &g, &LogLinearWash::paper_calibrated(), 0.6, 0.4);
-        let grid = auto_grid(&comps);
-        let cfg = SaConfig::paper().with_seed(11);
-        let plain = place_sa(&comps, &nets, grid, &cfg).unwrap();
-        let with = place_with_defects(&comps, &nets, grid, &cfg, &DefectMap::pristine()).unwrap();
-        assert_eq!(plain, with);
-    }
-
-    /// `place_sa_budgeted` under an unlimited budget, placement only.
-    fn place_with_defects(
-        comps: &ComponentSet,
-        nets: &NetList,
-        grid: GridSpec,
-        cfg: &SaConfig,
-        defects: &DefectMap,
-    ) -> Result<Placement, PlaceError> {
-        place_sa_budgeted(comps, nets, grid, cfg, defects, &Budget::unlimited()).map(|(p, _)| p)
     }
 
     #[test]
@@ -852,7 +824,7 @@ mod tests {
                 defects.block_cell(CellPos::new(x, y));
             }
         }
-        let err = place_with_defects(&comps, &nets, grid, &SaConfig::paper(), &defects);
+        let err = place_in(&comps, &nets, grid, &SaConfig::paper(), &defects);
         assert!(matches!(err, Err(PlaceError::DefectBlocked { .. })));
     }
 
@@ -862,7 +834,7 @@ mod tests {
         // packing succeeds.
         let comps = Allocation::new(3, 1, 0, 0).instantiate(&ComponentLibrary::default());
         let nets = empty_netlist();
-        let p = place_sa(&comps, &nets, GridSpec::square(12), &SaConfig::paper()).unwrap();
+        let p = place(&comps, &nets, GridSpec::square(12), &SaConfig::paper()).unwrap();
         assert!(p.is_legal());
     }
 }

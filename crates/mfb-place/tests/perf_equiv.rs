@@ -9,7 +9,7 @@
 use mfb_bench_suite::table1_benchmarks;
 use mfb_model::prelude::*;
 use mfb_place::prelude::*;
-use mfb_place::reference::{place_sa_reference, place_sa_reference_with_defects};
+use mfb_place::reference::place_sa_reference;
 use mfb_sched::list::{schedule, SchedulerConfig};
 
 const SEEDS: [u64; 3] = [0xD1CE, 7, 0xBEEF_CAFE];
@@ -18,7 +18,14 @@ fn netlist_for(b: &mfb_bench_suite::Benchmark) -> (ComponentSet, NetList) {
     let lib = ComponentLibrary::default();
     let comps = b.components(&lib);
     let wash = LogLinearWash::paper_calibrated();
-    let s = schedule(&b.graph, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+    let s = schedule(
+        &b.graph,
+        &comps,
+        &wash,
+        &SchedulerConfig::paper_dcsa(),
+        &DefectMap::pristine(),
+    )
+    .unwrap();
     let nets = NetList::build(&s, &b.graph, &wash, 0.6, 0.4);
     (comps, nets)
 }
@@ -30,8 +37,10 @@ fn optimized_sa_matches_reference_on_all_table1_benchmarks() {
         let grid = auto_grid(&comps);
         for seed in SEEDS {
             let cfg = SaConfig::paper().with_seed(seed);
-            let fast = place_sa(&comps, &nets, grid, &cfg).unwrap();
-            let slow = place_sa_reference(&comps, &nets, grid, &cfg).unwrap();
+            let pristine = DefectMap::pristine();
+            let (fast, _) =
+                place_sa(&comps, &nets, grid, &cfg, &pristine, &Budget::unlimited()).unwrap();
+            let slow = place_sa_reference(&comps, &nets, grid, &cfg, &pristine).unwrap();
             assert_eq!(fast, slow, "{} diverged at seed {seed:#x}", b.name);
         }
     }
@@ -45,8 +54,10 @@ fn optimized_sa_matches_reference_with_spacing_off() {
         let grid = auto_grid(&comps);
         let mut cfg = SaConfig::paper().with_seed(41);
         cfg.spacing = SpacingParams::off();
-        let fast = place_sa(&comps, &nets, grid, &cfg).unwrap();
-        let slow = place_sa_reference(&comps, &nets, grid, &cfg).unwrap();
+        let pristine = DefectMap::pristine();
+        let (fast, _) =
+            place_sa(&comps, &nets, grid, &cfg, &pristine, &Budget::unlimited()).unwrap();
+        let slow = place_sa_reference(&comps, &nets, grid, &cfg, &pristine).unwrap();
         assert_eq!(fast, slow, "{} diverged with spacing off", b.name);
     }
 }
@@ -64,8 +75,8 @@ fn optimized_sa_matches_reference_under_defects() {
     for seed in SEEDS {
         let cfg = SaConfig::paper().with_seed(seed);
         let (fast, _) =
-            place_sa_budgeted(&comps, &nets, grid, &cfg, &defects, &Budget::unlimited()).unwrap();
-        let slow = place_sa_reference_with_defects(&comps, &nets, grid, &cfg, &defects).unwrap();
+            place_sa(&comps, &nets, grid, &cfg, &defects, &Budget::unlimited()).unwrap();
+        let slow = place_sa_reference(&comps, &nets, grid, &cfg, &defects).unwrap();
         assert_eq!(fast, slow, "defect run diverged at seed {seed:#x}");
     }
 }
@@ -76,7 +87,7 @@ fn stats_account_for_every_proposal() {
     let (comps, nets) = netlist_for(&b);
     let grid = auto_grid(&comps);
     let cfg = SaConfig::paper();
-    let (p, stats) = place_sa_budgeted(
+    let (p, stats) = place_sa(
         &comps,
         &nets,
         grid,

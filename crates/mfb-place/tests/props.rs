@@ -23,7 +23,14 @@ fn netlist_for(alloc: Allocation, seed: u64) -> (ComponentSet, NetList) {
             .kind_weights([1, 0, 0, 0])
             .generate()
     };
-    let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+    let s = schedule(
+        &g,
+        &comps,
+        &wash,
+        &SchedulerConfig::paper_dcsa(),
+        &DefectMap::pristine(),
+    )
+    .unwrap();
     let nets = NetList::build(&s, &g, &wash, 0.6, 0.4);
     (comps, nets)
 }
@@ -39,10 +46,12 @@ proptest! {
         let (comps, nets) = netlist_for(alloc, seed);
         let grid = auto_grid(&comps);
 
-        let sa = place_sa(&comps, &nets, grid, &SaConfig::paper()).unwrap();
+        let sa = place_sa(&comps, &nets, grid, &SaConfig::paper(), &DefectMap::pristine(), &Budget::unlimited())
+            .unwrap()
+            .0;
         prop_assert!(sa.is_legal(), "SA illegal: {:?}", sa.legality_violation());
 
-        let con = place_constructive(&comps, &nets, grid).unwrap();
+        let con = place_constructive(&comps, &nets, grid, &DefectMap::pristine()).unwrap();
         prop_assert!(con.is_legal(), "constructive illegal");
     }
 
@@ -52,7 +61,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (comps, nets) = netlist_for(alloc, seed);
-        let p = place_sa(&comps, &nets, auto_grid(&comps), &SaConfig::paper()).unwrap();
+        let p = place_sa(&comps, &nets, auto_grid(&comps), &SaConfig::paper(), &DefectMap::pristine(), &Budget::unlimited())
+            .unwrap()
+            .0;
         for c in comps.ids() {
             let port = p.port(c);
             prop_assert!(p.grid().contains(port));
@@ -87,7 +98,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (comps, nets) = netlist_for(alloc, seed);
-        let p = place_sa(&comps, &nets, auto_grid(&comps), &SaConfig::paper()).unwrap();
+        let p = place_sa(&comps, &nets, auto_grid(&comps), &SaConfig::paper(), &DefectMap::pristine(), &Budget::unlimited())
+            .unwrap()
+            .0;
         let none = energy_with_spacing(&p, &nets, SpacingParams::off());
         let some = energy_with_spacing(
             &p,
@@ -107,7 +120,9 @@ proptest! {
         // Shifting the entire placement rigidly must not change Eq. (3).
         let (comps, nets) = netlist_for(alloc, seed);
         let grid = GridSpec::square(auto_grid(&comps).width + 4);
-        let p = place_sa(&comps, &nets, auto_grid(&comps), &SaConfig::paper()).unwrap();
+        let p = place_sa(&comps, &nets, auto_grid(&comps), &SaConfig::paper(), &DefectMap::pristine(), &Budget::unlimited())
+            .unwrap()
+            .0;
         // Ports flip sides at the grid boundary; keep everything interior
         // so the rigid shift preserves port geometry.
         prop_assume!(p.rects().iter().all(|r| r.origin.y >= 1));

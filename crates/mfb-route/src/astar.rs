@@ -11,7 +11,7 @@
 //!
 //! Components expose several port cells (every routable cell adjacent to
 //! their rectangle), so the search is multi-source / multi-target.
-//! [`find_park_with`] searches for a remote parking cell between two such
+//! [`find_park`] searches for a remote parking cell between two such
 //! sets with a two-sided Dijkstra that stops once the best park is fixed.
 
 use crate::grid::RoutingGrid;
@@ -49,7 +49,7 @@ impl Default for AstarOptions {
 /// [`SearchScratch`]; the router emits them as `astar.*` trace counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Queries started ([`find_path_with`] + [`find_park_with`] calls).
+    /// Queries started ([`find_path`] + [`find_park`] calls).
     pub queries: u64,
     /// Heap pops that survived the stale-entry check and were expanded,
     /// in both A* and park searches.
@@ -62,7 +62,7 @@ pub struct SearchStats {
     /// Rip-up-and-reroute evictions performed by the conflict-aware router
     /// (each blocker torn out of the grid counts once).
     pub rips: u64,
-    /// [`find_park_with`] calls (remote-parking searches).
+    /// [`find_park`] calls (remote-parking searches).
     pub park_searches: u64,
     /// The share of [`expansions`](Self::expansions) made by park searches.
     pub park_expansions: u64,
@@ -105,7 +105,7 @@ pub struct SearchScratch {
     /// A* heap, cleared (not reallocated) between queries. Entries are
     /// `(f, g·2³² | y·2¹⁶ | x)` — see [`pack`].
     heap: BinaryHeap<Reverse<(u64, u64)>>,
-    /// The two directions of [`find_park_with`]: from the sources and from
+    /// The two directions of [`find_park`]: from the sources and from
     /// the targets.
     park_fwd: Sweep,
     park_bwd: Sweep,
@@ -201,7 +201,7 @@ impl SearchScratch {
     }
 }
 
-/// One direction of [`find_park_with`]: a Dijkstra sweep whose arrays are
+/// One direction of [`find_park`]: a Dijkstra sweep whose arrays are
 /// validated by the owning [`SearchScratch`]'s epoch.
 #[derive(Debug, Default)]
 struct Sweep {
@@ -292,7 +292,8 @@ fn unpack(key: u64) -> (u64, CellPos) {
 
 /// Finds a feasible path from any cell of `sources` to any cell of
 /// `targets`, for a fluid occupying each visited cell during
-/// `window_of(cell)`.
+/// `window_of(cell)`, on the caller-owned search arena `scratch`
+/// (allocation-free once the arena has grown to the grid).
 ///
 /// The per-cell window lets callers model *where the fluid parks*: cells
 /// near the destination carry the full transport-plus-cache window, cells
@@ -302,32 +303,8 @@ fn unpack(key: u64) -> (u64, CellPos) {
 /// Returns the cell sequence (source first), or `None` when no feasible
 /// path exists. Source and target sets may intersect; the path then is a
 /// single cell.
-pub fn find_path(
-    grid: &RoutingGrid,
-    sources: &[CellPos],
-    targets: &[CellPos],
-    window_of: impl Fn(CellPos) -> Interval + Copy,
-    fluid: OpId,
-    wash_of: impl Fn(OpId) -> Duration + Copy,
-    options: AstarOptions,
-) -> Option<Vec<CellPos>> {
-    let mut scratch = SearchScratch::new();
-    find_path_with(
-        &mut scratch,
-        grid,
-        sources,
-        targets,
-        window_of,
-        fluid,
-        wash_of,
-        options,
-    )
-}
-
-/// [`find_path`] on a caller-owned [`SearchScratch`] — the hot-path entry
-/// the router uses, allocation-free once the arena has grown to the grid.
 #[allow(clippy::too_many_arguments)]
-pub fn find_path_with(
+pub fn find_path(
     scratch: &mut SearchScratch,
     grid: &RoutingGrid,
     sources: &[CellPos],
@@ -490,7 +467,7 @@ pub fn find_path_with(
 }
 
 /// A parking cell and the two legs through it, found by
-/// [`find_park_with`].
+/// [`find_park`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Park {
     /// The cell where the plug dwells.
@@ -524,7 +501,7 @@ pub struct Park {
 /// the full maps. Without any park `μ` stays infinite and both directions
 /// sweep every reachable cell.
 #[allow(clippy::too_many_arguments)]
-pub fn find_park_with(
+pub fn find_park(
     scratch: &mut SearchScratch,
     grid: &RoutingGrid,
     sources: &[CellPos],
@@ -670,13 +647,14 @@ mod tests {
 
     fn open_grid() -> RoutingGrid {
         let p = Placement::new(GridSpec::square(10), vec![]);
-        RoutingGrid::new(&p, Duration::from_secs(10))
+        RoutingGrid::new(&p, Duration::from_secs(10), &DefectMap::pristine())
     }
 
     #[test]
     fn straight_line_on_empty_grid() {
         let g = open_grid();
         let path = find_path(
+            &mut SearchScratch::new(),
             &g,
             &[CellPos::new(0, 5)],
             &[CellPos::new(9, 5)],
@@ -699,6 +677,7 @@ mod tests {
     fn single_cell_when_source_is_target() {
         let g = open_grid();
         let path = find_path(
+            &mut SearchScratch::new(),
             &g,
             &[CellPos::new(3, 3)],
             &[CellPos::new(3, 3)],
@@ -721,8 +700,9 @@ mod tests {
                 CellRect::new(CellPos::new(4, 5), 2, 5),
             ],
         );
-        let g = RoutingGrid::new(&p, Duration::from_secs(10));
+        let g = RoutingGrid::new(&p, Duration::from_secs(10), &DefectMap::pristine());
         let path = find_path(
+            &mut SearchScratch::new(),
             &g,
             &[CellPos::new(0, 0)],
             &[CellPos::new(9, 0)],
@@ -750,6 +730,7 @@ mod tests {
             );
         }
         let path = find_path(
+            &mut SearchScratch::new(),
             &g,
             &[CellPos::new(0, 5)],
             &[CellPos::new(9, 5)],
@@ -762,6 +743,7 @@ mod tests {
 
         // A later window clears the wash gap (100 + 2 s) and is feasible.
         let later = find_path(
+            &mut SearchScratch::new(),
             &g,
             &[CellPos::new(0, 5)],
             &[CellPos::new(9, 5)],
@@ -783,6 +765,7 @@ mod tests {
             g.reserve(CellPos::new(x, 5), TaskId::new(0), fluid, iv(0, 5), wash2);
         }
         let path = find_path(
+            &mut SearchScratch::new(),
             &g,
             &[CellPos::new(0, 5)],
             &[CellPos::new(9, 5)],
@@ -802,6 +785,7 @@ mod tests {
     fn without_weights_any_shortest_path_wins() {
         let g = open_grid();
         let path = find_path(
+            &mut SearchScratch::new(),
             &g,
             &[CellPos::new(0, 0)],
             &[CellPos::new(3, 3)],
@@ -818,6 +802,7 @@ mod tests {
     fn multi_target_prefers_nearest() {
         let g = open_grid();
         let path = find_path(
+            &mut SearchScratch::new(),
             &g,
             &[CellPos::new(0, 0)],
             &[CellPos::new(9, 9), CellPos::new(2, 0)],
@@ -835,6 +820,7 @@ mod tests {
     fn empty_sets_yield_none() {
         let g = open_grid();
         assert!(find_path(
+            &mut SearchScratch::new(),
             &g,
             &[],
             &[CellPos::new(1, 1)],
@@ -845,6 +831,7 @@ mod tests {
         )
         .is_none());
         assert!(find_path(
+            &mut SearchScratch::new(),
             &g,
             &[CellPos::new(1, 1)],
             &[],

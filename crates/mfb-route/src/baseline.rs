@@ -16,7 +16,7 @@
 //! the assay. The returned [`Routing::realized`] times carry those delays,
 //! which is where the baseline loses Table I's execution-time comparison.
 
-use crate::astar::{find_path_with, AstarOptions, SearchScratch};
+use crate::astar::{find_path, AstarOptions, SearchScratch};
 use crate::error::RouteError;
 use crate::grid::RoutingGrid;
 use crate::router::{ports, RealizedTimes, RoutedPath, RouterConfig, Routing};
@@ -33,7 +33,9 @@ const MAX_POSTPONE: Duration = Duration::from_secs(3600);
 
 /// Routes `schedule` with the baseline's construction-by-correction
 /// strategy (see module docs). Uses **unweighted** shortest paths — the
-/// baseline has no wash-aware channel-sharing bias.
+/// baseline has no wash-aware channel-sharing bias. Both the conflict-blind
+/// phase-1 paths and every phase-2 correction avoid the blocked cells of
+/// `defects`.
 ///
 /// # Errors
 ///
@@ -46,35 +48,11 @@ pub fn route_corrected(
     placement: &Placement,
     wash: &dyn WashModel,
     config: &RouterConfig,
-) -> Result<Routing, RouteError> {
-    route_corrected_with_defects(
-        schedule,
-        graph,
-        placement,
-        wash,
-        config,
-        &DefectMap::pristine(),
-    )
-}
-
-/// [`route_corrected`] on a damaged chip: both the conflict-blind phase-1
-/// paths and every phase-2 correction avoid the defect map's blocked cells.
-/// With a pristine map this is exactly the plain baseline.
-///
-/// # Errors
-///
-/// Same as [`route_corrected`].
-pub fn route_corrected_with_defects(
-    schedule: &Schedule,
-    graph: &SequencingGraph,
-    placement: &Placement,
-    wash: &dyn WashModel,
-    config: &RouterConfig,
     defects: &DefectMap,
 ) -> Result<Routing, RouteError> {
     let wash_of = |op: OpId| wash.wash_time(graph.op(op).output_diffusion());
     let options = AstarOptions { use_weights: false };
-    let mut grid = RoutingGrid::new_with_defects(placement, config.w_e, defects);
+    let mut grid = RoutingGrid::new(placement, config.w_e, defects);
     // One search arena for every A* query this routing makes.
     let mut scratch = SearchScratch::new();
 
@@ -82,7 +60,7 @@ pub fn route_corrected_with_defects(
     let task_count = schedule.transports().len();
     let mut initial: Vec<Vec<CellPos>> = vec![Vec::new(); task_count];
     {
-        let pristine = RoutingGrid::new_with_defects(placement, config.w_e, defects);
+        let pristine = RoutingGrid::new(placement, config.w_e, defects);
         for t in schedule.transports() {
             let src = ports(placement, &pristine, t.src);
             if src.is_empty() {
@@ -95,7 +73,7 @@ pub fn route_corrected_with_defects(
             // An un-reserved grid accepts any window: this is a pure
             // shortest-path query.
             let window = t.occupancy();
-            initial[t.id.index()] = find_path_with(
+            initial[t.id.index()] = find_path(
                 &mut scratch,
                 &pristine,
                 &src,
@@ -323,7 +301,14 @@ mod tests {
         b.edge(m1, h1).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(2, 2, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = run_sched(&g, &comps, &wash(), &SchedulerConfig::paper_baseline()).unwrap();
+        let s = run_sched(
+            &g,
+            &comps,
+            &wash(),
+            &SchedulerConfig::paper_baseline(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         let placement = Placement::new(
             GridSpec::square(18),
             vec![
@@ -336,10 +321,16 @@ mod tests {
         (g, comps, s, placement)
     }
 
+    /// [`route_corrected`] with the paper's router on an undamaged chip.
+    fn corrected(s: &Schedule, g: &SequencingGraph, p: &Placement) -> Result<Routing, RouteError> {
+        let pristine = DefectMap::pristine();
+        route_corrected(s, g, p, &wash(), &RouterConfig::paper(), &pristine)
+    }
+
     #[test]
     fn corrected_routing_covers_all_tasks() {
         let (g, _c, s, p) = two_chain_setup();
-        let r = route_corrected(&s, &g, &p, &wash(), &RouterConfig::paper()).unwrap();
+        let r = corrected(&s, &g, &p).unwrap();
         assert_eq!(r.paths.len(), s.transports().len());
         for path in &r.paths {
             assert!(!path.is_empty());
@@ -352,7 +343,7 @@ mod tests {
     #[test]
     fn uncongested_layout_needs_no_delay() {
         let (g, _c, s, p) = two_chain_setup();
-        let r = route_corrected(&s, &g, &p, &wash(), &RouterConfig::paper()).unwrap();
+        let r = corrected(&s, &g, &p).unwrap();
         assert_eq!(r.completion(), s.completion_time());
         assert_eq!(r.total_delay(&s), Duration::ZERO);
     }
@@ -360,7 +351,7 @@ mod tests {
     #[test]
     fn realized_windows_never_conflict() {
         let (g, _c, s, p) = two_chain_setup();
-        let r = route_corrected(&s, &g, &p, &wash(), &RouterConfig::paper()).unwrap();
+        let r = corrected(&s, &g, &p).unwrap();
         // Re-check pairwise: tasks with overlapping realized windows share
         // no cell.
         for i in 0..r.paths.len() {
@@ -386,7 +377,14 @@ mod tests {
         b.edge(m1, h1).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(2, 2, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = run_sched(&g, &comps, &wash(), &SchedulerConfig::paper_baseline()).unwrap();
+        let s = run_sched(
+            &g,
+            &comps,
+            &wash(),
+            &SchedulerConfig::paper_baseline(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         // Mixers on the left, heaters on the right, with walls leaving a
         // single corridor row at y = 6.
         let placement = Placement::new(
@@ -404,7 +402,7 @@ mod tests {
         // heavily on the only short corridor — with a 20x13 grid and both
         // windows identical, disjoint detours exist, so just assert the
         // corrected routing stays conflict-free and completes.
-        let r = route_corrected(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
+        let r = corrected(&s, &g, &placement).unwrap();
         for i in 0..r.paths.len() {
             for j in (i + 1)..r.paths.len() {
                 assert!(!r.paths[i].conflicts_with(&r.paths[j]));
@@ -419,8 +417,17 @@ mod tests {
         // unweighted baseline tends to spread. Compare distinct cells used
         // on the same schedule and placement.
         let (g, _c, s, p) = two_chain_setup();
-        let ours = route_dcsa(&s, &g, &p, &wash(), &RouterConfig::paper()).unwrap();
-        let ba = route_corrected(&s, &g, &p, &wash(), &RouterConfig::paper()).unwrap();
+        let ours = route_dcsa(
+            &s,
+            &g,
+            &p,
+            &wash(),
+            &RouterConfig::paper(),
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
+        let ba = corrected(&s, &g, &p).unwrap();
         // Not a theorem on one tiny instance, but sharing can only help:
         // allow equality and a small slack.
         assert!(
@@ -434,8 +441,8 @@ mod tests {
     #[test]
     fn corrected_routing_is_deterministic() {
         let (g, _c, s, p) = two_chain_setup();
-        let a = route_corrected(&s, &g, &p, &wash(), &RouterConfig::paper()).unwrap();
-        let b = route_corrected(&s, &g, &p, &wash(), &RouterConfig::paper()).unwrap();
+        let a = corrected(&s, &g, &p).unwrap();
+        let b = corrected(&s, &g, &p).unwrap();
         assert_eq!(a, b);
     }
 }

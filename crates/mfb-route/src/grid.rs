@@ -84,17 +84,13 @@ pub struct RoutingGrid {
 impl RoutingGrid {
     /// Builds the grid for `placement`, blocking every component interior.
     /// `w_e` is the initial weight of every cell (paper default 10 s).
-    pub fn new(placement: &Placement, w_e: Duration) -> Self {
-        RoutingGrid::new_with_defects(placement, w_e, &DefectMap::pristine())
-    }
-
-    /// [`RoutingGrid::new`] on a damaged chip: blocked cells of `defects`
-    /// are permanently unroutable (∞ cost — [`is_routable`] is `false`, so
-    /// neither the A* nor the baseline router will ever enter them) and
-    /// degraded cells carry their extra weight on top of `w(i)`.
+    /// Blocked cells of `defects` are permanently unroutable (∞ cost —
+    /// [`is_routable`] is `false`, so neither the A* nor the baseline router
+    /// will ever enter them) and degraded cells carry their extra weight on
+    /// top of `w(i)`.
     ///
     /// [`is_routable`]: Self::is_routable
-    pub fn new_with_defects(placement: &Placement, w_e: Duration, defects: &DefectMap) -> Self {
+    pub fn new(placement: &Placement, w_e: Duration, defects: &DefectMap) -> Self {
         let spec = placement.grid();
         let n = spec.cell_count() as usize;
         let mut blocked = vec![None; n];
@@ -370,6 +366,15 @@ mod tests {
     use super::*;
     use mfb_place::prelude::Placement;
 
+    /// The test placement's grid on an undamaged chip, `w_e` = 10 s.
+    fn grid() -> RoutingGrid {
+        RoutingGrid::new(
+            &placement(),
+            Duration::from_secs(10),
+            &DefectMap::pristine(),
+        )
+    }
+
     fn placement() -> Placement {
         Placement::new(
             GridSpec::square(12),
@@ -390,7 +395,7 @@ mod tests {
 
     #[test]
     fn component_interiors_are_blocked() {
-        let g = RoutingGrid::new(&placement(), Duration::from_secs(10));
+        let g = grid();
         assert!(!g.is_routable(CellPos::new(1, 1)));
         assert!(!g.is_routable(CellPos::new(3, 2)));
         assert_eq!(
@@ -410,7 +415,7 @@ mod tests {
         let mut defects = DefectMap::pristine();
         defects.block_cell(CellPos::new(5, 5));
         defects.penalize_cell(CellPos::new(6, 6), 4);
-        let g = RoutingGrid::new_with_defects(&placement(), Duration::from_secs(10), &defects);
+        let g = RoutingGrid::new(&placement(), Duration::from_secs(10), &defects);
         assert!(!g.is_routable(CellPos::new(5, 5)));
         assert!(g.is_defect(CellPos::new(5, 5)));
         assert!(g.is_routable(CellPos::new(6, 6)));
@@ -422,14 +427,14 @@ mod tests {
 
     #[test]
     fn initial_weight_is_w_e() {
-        let g = RoutingGrid::new(&placement(), Duration::from_secs(10));
+        let g = grid();
         assert_eq!(g.weight(CellPos::new(0, 0)), Duration::from_secs(10));
         assert_eq!(g.w_e(), Duration::from_secs(10));
     }
 
     #[test]
     fn overlapping_windows_are_infeasible() {
-        let mut g = RoutingGrid::new(&placement(), Duration::from_secs(10));
+        let mut g = grid();
         let cell = CellPos::new(5, 5);
         let f0 = OpId::new(0);
         let f1 = OpId::new(1);
@@ -441,7 +446,7 @@ mod tests {
 
     #[test]
     fn wash_gap_is_enforced_after_previous_use() {
-        let mut g = RoutingGrid::new(&placement(), Duration::from_secs(10));
+        let mut g = grid();
         let cell = CellPos::new(5, 5);
         let f0 = OpId::new(0);
         let f1 = OpId::new(1);
@@ -455,7 +460,7 @@ mod tests {
 
     #[test]
     fn wash_gap_is_enforced_before_future_use() {
-        let mut g = RoutingGrid::new(&placement(), Duration::from_secs(10));
+        let mut g = grid();
         let cell = CellPos::new(5, 5);
         let f0 = OpId::new(0);
         let f1 = OpId::new(1);
@@ -467,7 +472,7 @@ mod tests {
 
     #[test]
     fn reserve_updates_weight_and_reports_wash() {
-        let mut g = RoutingGrid::new(&placement(), Duration::from_secs(10));
+        let mut g = grid();
         let cell = CellPos::new(5, 5);
         let f0 = OpId::new(0);
         let f1 = OpId::new(1);
@@ -486,7 +491,7 @@ mod tests {
 
     #[test]
     fn same_fluid_reuse_needs_no_wash() {
-        let mut g = RoutingGrid::new(&placement(), Duration::from_secs(10));
+        let mut g = grid();
         let cell = CellPos::new(5, 5);
         let f0 = OpId::new(0);
         g.reserve(cell, TaskId::new(0), f0, iv(0, 10), wash2);
@@ -496,7 +501,7 @@ mod tests {
 
     #[test]
     fn used_cells_counts_distinct() {
-        let mut g = RoutingGrid::new(&placement(), Duration::from_secs(10));
+        let mut g = grid();
         let f0 = OpId::new(0);
         g.reserve(CellPos::new(5, 5), TaskId::new(0), f0, iv(0, 5), wash2);
         g.reserve(CellPos::new(5, 6), TaskId::new(0), f0, iv(0, 5), wash2);

@@ -31,15 +31,11 @@ pub mod washplan;
 
 /// One-stop import of the routing API.
 pub mod prelude {
-    pub use crate::astar::{
-        find_park_with, find_path, find_path_with, AstarOptions, Park, SearchScratch, SearchStats,
-    };
-    pub use crate::baseline::{route_corrected, route_corrected_with_defects};
+    pub use crate::astar::{find_park, find_path, AstarOptions, Park, SearchScratch, SearchStats};
+    pub use crate::baseline::route_corrected;
     pub use crate::error::RouteError;
     pub use crate::grid::{ChannelWash, Reservation, RoutingGrid};
-    pub use crate::optimize::{optimize_channel_length, optimize_channel_length_with_defects};
-    pub use crate::router::{
-        ports, route_dcsa, route_dcsa_budgeted, RealizedTimes, RoutedPath, RouterConfig, Routing,
-    };
+    pub use crate::optimize::optimize_channel_length;
+    pub use crate::router::{ports, route_dcsa, RealizedTimes, RoutedPath, RouterConfig, Routing};
     pub use crate::washplan::{plan_washes, Flush, WashPlan};
 }

@@ -22,32 +22,10 @@ const MAX_SWEEPS: usize = 3;
 
 /// Re-routes tasks of `routing` to reduce the distinct-cell channel count
 /// (Table I's *total channel length*). Returns the improved routing;
-/// idempotent once no task improves.
+/// idempotent once no task improves. Re-routes are attempted on a
+/// defect-aware grid, so the optimizer never trades a legal detour for a
+/// shorter path through a blocked cell of `defects`.
 pub fn optimize_channel_length(
-    routing: &Routing,
-    schedule: &Schedule,
-    graph: &SequencingGraph,
-    placement: &Placement,
-    wash: &dyn WashModel,
-    config: &RouterConfig,
-) -> Routing {
-    optimize_channel_length_with_defects(
-        routing,
-        schedule,
-        graph,
-        placement,
-        wash,
-        config,
-        &DefectMap::pristine(),
-    )
-}
-
-/// [`optimize_channel_length`] on a damaged chip: re-routes are attempted on
-/// a defect-aware grid, so the optimizer never trades a legal detour for a
-/// shorter path through a blocked cell. With a pristine map this is exactly
-/// the plain optimizer.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_channel_length_with_defects(
     routing: &Routing,
     schedule: &Schedule,
     graph: &SequencingGraph,
@@ -70,7 +48,7 @@ pub fn optimize_channel_length_with_defects(
     };
 
     // Rebuild the grid from the existing paths.
-    let mut grid = RoutingGrid::new_with_defects(placement, config.w_e, defects);
+    let mut grid = RoutingGrid::new(placement, config.w_e, defects);
     // One search arena reused across every re-route attempt.
     let mut scratch = SearchScratch::new();
     let mut paths: Vec<RoutedPath> = routing.paths.clone();
@@ -167,11 +145,49 @@ mod tests {
             .find(|b| b.name == name)
             .unwrap();
         let comps = b.components(&ComponentLibrary::default());
-        let s = run_sched(&b.graph, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = run_sched(
+            &b.graph,
+            &comps,
+            &wash,
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         let nets = NetList::build(&s, &b.graph, &wash, 0.6, 0.4);
-        let p = place_sa_auto(&comps, &nets, &SaConfig::paper()).unwrap();
-        let r = route_dcsa(&s, &b.graph, &p, &wash, &RouterConfig::paper()).unwrap();
+        let p = place_sa(
+            &comps,
+            &nets,
+            auto_grid(&comps),
+            &SaConfig::paper(),
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+        )
+        .unwrap()
+        .0;
+        let r = route_dcsa(
+            &s,
+            &b.graph,
+            &p,
+            &wash,
+            &RouterConfig::paper(),
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         (b.graph, comps, s, p, r)
+    }
+
+    /// [`optimize_channel_length`] with the paper's router on an
+    /// undamaged chip.
+    fn optimize(
+        r: &Routing,
+        s: &Schedule,
+        g: &SequencingGraph,
+        p: &Placement,
+        wash: &LogLinearWash,
+    ) -> Routing {
+        let pristine = DefectMap::pristine();
+        optimize_channel_length(r, s, g, p, wash, &RouterConfig::paper(), &pristine)
     }
 
     #[test]
@@ -179,7 +195,7 @@ mod tests {
         let wash = LogLinearWash::paper_calibrated();
         for name in ["IVD", "CPA", "Synthetic1"] {
             let (g, _c, s, p, r) = setup(name);
-            let opt = optimize_channel_length(&r, &s, &g, &p, &wash, &RouterConfig::paper());
+            let opt = optimize(&r, &s, &g, &p, &wash);
             assert!(
                 opt.used_cells <= r.used_cells,
                 "{name}: {} -> {}",
@@ -202,8 +218,8 @@ mod tests {
     fn is_idempotent_once_converged() {
         let wash = LogLinearWash::paper_calibrated();
         let (g, _c, s, p, r) = setup("IVD");
-        let once = optimize_channel_length(&r, &s, &g, &p, &wash, &RouterConfig::paper());
-        let twice = optimize_channel_length(&once, &s, &g, &p, &wash, &RouterConfig::paper());
+        let once = optimize(&r, &s, &g, &p, &wash);
+        let twice = optimize(&once, &s, &g, &p, &wash);
         assert_eq!(once.used_cells, twice.used_cells);
     }
 }

@@ -378,30 +378,8 @@ fn collect_washes(
 ///
 /// # Errors
 ///
-/// Same as [`crate::router::route_dcsa`].
+/// Same as [`crate::router::route_dcsa`], minus the interrupt.
 pub fn route_dcsa_reference(
-    schedule: &Schedule,
-    graph: &SequencingGraph,
-    placement: &Placement,
-    wash: &dyn WashModel,
-    config: &RouterConfig,
-) -> Result<Routing, RouteError> {
-    route_dcsa_reference_with_defects(
-        schedule,
-        graph,
-        placement,
-        wash,
-        config,
-        &DefectMap::pristine(),
-    )
-}
-
-/// Defect-aware variant of [`route_dcsa_reference`].
-///
-/// # Errors
-///
-/// Same as [`crate::router::route_dcsa_budgeted`], minus the interrupt.
-pub fn route_dcsa_reference_with_defects(
     schedule: &Schedule,
     graph: &SequencingGraph,
     placement: &Placement,
@@ -439,7 +417,7 @@ fn route_ordered(
     order: &[&TransportTask],
     defects: &DefectMap,
 ) -> Result<Routing, RouteError> {
-    let mut grid = RoutingGrid::new_with_defects(placement, config.w_e, defects);
+    let mut grid = RoutingGrid::new(placement, config.w_e, defects);
     let wash_of = |op: OpId| wash.wash_time(graph.op(op).output_diffusion());
     let options = AstarOptions {
         use_weights: config.wash_aware_weights,
@@ -474,7 +452,7 @@ fn route_ordered(
                 });
             }
             None => {
-                let pristine = RoutingGrid::new_with_defects(placement, config.w_e, defects);
+                let pristine = RoutingGrid::new(placement, config.w_e, defects);
                 let window = t.occupancy();
                 let reference = find_path_reference(
                     &pristine,

@@ -8,7 +8,7 @@
 //! task, cell weights become the wash time of the residue just deposited
 //! (Fig. 7), steering subsequent tasks onto cheap-to-wash shared channels.
 
-use crate::astar::{find_park_with, find_path_with, AstarOptions, SearchScratch};
+use crate::astar::{find_park, find_path, AstarOptions, SearchScratch};
 use crate::error::RouteError;
 use crate::grid::{ChannelWash, RoutingGrid};
 use mfb_model::prelude::*;
@@ -252,7 +252,7 @@ pub(crate) fn find_parked_path(
                 transport
             }
         };
-        let path = find_path_with(
+        let path = find_path(
             scratch, grid, sources, targets, window_of, fluid, wash_of, options,
         )?;
         if previous.as_deref() == Some(path.as_slice()) {
@@ -311,7 +311,7 @@ pub(crate) fn find_remote_parking(
         !(grid.is_ring(cell) && !targets.contains(&cell) && !sources.contains(&cell))
             && grid.feasible(cell, full, fluid, wash_of)
     };
-    let park = find_park_with(
+    let park = find_park(
         scratch, grid, sources, targets, transport, leg2, fluid, wash_of, options, can_park,
     )?;
     let windows = park
@@ -353,37 +353,12 @@ pub fn ports(placement: &Placement, grid: &RoutingGrid, c: ComponentId) -> Vec<C
 }
 
 /// Routes every transport task of `schedule` with the paper's
-/// conflict-aware weighted A*, in non-decreasing start-time order.
+/// conflict-aware weighted A*, in non-decreasing start-time order, on a
+/// possibly damaged chip and under an execution [`Budget`].
 ///
 /// The returned routing has **zero** realized delay: all reservations use
 /// the scheduled windows, and feasibility is guaranteed cell-by-cell, so
 /// the scheduled times are achievable on the physical layout.
-///
-/// # Errors
-///
-/// [`RouteError::Unroutable`] when some task admits no conflict-free path
-/// (the grid is too congested — retry on a larger grid);
-/// [`RouteError::NoPorts`] when a component is walled in.
-pub fn route_dcsa(
-    schedule: &Schedule,
-    graph: &SequencingGraph,
-    placement: &Placement,
-    wash: &dyn WashModel,
-    config: &RouterConfig,
-) -> Result<Routing, RouteError> {
-    route_dcsa_budgeted(
-        schedule,
-        graph,
-        placement,
-        wash,
-        config,
-        &DefectMap::pristine(),
-        &Budget::unlimited(),
-    )
-}
-
-/// The full form of [`route_dcsa`]: a possibly damaged chip and an
-/// execution [`Budget`].
 ///
 /// * **Defects** — blocked cells of `defects` are permanently occupied
 ///   (∞ cost) for the time-windowed A*, so no path — transport, parking
@@ -400,10 +375,12 @@ pub fn route_dcsa(
 ///
 /// # Errors
 ///
-/// Same as [`route_dcsa`] (a chip whose defects sever every corridor
-/// surfaces as [`RouteError::Unroutable`] or [`RouteError::NoPorts`]),
-/// plus [`RouteError::Interrupted`].
-pub fn route_dcsa_budgeted(
+/// [`RouteError::Unroutable`] when some task admits no conflict-free path
+/// (the grid is too congested — retry on a larger grid; a chip whose
+/// defects sever every corridor fails the same way);
+/// [`RouteError::NoPorts`] when a component is walled in;
+/// [`RouteError::Interrupted`] when the budget trips.
+pub fn route_dcsa(
     schedule: &Schedule,
     graph: &SequencingGraph,
     placement: &Placement,
@@ -438,7 +415,7 @@ pub fn route_dcsa_budgeted(
     result
 }
 
-/// The two-ordering routing strategy behind [`route_dcsa_budgeted`].
+/// The two-ordering routing strategy behind [`route_dcsa`].
 #[allow(clippy::too_many_arguments)]
 fn route_dcsa_orderings(
     schedule: &Schedule,
@@ -489,7 +466,7 @@ fn route_dcsa_ordered(
     defects: &DefectMap,
     scratch: &mut SearchScratch,
 ) -> Result<Routing, RouteError> {
-    let mut grid = RoutingGrid::new_with_defects(placement, config.w_e, defects);
+    let mut grid = RoutingGrid::new(placement, config.w_e, defects);
     let wash_of = |op: OpId| wash.wash_time(graph.op(op).output_diffusion());
     let options = AstarOptions {
         use_weights: config.wash_aware_weights,
@@ -540,9 +517,9 @@ fn route_dcsa_ordered(
                 // Identify blockers along an unconstrained reference path
                 // and rip them out. The reference grid carries no
                 // reservations but must still honor the defect mask.
-                let pristine = RoutingGrid::new_with_defects(placement, config.w_e, defects);
+                let pristine = RoutingGrid::new(placement, config.w_e, defects);
                 let window = t.occupancy();
-                let reference = match find_path_with(
+                let reference = match find_path(
                     scratch,
                     &pristine,
                     &src_ports,
@@ -761,7 +738,14 @@ mod tests {
         b.chain(&[m, h, dt]).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 1, 0, 1).instantiate(&ComponentLibrary::default());
-        let s = run_sched(&g, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = run_sched(
+            &g,
+            &comps,
+            &wash(),
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         let placement = Placement::new(
             GridSpec::square(16),
             vec![
@@ -777,7 +761,7 @@ mod tests {
     #[test]
     fn ports_surround_component() {
         let (_, _, _, placement) = chain_setup();
-        let grid = RoutingGrid::new(&placement, Duration::from_secs(10));
+        let grid = RoutingGrid::new(&placement, Duration::from_secs(10), &DefectMap::pristine());
         let p = ports(&placement, &grid, ComponentId::new(0));
         // Mixer 4x3 at (1,1): ring of 2*(4+3) = 14 cells, all routable here.
         assert_eq!(p.len(), 14);
@@ -791,7 +775,7 @@ mod tests {
     #[test]
     fn routes_chain_without_delay() {
         let (g, _comps, s, placement) = chain_setup();
-        let r = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
+        let r = route_on(&s, &g, &placement, &DefectMap::pristine()).unwrap();
         assert_eq!(r.paths.len(), 2);
         assert_eq!(r.completion(), s.completion_time());
         assert_eq!(r.total_delay(&s), Duration::ZERO);
@@ -808,8 +792,8 @@ mod tests {
     #[test]
     fn paths_start_and_end_at_ports() {
         let (g, _comps, s, placement) = chain_setup();
-        let r = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
-        let grid = RoutingGrid::new(&placement, Duration::from_secs(10));
+        let r = route_on(&s, &g, &placement, &DefectMap::pristine()).unwrap();
+        let grid = RoutingGrid::new(&placement, Duration::from_secs(10), &DefectMap::pristine());
         for t in s.transports() {
             let p = &r.paths[t.id.index()];
             let src_ports = ports(&placement, &grid, t.src);
@@ -822,28 +806,19 @@ mod tests {
     #[test]
     fn routing_is_deterministic() {
         let (g, _comps, s, placement) = chain_setup();
-        let a = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
-        let b = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
+        let a = route_on(&s, &g, &placement, &DefectMap::pristine()).unwrap();
+        let b = route_on(&s, &g, &placement, &DefectMap::pristine()).unwrap();
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn pristine_defects_match_plain_routing() {
-        let (g, _comps, s, placement) = chain_setup();
-        let plain = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
-        let with = route_with_defects(&s, &g, &placement, &DefectMap::pristine()).unwrap();
-        assert_eq!(plain, with);
-    }
-
-    /// `route_dcsa_budgeted` with the paper's router and an unlimited
-    /// budget.
-    fn route_with_defects(
+    /// [`route_dcsa`] with the paper's router and an unlimited budget.
+    fn route_on(
         s: &Schedule,
         g: &SequencingGraph,
         placement: &Placement,
         defects: &DefectMap,
     ) -> Result<Routing, RouteError> {
-        route_dcsa_budgeted(
+        route_dcsa(
             s,
             g,
             placement,
@@ -863,13 +838,13 @@ mod tests {
         for y in 0..14 {
             defects.block_cell(CellPos::new(6, y));
         }
-        let r = route_with_defects(&s, &g, &placement, &defects).unwrap();
+        let r = route_on(&s, &g, &placement, &defects).unwrap();
         for p in &r.paths {
             for &c in &p.cells {
                 assert!(!defects.is_blocked(c), "path crosses blocked cell {c}");
             }
         }
-        let plain = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
+        let plain = route_on(&s, &g, &placement, &DefectMap::pristine()).unwrap();
         let len = |r: &Routing| r.paths.iter().map(|p| p.cells.len()).sum::<usize>();
         assert!(
             len(&r) > len(&plain),
@@ -884,7 +859,7 @@ mod tests {
         for y in 0..14 {
             defects.block_cell(CellPos::new(6, y));
         }
-        let r = crate::baseline::route_corrected_with_defects(
+        let r = crate::baseline::route_corrected(
             &s,
             &g,
             &placement,
@@ -913,7 +888,14 @@ mod tests {
         b.edge(m1, h1).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(2, 2, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = run_sched(&g, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = run_sched(
+            &g,
+            &comps,
+            &wash(),
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         let placement = Placement::new(
             GridSpec::square(18),
             vec![
@@ -924,7 +906,7 @@ mod tests {
             ],
         );
         assert!(placement.is_legal());
-        let r = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
+        let r = route_on(&s, &g, &placement, &DefectMap::pristine()).unwrap();
 
         for i in 0..r.paths.len() {
             for j in (i + 1)..r.paths.len() {
@@ -943,7 +925,16 @@ mod tests {
             wash_aware_weights: false,
             ..RouterConfig::paper()
         };
-        let r = route_dcsa(&s, &g, &placement, &wash(), &cfg).unwrap();
+        let r = route_dcsa(
+            &s,
+            &g,
+            &placement,
+            &wash(),
+            &cfg,
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(r.completion(), s.completion_time());
         for i in 0..r.paths.len() {
             for j in (i + 1)..r.paths.len() {
@@ -959,7 +950,16 @@ mod tests {
             plug_cells: 3,
             ..RouterConfig::paper()
         };
-        let r = route_dcsa(&s, &g, &placement, &wash(), &cfg).unwrap();
+        let r = route_dcsa(
+            &s,
+            &g,
+            &placement,
+            &wash(),
+            &cfg,
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         // Every multi-cell path must end with plug_cells full-window cells.
         for p in &r.paths {
             if p.len() < 4 {
@@ -986,13 +986,20 @@ mod tests {
         b.edge(o0, o2).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 0, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = run_sched(&g, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = run_sched(
+            &g,
+            &comps,
+            &wash(),
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         assert!(s.transports().len() > 0, "expected a self-transport");
         let placement = Placement::new(
             GridSpec::new(4, 3, 10.0),
             vec![CellRect::new(CellPos::new(0, 0), 4, 3)],
         );
-        let r = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper());
+        let r = route_on(&s, &g, &placement, &DefectMap::pristine());
         assert!(matches!(r, Err(RouteError::NoPorts { .. })), "{r:?}");
     }
 
@@ -1005,12 +1012,19 @@ mod tests {
         b.edge(o0, o2).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 0, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = run_sched(&g, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = run_sched(
+            &g,
+            &comps,
+            &wash(),
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         let placement = Placement::new(
             GridSpec::square(10),
             vec![CellRect::new(CellPos::new(3, 3), 4, 3)],
         );
-        let r = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
+        let r = route_on(&s, &g, &placement, &DefectMap::pristine()).unwrap();
         // The evicted fluid parks in a single channel cell next to the mixer.
         let self_task = s.transports().find(|t| t.src == t.dst).unwrap();
         assert_eq!(r.paths[self_task.id.index()].len(), 1);
@@ -1024,15 +1038,31 @@ mod tests {
     #[cfg(feature = "obs-trace")]
     #[test]
     fn rips_counter_counts_failed_orderings() {
-        use mfb_place::prelude::{place_sa_auto, NetList, SaConfig};
+        use mfb_place::prelude::{auto_grid, place_sa, NetList, SaConfig};
         let b = mfb_bench_suite::benchmark_by_name("Synthetic1").unwrap();
         let comps = b.components(&ComponentLibrary::default());
-        let s = run_sched(&b.graph, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = run_sched(
+            &b.graph,
+            &comps,
+            &wash(),
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         let nets = NetList::build(&s, &b.graph, &wash(), 0.6, 0.4);
         let (cfg, pristine) = (RouterConfig::paper(), DefectMap::pristine());
         for (seed, rescued) in [(3, true), (9, false)] {
             let sa = SaConfig::paper().with_seed(0xD1CE + seed);
-            let placement = place_sa_auto(&comps, &nets, &sa).unwrap();
+            let placement = place_sa(
+                &comps,
+                &nets,
+                auto_grid(&comps),
+                &sa,
+                &DefectMap::pristine(),
+                &Budget::unlimited(),
+            )
+            .unwrap()
+            .0;
             let mut by_start: Vec<&TransportTask> = s.transports().collect();
             by_start.sort_by_key(|t| (t.depart, t.id));
             let mut first = SearchScratch::new();
@@ -1061,7 +1091,7 @@ mod tests {
             assert_eq!(both.is_ok(), rescued, "seed {seed}");
             let collector = mfb_obs::TraceCollector::new();
             let routed = mfb_obs::with_collector(&collector, || {
-                route_dcsa_budgeted(
+                route_dcsa(
                     &s,
                     &b.graph,
                     &placement,

@@ -20,7 +20,6 @@ use crate::grid::{ChannelWash, RoutingGrid};
 use crate::router::RouterConfig;
 use mfb_model::prelude::*;
 use mfb_place::prelude::Placement;
-use mfb_sched::prelude::Schedule;
 use std::collections::{BTreeSet, BinaryHeap};
 
 /// One planned buffer flush.
@@ -63,19 +62,18 @@ impl WashPlan {
 
 /// Plans a buffer flush for every channel wash of `routing` (see module
 /// docs). The fluid traffic the flushes must avoid comes from the routed
-/// paths themselves; the schedule parameter is reserved for future use
-/// (flush pump scheduling) and keeps the signature stage-complete.
+/// paths themselves, and no flush crosses a blocked cell of `defects`.
 pub fn plan_washes(
     routing: &crate::router::Routing,
-    _schedule: &Schedule,
     graph: &SequencingGraph,
     placement: &Placement,
     wash: &dyn WashModel,
     config: &RouterConfig,
+    defects: &DefectMap,
 ) -> WashPlan {
     let wash_of = |op: OpId| wash.wash_time(graph.op(op).output_diffusion());
     // Rebuild the traffic picture.
-    let mut grid = RoutingGrid::new(placement, config.w_e);
+    let mut grid = RoutingGrid::new(placement, config.w_e, defects);
     for p in &routing.paths {
         for (cell, window) in p.occupancies() {
             grid.reserve(cell, p.task, p.fluid, window, wash_of);
@@ -298,7 +296,6 @@ mod tests {
         name: &str,
     ) -> (
         SequencingGraph,
-        Schedule,
         Placement,
         crate::router::Routing,
         LogLinearWash,
@@ -309,18 +306,45 @@ mod tests {
             .find(|b| b.name == name)
             .unwrap();
         let comps = b.components(&ComponentLibrary::default());
-        let s = run_sched(&b.graph, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let (pristine, budget) = (DefectMap::pristine(), Budget::unlimited());
+        let s = run_sched(
+            &b.graph,
+            &comps,
+            &wash,
+            &SchedulerConfig::paper_dcsa(),
+            &pristine,
+        )
+        .unwrap();
         let nets = NetList::build(&s, &b.graph, &wash, 0.6, 0.4);
-        let p = place_sa_auto(&comps, &nets, &SaConfig::paper()).unwrap();
-        let r = route_dcsa(&s, &b.graph, &p, &wash, &RouterConfig::paper()).unwrap();
-        (b.graph, s, p, r, wash)
+        let (grid, sa) = (auto_grid(&comps), SaConfig::paper());
+        let (p, _) = place_sa(&comps, &nets, grid, &sa, &pristine, &budget).unwrap();
+        let cfg = RouterConfig::paper();
+        let r = route_dcsa(&s, &b.graph, &p, &wash, &cfg, &pristine, &budget).unwrap();
+        (b.graph, p, r, wash)
+    }
+
+    /// [`plan_washes`] with the paper's router on an undamaged chip.
+    fn plan(
+        r: &crate::router::Routing,
+        g: &SequencingGraph,
+        p: &Placement,
+        wash: &LogLinearWash,
+    ) -> WashPlan {
+        plan_washes(
+            r,
+            g,
+            p,
+            wash,
+            &RouterConfig::paper(),
+            &DefectMap::pristine(),
+        )
     }
 
     #[test]
     fn plans_cover_most_washes_on_real_benchmarks() {
         for name in ["IVD", "CPA"] {
-            let (g, s, p, r, wash) = solved(name);
-            let plan = plan_washes(&r, &s, &g, &p, &wash, &RouterConfig::paper());
+            let (g, p, r, wash) = solved(name);
+            let plan = plan(&r, &g, &p, &wash);
             let total = plan.flushes.len() + plan.incidental + plan.unplanned.len();
             assert_eq!(total, r.channel_washes.len(), "{name}: washes accounted");
             assert!(
@@ -333,8 +357,8 @@ mod tests {
 
     #[test]
     fn flush_paths_touch_their_target_and_boundary() {
-        let (g, s, p, r, wash) = solved("CPA");
-        let plan = plan_washes(&r, &s, &g, &p, &wash, &RouterConfig::paper());
+        let (g, p, r, wash) = solved("CPA");
+        let plan = plan(&r, &g, &p, &wash);
         let spec = p.grid();
         for f in &plan.flushes {
             assert!(f.cells.contains(&f.wash.cell), "flush misses its target");
@@ -354,8 +378,8 @@ mod tests {
 
     #[test]
     fn flushes_avoid_fluid_traffic() {
-        let (g, s, p, r, wash) = solved("CPA");
-        let plan = plan_washes(&r, &s, &g, &p, &wash, &RouterConfig::paper());
+        let (g, p, r, wash) = solved("CPA");
+        let plan = plan(&r, &g, &p, &wash);
         for f in &plan.flushes {
             for path in &r.paths {
                 for (cell, window) in path.occupancies() {
@@ -374,7 +398,7 @@ mod tests {
 
     #[test]
     fn empty_routing_trivially_covered() {
-        let (g, s, p, _r, wash) = solved("IVD");
+        let (g, p, _r, wash) = solved("IVD");
         let empty = crate::router::Routing {
             paths: vec![],
             channel_washes: vec![],
@@ -385,7 +409,7 @@ mod tests {
             grid: p.grid(),
             used_cells: 0,
         };
-        let plan = plan_washes(&empty, &s, &g, &p, &wash, &RouterConfig::paper());
+        let plan = plan(&empty, &g, &p, &wash);
         assert!(plan.flushes.is_empty());
         assert_eq!(plan.coverage(), 1.0);
     }

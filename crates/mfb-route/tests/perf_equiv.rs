@@ -11,10 +11,7 @@ use mfb_bench_suite::table1_benchmarks;
 use mfb_model::prelude::*;
 use mfb_place::prelude::*;
 use mfb_route::prelude::*;
-use mfb_route::reference::{
-    dijkstra_map_reference, find_path_reference, route_dcsa_reference,
-    route_dcsa_reference_with_defects,
-};
+use mfb_route::reference::{dijkstra_map_reference, find_path_reference, route_dcsa_reference};
 use mfb_sched::list::{schedule, SchedulerConfig};
 use mfb_sched::prelude::Schedule;
 
@@ -37,7 +34,7 @@ fn busy_grid() -> RoutingGrid {
             CellRect::new(CellPos::new(7, 7), 2, 4),
         ],
     );
-    let mut g = RoutingGrid::new(&p, Duration::from_secs(10));
+    let mut g = RoutingGrid::new(&p, Duration::from_secs(10), &DefectMap::pristine());
     for x in 0..12 {
         g.reserve(
             CellPos::new(x, 6),
@@ -76,7 +73,7 @@ fn arena_find_path_matches_reference_on_busy_grid() {
     for opts in [AstarOptions::default(), AstarOptions { use_weights: false }] {
         for &(src, dst, w) in queries {
             for fluid in [OpId::new(0), OpId::new(5)] {
-                let fast = find_path_with(&mut scratch, &g, src, dst, |_| w, fluid, wash2, opts);
+                let fast = find_path(&mut scratch, &g, src, dst, |_| w, fluid, wash2, opts);
                 let slow = find_path_reference(&g, src, dst, |_| w, fluid, wash2, opts);
                 assert_eq!(fast, slow, "query {src:?}->{dst:?} {w:?} diverged");
             }
@@ -117,7 +114,7 @@ fn seeded_grid(seed: u64) -> (RoutingGrid, Vec<Vec<CellPos>>) {
     for _ in 0..4 {
         defects.block_cell(CellPos::new(rng.gen_range(0..14), rng.gen_range(0..14)));
     }
-    let mut grid = RoutingGrid::new_with_defects(&placement, Duration::from_secs(10), &defects);
+    let mut grid = RoutingGrid::new(&placement, Duration::from_secs(10), &defects);
     for task in 0..12 {
         let start: u64 = rng.gen_range(0..30);
         let window = iv(start, start + rng.gen_range(2u64..12));
@@ -254,7 +251,7 @@ fn check_park_query(
     let can_park =
         |c: CellPos| !no_park && !foreign_ring(c) && grid.feasible(c, full, fluid, wash_by_fluid);
     let before = scratch.stats.park_expansions;
-    let fast = find_park_with(
+    let fast = find_park(
         scratch,
         grid,
         sources,
@@ -357,7 +354,7 @@ fn off_grid_targets_return_none_like_reference() {
     // early-returns without touching the scratch at all).
     let off = [CellPos::new(99, 99), CellPos::new(50, 0)];
     let src = [CellPos::new(0, 0)];
-    let fast = find_path_with(
+    let fast = find_path(
         &mut scratch,
         &g,
         &src,
@@ -385,7 +382,7 @@ fn off_grid_targets_return_none_like_reference() {
     // Mixed on/off-grid targets still route (and count). Target (11, 0)
     // stays above the reserved y = 6 wall, so it is reachable in (0, 5).
     let mixed = [CellPos::new(99, 99), CellPos::new(11, 0)];
-    let fast = find_path_with(
+    let fast = find_path(
         &mut scratch,
         &g,
         &src,
@@ -412,9 +409,25 @@ fn off_grid_targets_return_none_like_reference() {
 fn synthesized(b: &mfb_bench_suite::Benchmark) -> (SequencingGraph, Schedule, Placement) {
     let wash = LogLinearWash::paper_calibrated();
     let comps = b.components(&ComponentLibrary::default());
-    let s = schedule(&b.graph, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+    let s = schedule(
+        &b.graph,
+        &comps,
+        &wash,
+        &SchedulerConfig::paper_dcsa(),
+        &DefectMap::pristine(),
+    )
+    .unwrap();
     let nets = NetList::build(&s, &b.graph, &wash, 0.6, 0.4);
-    let p = place_sa_auto(&comps, &nets, &SaConfig::paper()).unwrap();
+    let p = place_sa(
+        &comps,
+        &nets,
+        auto_grid(&comps),
+        &SaConfig::paper(),
+        &DefectMap::pristine(),
+        &Budget::unlimited(),
+    )
+    .unwrap()
+    .0;
     (b.graph.clone(), s, p)
 }
 
@@ -427,8 +440,16 @@ fn optimized_router_matches_reference_on_all_table1_benchmarks() {
         // Routings must match, and so must failures (e.g. Synthetic4 is
         // unroutable on a bare SA placement until the recovery ladder grows
         // the grid — both sides must agree on the exact error).
-        let fast = route_dcsa(&s, &graph, &p, &wash, &config);
-        let slow = route_dcsa_reference(&s, &graph, &p, &wash, &config);
+        let fast = route_dcsa(
+            &s,
+            &graph,
+            &p,
+            &wash,
+            &config,
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+        );
+        let slow = route_dcsa_reference(&s, &graph, &p, &wash, &config, &DefectMap::pristine());
         assert_eq!(fast, slow, "{} routing diverged", b.name);
     }
 }
@@ -444,7 +465,7 @@ fn optimized_router_matches_reference_under_defects() {
     for i in 0..spec.width.min(spec.height) / 3 {
         defects.block_cell(CellPos::new(3 * i, 3 * i));
     }
-    let fast = route_dcsa_budgeted(
+    let fast = route_dcsa(
         &s,
         &graph,
         &p,
@@ -453,7 +474,7 @@ fn optimized_router_matches_reference_under_defects() {
         &defects,
         &Budget::unlimited(),
     );
-    let slow = route_dcsa_reference_with_defects(&s, &graph, &p, &wash, &config, &defects);
+    let slow = route_dcsa_reference(&s, &graph, &p, &wash, &config, &defects);
     assert_eq!(fast, slow, "defect routing diverged");
 }
 
@@ -466,7 +487,7 @@ fn scratch_stats_expose_search_effort() {
     let (graph, s, p) = synthesized(&b);
     let collector = mfb_obs::TraceCollector::new();
     let r = mfb_obs::with_collector(&collector, || {
-        route_dcsa_budgeted(
+        route_dcsa(
             &s,
             &graph,
             &p,

@@ -22,10 +22,17 @@ fn place_and_route(
     s: &Schedule,
 ) -> Option<(Placement, Routing)> {
     let nets = NetList::build(s, graph, &wash(), 0.6, 0.4);
+    let (pristine, budget, router) = (
+        DefectMap::pristine(),
+        Budget::unlimited(),
+        RouterConfig::paper(),
+    );
     for seed in 0..24u64 {
         let cfg = SaConfig::paper().with_seed(0xD1CE + seed);
-        let placement = place_sa_auto(comps, &nets, &cfg).ok()?;
-        if let Ok(routing) = route_dcsa(s, graph, &placement, &wash(), &RouterConfig::paper()) {
+        let (placement, _) =
+            place_sa(comps, &nets, auto_grid(comps), &cfg, &pristine, &budget).ok()?;
+        if let Ok(routing) = route_dcsa(s, graph, &placement, &wash(), &router, &pristine, &budget)
+        {
             return Some((placement, routing));
         }
     }
@@ -37,7 +44,14 @@ fn dcsa_pipeline_routes_every_benchmark_without_delay() {
     let lib = ComponentLibrary::default();
     for b in table1_benchmarks() {
         let comps = b.components(&lib);
-        let s = schedule(&b.graph, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(
+            &b.graph,
+            &comps,
+            &wash(),
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         let (_placement, routing) = place_and_route(&b.graph, &comps, &s)
             .unwrap_or_else(|| panic!("{}: no routable placement in 24 seeds", b.name));
         assert_eq!(
@@ -60,13 +74,21 @@ fn baseline_pipeline_routes_every_benchmark() {
             &comps,
             &wash(),
             &SchedulerConfig::paper_baseline(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         let nets = NetList::build(&s, &b.graph, &wash(), 0.6, 0.4);
         let grid = auto_grid(&comps);
-        let placement = place_constructive(&comps, &nets, grid).unwrap();
-        let routing = route_corrected(&s, &b.graph, &placement, &wash(), &RouterConfig::paper())
-            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        let placement = place_constructive(&comps, &nets, grid, &DefectMap::pristine()).unwrap();
+        let routing = route_corrected(
+            &s,
+            &b.graph,
+            &placement,
+            &wash(),
+            &RouterConfig::paper(),
+            &DefectMap::pristine(),
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", b.name));
         assert!(routing.completion() >= s.completion_time());
         assert_eq!(routing.paths.len(), s.transports().len());
     }
@@ -77,7 +99,14 @@ fn routed_benchmarks_are_conflict_free() {
     let lib = ComponentLibrary::default();
     for b in table1_benchmarks() {
         let comps = b.components(&lib);
-        let s = schedule(&b.graph, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(
+            &b.graph,
+            &comps,
+            &wash(),
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         let Some((_p, r)) = place_and_route(&b.graph, &comps, &s) else {
             panic!("{}: unroutable", b.name);
         };

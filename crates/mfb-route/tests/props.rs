@@ -26,7 +26,7 @@ proptest! {
         )
     ) {
         let placement = Placement::new(GridSpec::square(4), vec![]);
-        let mut grid = RoutingGrid::new(&placement, Duration::from_secs(10));
+        let mut grid = RoutingGrid::new(&placement, Duration::from_secs(10), &DefectMap::pristine());
         let cell = CellPos::new(1, 1);
         let wash = wash_secs(2);
         for (i, (window, fluid_idx)) in reservations.into_iter().enumerate() {
@@ -58,7 +58,7 @@ proptest! {
         wash_time in 1u64..8,
     ) {
         let placement = Placement::new(GridSpec::square(4), vec![]);
-        let mut grid = RoutingGrid::new(&placement, Duration::from_secs(10));
+        let mut grid = RoutingGrid::new(&placement, Duration::from_secs(10), &DefectMap::pristine());
         let cell = CellPos::new(2, 2);
         let wash = wash_secs(wash_time);
         for (i, (window, fluid_idx)) in reservations.into_iter().enumerate() {
@@ -91,7 +91,7 @@ proptest! {
     ) {
         let rect = CellRect::new(CellPos::new(obstacle_x, obstacle_y), 3, 3);
         let placement = Placement::new(GridSpec::square(12), vec![rect]);
-        let grid = RoutingGrid::new(&placement, Duration::from_secs(10));
+        let grid = RoutingGrid::new(&placement, Duration::from_secs(10), &DefectMap::pristine());
         let src = CellPos::new(sx, sy);
         let dst = CellPos::new(tx, ty);
         prop_assume!(grid.is_routable(src) && grid.is_routable(dst));
@@ -100,7 +100,7 @@ proptest! {
             Instant::from_secs(start + len),
         );
         let wash = wash_secs(2);
-        if let Some(path) = find_path(
+        if let Some(path) = find_path(&mut SearchScratch::new(),
             &grid, &[src], &[dst], |_| window, OpId::new(0), wash,
             AstarOptions::default(),
         ) {
@@ -140,17 +140,21 @@ proptest! {
         let lib = ComponentLibrary::default();
         let comps = Allocation::new(2, 1, 1, 1).instantiate(&lib);
         let wash = LogLinearWash::paper_calibrated();
-        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa())
+        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa(), &DefectMap::pristine())
             .expect("synthetic assays schedule");
         let nets = mfb_place::prelude::NetList::build(&s, &g, &wash, 0.6, 0.4);
         let grid = mfb_place::prelude::auto_grid(&comps);
-        let Ok(p) = mfb_place::prelude::place_sa(&comps, &nets, grid, &mfb_place::prelude::SaConfig::paper()) else {
+        let sa = mfb_place::prelude::SaConfig::paper();
+        let pristine = DefectMap::pristine();
+        let Ok((p, _)) =
+            mfb_place::prelude::place_sa(&comps, &nets, grid, &sa, &pristine, &Budget::unlimited())
+        else {
             return Ok(()); // unplaceable on the base grid: nothing to check
         };
         let cfg = RouterConfig::paper();
         // An Err outcome is fine: congestion beyond this grid is the
         // flow's (grid-growing) concern, not this property's.
-        if let Ok(r) = route_dcsa(&s, &g, &p, &wash, &cfg) {
+        if let Ok(r) = route_dcsa(&s, &g, &p, &wash, &cfg, &DefectMap::pristine(), &Budget::unlimited()) {
             for i in 0..r.paths.len() {
                 for j in (i + 1)..r.paths.len() {
                     prop_assert!(
@@ -159,7 +163,7 @@ proptest! {
                     );
                 }
             }
-            let again = route_dcsa(&s, &g, &p, &wash, &cfg)
+            let again = route_dcsa(&s, &g, &p, &wash, &cfg, &DefectMap::pristine(), &Budget::unlimited())
                 .expect("second run must also route");
             prop_assert_eq!(r, again, "conflict-aware routing not deterministic");
         }
@@ -171,7 +175,7 @@ proptest! {
         windows in proptest::collection::vec(arb_interval(), 1..12),
     ) {
         let placement = Placement::new(GridSpec::square(4), vec![]);
-        let mut grid = RoutingGrid::new(&placement, Duration::from_secs(10));
+        let mut grid = RoutingGrid::new(&placement, Duration::from_secs(10), &DefectMap::pristine());
         let cell = CellPos::new(0, 0);
         let wash = wash_secs(3);
         let probe = Interval::new(Instant::from_secs(1000), Instant::from_secs(1010));

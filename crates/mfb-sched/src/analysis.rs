@@ -187,7 +187,14 @@ mod tests {
         let g = mfb_bench_suite_stub();
         let comps = Allocation::new(3, 0, 0, 0).instantiate(&ComponentLibrary::default());
         let wash = LogLinearWash::paper_calibrated();
-        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(
+            &g,
+            &comps,
+            &wash,
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         let t = TimingAnalysis::of(&g, t_c());
         for o in g.op_ids() {
             // In-place deliveries skip t_c, so the true bound is the ASAP

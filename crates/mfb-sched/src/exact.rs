@@ -181,6 +181,12 @@ mod tests {
         LogLinearWash::paper_calibrated()
     }
 
+    /// The list scheduler's makespan on an undamaged chip.
+    fn list_makespan(g: &SequencingGraph, comps: &ComponentSet, cfg: &SchedulerConfig) -> Duration {
+        let s = schedule(g, comps, &wash(), cfg, &DefectMap::pristine()).unwrap();
+        s.completion_time() - Instant::ZERO
+    }
+
     fn d_wash(secs: f64) -> DiffusionCoefficient {
         wash().coefficient_for(Duration::from_secs_f64(secs))
     }
@@ -226,10 +232,7 @@ mod tests {
         let comps = Allocation::new(2, 0, 0, 0).instantiate(&ComponentLibrary::default());
 
         let opt = optimal_makespan(&g, &comps, &wash(), t_c()).unwrap();
-        let heur = schedule(&g, &comps, &wash(), &SchedulerConfig::paper_dcsa())
-            .unwrap()
-            .completion_time()
-            - Instant::ZERO;
+        let heur = list_makespan(&g, &comps, &SchedulerConfig::paper_dcsa());
         assert_eq!(heur, opt, "heuristic should be optimal here");
         assert_eq!(opt, Duration::from_secs(10)); // 5 + t_c .. merge at 7..10
     }
@@ -262,10 +265,7 @@ mod tests {
             let g = b.build().unwrap();
             let comps = Allocation::new(2, 1, 0, 1).instantiate(&ComponentLibrary::default());
             let opt = optimal_makespan(&g, &comps, &wash(), t_c()).unwrap();
-            let heur = schedule(&g, &comps, &wash(), &SchedulerConfig::paper_dcsa())
-                .unwrap()
-                .completion_time()
-                - Instant::ZERO;
+            let heur = list_makespan(&g, &comps, &SchedulerConfig::paper_dcsa());
             assert!(
                 heur >= opt,
                 "seed {seed}: heuristic {heur} beat 'optimal' {opt} — semantics bug"
@@ -287,14 +287,8 @@ mod tests {
         let g = b.build().unwrap();
         let comps = Allocation::new(2, 0, 0, 0).instantiate(&ComponentLibrary::default());
         let opt = optimal_makespan(&g, &comps, &wash(), t_c()).unwrap();
-        let ours = schedule(&g, &comps, &wash(), &SchedulerConfig::paper_dcsa())
-            .unwrap()
-            .completion_time()
-            - Instant::ZERO;
-        let ba = schedule(&g, &comps, &wash(), &SchedulerConfig::paper_baseline())
-            .unwrap()
-            .completion_time()
-            - Instant::ZERO;
+        let ours = list_makespan(&g, &comps, &SchedulerConfig::paper_dcsa());
+        let ba = list_makespan(&g, &comps, &SchedulerConfig::paper_baseline());
         assert_eq!(ours, opt, "chains are Case-I's best case");
         assert!(ba >= ours);
     }

@@ -24,7 +24,9 @@
 //! let assay = b.build().unwrap();
 //!
 //! let chip = Allocation::new(2, 0, 0, 0).instantiate(&ComponentLibrary::default());
-//! let sched = schedule(&assay, &chip, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+//! let undamaged = DefectMap::pristine();
+//! let cfg = SchedulerConfig::paper_dcsa();
+//! let sched = schedule(&assay, &chip, &wash, &cfg, &undamaged).unwrap();
 //!
 //! // o2 reuses one parent's mixer (Case I): one transport, one in-place.
 //! assert_eq!(sched.in_place_count(), 1);
@@ -51,7 +53,7 @@ pub mod prelude {
     pub use crate::analysis::{parallelism_profile, TimingAnalysis};
     pub use crate::error::SchedError;
     pub use crate::exact::{optimal_makespan, MAX_EXACT_OPS};
-    pub use crate::list::{schedule, schedule_with_defects, BindingRule, SchedulerConfig};
+    pub use crate::list::{schedule, BindingRule, SchedulerConfig};
     pub use crate::metrics::{
         component_usage, resource_utilization, ComponentUsage, ScheduleMetrics,
     };

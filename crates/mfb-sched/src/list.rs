@@ -79,32 +79,19 @@ impl SchedulerConfig {
 }
 
 /// Runs binding and scheduling on `graph` over the component set
-/// `components`, with wash times given by `wash`.
-///
-/// # Errors
-///
-/// Returns [`SchedError::NoComponentForKind`] if the assay contains an
-/// operation kind with no allocated component.
-pub fn schedule(
-    graph: &SequencingGraph,
-    components: &ComponentSet,
-    wash: &dyn WashModel,
-    config: &SchedulerConfig,
-) -> Result<Schedule, SchedError> {
-    schedule_with_defects(graph, components, wash, config, &DefectMap::pristine())
-}
-
-/// [`schedule`] on a damaged chip: components marked dead in `defects` are
-/// excluded from binding entirely — Case II never selects them and Case I
-/// cannot reach them (operations are only ever bound to live components, so
-/// no resident fluid can sit in a dead one).
+/// `components`, with wash times given by `wash`, on a chip damaged as
+/// `defects` says (pass [`DefectMap::pristine`] for an undamaged one).
+/// Components marked dead are excluded from binding entirely — Case II
+/// never selects them and Case I cannot reach them (operations are only
+/// ever bound to live components, so no resident fluid can sit in a dead
+/// one).
 ///
 /// # Errors
 ///
 /// [`SchedError::NoComponentForKind`] if an operation kind has no allocated
 /// component at all, [`SchedError::AllComponentsDead`] if components of the
 /// kind exist but the defect map kills every one.
-pub fn schedule_with_defects(
+pub fn schedule(
     graph: &SequencingGraph,
     components: &ComponentSet,
     wash: &dyn WashModel,
@@ -522,6 +509,7 @@ mod tests {
             &two_mixers(),
             &wash_model(),
             &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         assert_eq!(s.op(o).start, Instant::ZERO);
@@ -545,6 +533,7 @@ mod tests {
             &two_mixers(),
             &wash_model(),
             &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         assert_eq!(s.binding(o0), s.binding(o1));
@@ -569,6 +558,7 @@ mod tests {
             &two_mixers(),
             &wash_model(),
             &SchedulerConfig::paper_baseline(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         assert_ne!(s.binding(o0), s.binding(o1));
@@ -597,6 +587,7 @@ mod tests {
             &two_mixers(),
             &wash_model(),
             &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         assert_eq!(s.binding(child), s.binding(hard));
@@ -621,6 +612,7 @@ mod tests {
             &one_mixer,
             &wash_model(),
             &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         // Priorities equal; tie-break schedules o0 first.
@@ -650,6 +642,7 @@ mod tests {
             &one_mixer,
             &wash_model(),
             &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         assert!(s.op(long_head).start < s.op(short).start);
@@ -670,7 +663,14 @@ mod tests {
             t_c: Duration::from_secs(2),
             rule: BindingRule::StorageAwareUnordered,
         };
-        let s = schedule(&g, &two_mixers(), &wash_model(), &cfg).unwrap();
+        let s = schedule(
+            &g,
+            &two_mixers(),
+            &wash_model(),
+            &cfg,
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         assert_eq!(
             s.binding(child),
             s.binding(easy),
@@ -683,6 +683,7 @@ mod tests {
             &two_mixers(),
             &wash_model(),
             &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         assert_eq!(full.binding(child), full.binding(hard));
@@ -701,7 +702,14 @@ mod tests {
         b.edge(slow, sink).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 1, 0, 1).instantiate(&ComponentLibrary::default());
-        let s = schedule(&g, &comps, &wash_model(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(
+            &g,
+            &comps,
+            &wash_model(),
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         // sink starts at 22 (slow ends 20 + t_c); src's fluid departs at 20
         // (just in time), not at 5 — the mixer is never needed again.
         let t = s
@@ -729,7 +737,14 @@ mod tests {
         let _ = hog;
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 1, 0, 1).instantiate(&ComponentLibrary::default());
-        let s = schedule(&g, &comps, &wash_model(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(
+            &g,
+            &comps,
+            &wash_model(),
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         let t = s
             .transports()
             .find(|t| t.fluid == src)
@@ -754,6 +769,7 @@ mod tests {
             &two_mixers(),
             &wash_model(),
             &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
         )
         .unwrap_err();
         assert!(matches!(err, SchedError::NoComponentForKind { .. }));
@@ -771,7 +787,7 @@ mod tests {
         let comps = two_mixers();
         let mut defects = DefectMap::pristine();
         defects.kill_component(ComponentId::new(0));
-        let s = schedule_with_defects(
+        let s = schedule(
             &g,
             &comps,
             &wash_model(),
@@ -793,7 +809,7 @@ mod tests {
         defects
             .kill_component(ComponentId::new(0))
             .kill_component(ComponentId::new(1));
-        let err = schedule_with_defects(
+        let err = schedule(
             &g,
             &comps,
             &wash_model(),
@@ -812,26 +828,6 @@ mod tests {
     }
 
     #[test]
-    fn pristine_defects_match_plain_schedule() {
-        let mut b = SequencingGraph::builder();
-        let o0 = b.operation(OperationKind::Mix, Duration::from_secs(5), d_wash(6.0));
-        let o1 = b.operation(OperationKind::Mix, Duration::from_secs(4), d_wash(2.0));
-        b.edge(o0, o1).unwrap();
-        let g = b.build().unwrap();
-        let cfg = SchedulerConfig::paper_dcsa();
-        let plain = schedule(&g, &two_mixers(), &wash_model(), &cfg).unwrap();
-        let with = schedule_with_defects(
-            &g,
-            &two_mixers(),
-            &wash_model(),
-            &cfg,
-            &DefectMap::pristine(),
-        )
-        .unwrap();
-        assert_eq!(plain, with);
-    }
-
-    #[test]
     fn transports_cache_until_consumption() {
         // Mix -> heat -> mix diamond: the heat output must wait for the
         // second mixer if it is busy.
@@ -844,7 +840,14 @@ mod tests {
         b.edge(h, m1).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 1, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = schedule(&g, &comps, &wash_model(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(
+            &g,
+            &comps,
+            &wash_model(),
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         // m1 consumes m0's fluid in place but must wait for the heat
         // output: start = end(h) + t_c = (5+2+2) + 2 = 11.
         assert_eq!(s.binding(m1), s.binding(m0));

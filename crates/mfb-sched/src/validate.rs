@@ -235,7 +235,7 @@ mod tests {
             SchedulerConfig::paper_dcsa(),
             SchedulerConfig::paper_baseline(),
         ] {
-            let s = schedule(&g, &comps, &wash, &cfg).unwrap();
+            let s = schedule(&g, &comps, &wash, &cfg, &DefectMap::pristine()).unwrap();
             let v = validate(&s, &g, &comps);
             assert!(v.is_empty(), "violations under {cfg:?}: {v:?}");
         }
@@ -263,7 +263,14 @@ mod tests {
         let g = diamond();
         let comps = Allocation::new(2, 1, 0, 0).instantiate(&ComponentLibrary::default());
         let wash = LogLinearWash::paper_calibrated();
-        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(
+            &g,
+            &comps,
+            &wash,
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         // Shift the sink operation to time zero: it now consumes fluids
         // that do not exist yet.
         let forged = forge(&s, |ops| {
@@ -280,7 +287,14 @@ mod tests {
         let g = diamond();
         let comps = Allocation::new(2, 1, 0, 0).instantiate(&ComponentLibrary::default());
         let wash = LogLinearWash::paper_calibrated();
-        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(
+            &g,
+            &comps,
+            &wash,
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         // Bind the heat operation (index 1) onto a mixer.
         let forged = forge(&s, |ops| ops[1].component = ComponentId::new(0));
         let v = validate(&forged, &g, &comps);

@@ -4,6 +4,15 @@ use mfb_bench_suite::{motivating_example, table1_benchmarks};
 use mfb_model::prelude::*;
 use mfb_sched::prelude::*;
 
+/// [`schedule`] with the paper's wash model on an undamaged chip.
+fn schedule_on(
+    graph: &SequencingGraph,
+    comps: &ComponentSet,
+    cfg: &SchedulerConfig,
+) -> Result<Schedule, SchedError> {
+    schedule(graph, comps, &wash(), cfg, &DefectMap::pristine())
+}
+
 fn wash() -> LogLinearWash {
     LogLinearWash::paper_calibrated()
 }
@@ -17,7 +26,7 @@ fn both_schedulers_produce_valid_schedules_on_all_benchmarks() {
             SchedulerConfig::paper_dcsa(),
             SchedulerConfig::paper_baseline(),
         ] {
-            let s = schedule(&b.graph, &comps, &wash(), &cfg).unwrap();
+            let s = schedule_on(&b.graph, &comps, &cfg).unwrap();
             let v = validate(&s, &b.graph, &comps);
             assert!(v.is_empty(), "{}: violations {v:?}", b.name);
         }
@@ -29,14 +38,8 @@ fn dcsa_never_loses_to_baseline_on_completion_time() {
     let lib = ComponentLibrary::default();
     for b in table1_benchmarks() {
         let comps = b.components(&lib);
-        let ours = schedule(&b.graph, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
-        let ba = schedule(
-            &b.graph,
-            &comps,
-            &wash(),
-            &SchedulerConfig::paper_baseline(),
-        )
-        .unwrap();
+        let ours = schedule_on(&b.graph, &comps, &SchedulerConfig::paper_dcsa()).unwrap();
+        let ba = schedule_on(&b.graph, &comps, &SchedulerConfig::paper_baseline()).unwrap();
         assert!(
             ours.completion_time() <= ba.completion_time(),
             "{}: ours {} vs BA {}",
@@ -54,14 +57,8 @@ fn dcsa_improves_on_larger_benchmarks() {
     let mut improvements = Vec::new();
     for b in table1_benchmarks() {
         let comps = b.components(&lib);
-        let ours = schedule(&b.graph, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
-        let ba = schedule(
-            &b.graph,
-            &comps,
-            &wash(),
-            &SchedulerConfig::paper_baseline(),
-        )
-        .unwrap();
+        let ours = schedule_on(&b.graph, &comps, &SchedulerConfig::paper_dcsa()).unwrap();
+        let ba = schedule_on(&b.graph, &comps, &SchedulerConfig::paper_baseline()).unwrap();
         let o = ours.completion_time().as_secs_f64();
         let a = ba.completion_time().as_secs_f64();
         improvements.push((b.name, (a - o) / a));
@@ -80,14 +77,8 @@ fn dcsa_reduces_cache_time_overall() {
     let mut ba_total = Duration::ZERO;
     for b in table1_benchmarks() {
         let comps = b.components(&lib);
-        let ours = schedule(&b.graph, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
-        let ba = schedule(
-            &b.graph,
-            &comps,
-            &wash(),
-            &SchedulerConfig::paper_baseline(),
-        )
-        .unwrap();
+        let ours = schedule_on(&b.graph, &comps, &SchedulerConfig::paper_dcsa()).unwrap();
+        let ba = schedule_on(&b.graph, &comps, &SchedulerConfig::paper_baseline()).unwrap();
         ours_total += ours.total_cache_time();
         ba_total += ba.total_cache_time();
     }
@@ -106,7 +97,7 @@ fn dcsa_uses_in_place_deliveries_on_real_assays() {
             .find(|b| b.name == name)
             .unwrap();
         let comps = b.components(&lib);
-        let s = schedule(&b.graph, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule_on(&b.graph, &comps, &SchedulerConfig::paper_dcsa()).unwrap();
         assert!(
             s.in_place_count() > 0,
             "{name}: expected Case-I in-place deliveries"
@@ -118,14 +109,8 @@ fn dcsa_uses_in_place_deliveries_on_real_assays() {
 fn motivating_example_dcsa_beats_baseline() {
     let b = motivating_example();
     let comps = b.components(&ComponentLibrary::default());
-    let ours = schedule(&b.graph, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
-    let ba = schedule(
-        &b.graph,
-        &comps,
-        &wash(),
-        &SchedulerConfig::paper_baseline(),
-    )
-    .unwrap();
+    let ours = schedule_on(&b.graph, &comps, &SchedulerConfig::paper_dcsa()).unwrap();
+    let ba = schedule_on(&b.graph, &comps, &SchedulerConfig::paper_baseline()).unwrap();
     assert!(ours.completion_time() <= ba.completion_time());
     // The paper's Fig. 3 contrast: the storage-aware schedule achieves
     // higher resource utilization.
@@ -142,8 +127,8 @@ fn schedules_are_deterministic() {
     let lib = ComponentLibrary::default();
     for b in table1_benchmarks() {
         let comps = b.components(&lib);
-        let a = schedule(&b.graph, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
-        let c = schedule(&b.graph, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let a = schedule_on(&b.graph, &comps, &SchedulerConfig::paper_dcsa()).unwrap();
+        let c = schedule_on(&b.graph, &comps, &SchedulerConfig::paper_dcsa()).unwrap();
         assert_eq!(a, c, "{} schedule not deterministic", b.name);
     }
 }
@@ -157,7 +142,7 @@ fn completion_respects_critical_path_lower_bound() {
             SchedulerConfig::paper_dcsa(),
             SchedulerConfig::paper_baseline(),
         ] {
-            let s = schedule(&b.graph, &comps, &wash(), &cfg).unwrap();
+            let s = schedule_on(&b.graph, &comps, &cfg).unwrap();
             // The critical path assumes every edge pays t_c; in-place
             // deliveries can only shorten it, so use the zero-transport
             // bound instead.

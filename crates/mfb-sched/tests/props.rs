@@ -23,7 +23,7 @@ proptest! {
         let comps = alloc.instantiate(&ComponentLibrary::default());
         let wash = LogLinearWash::paper_calibrated();
         for cfg in [SchedulerConfig::paper_dcsa(), SchedulerConfig::paper_baseline()] {
-            let s = schedule(&g, &comps, &wash, &cfg).unwrap();
+            let s = schedule(&g, &comps, &wash, &cfg, &DefectMap::pristine()).unwrap();
             let v = validate(&s, &g, &comps);
             prop_assert!(v.is_empty(), "violations: {:?}", v);
         }
@@ -34,7 +34,7 @@ proptest! {
         let g = spec.generate();
         let comps = alloc.instantiate(&ComponentLibrary::default());
         let wash = LogLinearWash::paper_calibrated();
-        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa(), &DefectMap::pristine()).unwrap();
         prop_assert_eq!(s.deliveries().len(), g.edge_count());
         prop_assert_eq!(
             s.transports().len() + s.in_place_count(),
@@ -47,7 +47,7 @@ proptest! {
         let g = spec.generate();
         let comps = alloc.instantiate(&ComponentLibrary::default());
         let wash = LogLinearWash::paper_calibrated();
-        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa(), &DefectMap::pristine()).unwrap();
         let mut total = Duration::ZERO;
         for t in s.transports() {
             prop_assert!(t.arrive == t.depart + s.t_c);
@@ -63,7 +63,7 @@ proptest! {
         let comps = alloc.instantiate(&ComponentLibrary::default());
         let wash = LogLinearWash::paper_calibrated();
         for cfg in [SchedulerConfig::paper_dcsa(), SchedulerConfig::paper_baseline()] {
-            let s = schedule(&g, &comps, &wash, &cfg).unwrap();
+            let s = schedule(&g, &comps, &wash, &cfg, &DefectMap::pristine()).unwrap();
             let u = resource_utilization(s.op_intervals(), &comps);
             prop_assert!((0.0..=1.0).contains(&u), "u = {}", u);
         }
@@ -79,8 +79,8 @@ proptest! {
         let g = spec.generate();
         let comps = alloc.instantiate(&ComponentLibrary::default());
         let wash = LogLinearWash::paper_calibrated();
-        let ours = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
-        let ba = schedule(&g, &comps, &wash, &SchedulerConfig::paper_baseline()).unwrap();
+        let ours = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa(), &DefectMap::pristine()).unwrap();
+        let ba = schedule(&g, &comps, &wash, &SchedulerConfig::paper_baseline(), &DefectMap::pristine()).unwrap();
         let o = ours.completion_time().as_secs_f64();
         let b = ba.completion_time().as_secs_f64();
         prop_assert!(o <= b * 1.25 + 5.0, "ours {} vs BA {}", o, b);
@@ -91,7 +91,7 @@ proptest! {
         let g = spec.generate();
         let comps = alloc.instantiate(&ComponentLibrary::default());
         let wash = LogLinearWash::paper_calibrated();
-        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa(), &DefectMap::pristine()).unwrap();
         for w in s.washes() {
             for op in s.ops().filter(|o| o.component == w.component) {
                 prop_assert!(

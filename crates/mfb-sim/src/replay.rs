@@ -346,11 +346,15 @@ pub(crate) mod test_support {
         b.edge(m2, dt).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(2, 0, 0, 1).instantiate(&ComponentLibrary::default());
+        let (pristine, budget) = (DefectMap::pristine(), Budget::unlimited());
         let s =
-            mfb_sched::list::schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+            mfb_sched::list::schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa(), &pristine)
+                .unwrap();
         let nets = NetList::build(&s, &g, &wash, 0.6, 0.4);
-        let placement = place_sa_auto(&comps, &nets, &SaConfig::paper()).unwrap();
-        let routing = route_dcsa(&s, &g, &placement, &wash, &RouterConfig::paper()).unwrap();
+        let (grid, sa) = (auto_grid(&comps), SaConfig::paper());
+        let (placement, _) = place_sa(&comps, &nets, grid, &sa, &pristine, &budget).unwrap();
+        let cfg = RouterConfig::paper();
+        let routing = route_dcsa(&s, &g, &placement, &wash, &cfg, &pristine, &budget).unwrap();
         (g, comps, s, placement, routing, wash)
     }
 }

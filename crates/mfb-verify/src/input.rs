@@ -39,7 +39,11 @@ pub struct VerifyInput<'a> {
     pub wash: &'a dyn WashModel,
     /// Router configuration used when the wash plan must be rebuilt.
     pub router_config: RouterConfig,
-    defects: Option<&'a DefectMap>,
+    /// The chip's defects the solution was synthesised against
+    /// ([`DefectMap::pristine`] for an undamaged chip): `DRC-FAULT-001`
+    /// asserts no artifact touches one, and the wash plan routes around
+    /// blocked cells.
+    pub defects: &'a DefectMap,
     checkable: OnceCell<bool>,
     sched_cache: OnceCell<Vec<ScheduleViolation>>,
     replay_cache: OnceCell<SimReport>,
@@ -49,6 +53,7 @@ pub struct VerifyInput<'a> {
 
 impl<'a> VerifyInput<'a> {
     /// Bundles the artifacts of one synthesis run for checking.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         graph: &'a SequencingGraph,
         components: &'a ComponentSet,
@@ -57,6 +62,7 @@ impl<'a> VerifyInput<'a> {
         routing: &'a Routing,
         wash: &'a dyn WashModel,
         router_config: RouterConfig,
+        defects: &'a DefectMap,
     ) -> Self {
         VerifyInput {
             graph,
@@ -66,26 +72,13 @@ impl<'a> VerifyInput<'a> {
             routing,
             wash,
             router_config,
-            defects: None,
+            defects,
             checkable: OnceCell::new(),
             sched_cache: OnceCell::new(),
             replay_cache: OnceCell::new(),
             occupancy_cache: OnceCell::new(),
             wash_plan_cache: OnceCell::new(),
         }
-    }
-
-    /// Attaches the defect map the solution was synthesised against, so
-    /// `DRC-FAULT-001` can assert no artifact touches a defect. Without
-    /// this the chip is assumed pristine and the rule passes trivially.
-    pub fn with_defects(mut self, defects: &'a DefectMap) -> Self {
-        self.defects = Some(defects);
-        self
-    }
-
-    /// The attached defect map, if any.
-    pub fn defects(&self) -> Option<&'a DefectMap> {
-        self.defects
     }
 
     /// `true` when `mfb-sim`'s `shape_problems` accepts the artifacts
@@ -160,11 +153,11 @@ impl<'a> VerifyInput<'a> {
             self.wash_plan_cache.get_or_init(|| {
                 plan_washes(
                     self.routing,
-                    self.schedule,
                     self.graph,
                     self.placement,
                     self.wash,
                     &self.router_config,
+                    self.defects,
                 )
             })
         })

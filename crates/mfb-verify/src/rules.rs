@@ -382,11 +382,11 @@ impl Rule for CachedFluidBlocks {
     }
 }
 
-/// Native cross-stage rule: when the [`VerifyInput`] carries a defect map,
-/// nothing in the solution may touch a defect — no routed path cell or
-/// channel wash on a blocked cell, no component footprint covering one,
-/// and no binding, transport endpoint or component wash on a dead
-/// component. Without a defect map the rule passes trivially.
+/// Native cross-stage rule: nothing in the solution may touch a defect of
+/// the [`VerifyInput`]'s map — no routed path cell or channel wash on a
+/// blocked cell, no component footprint covering one, and no binding,
+/// transport endpoint or component wash on a dead component. On a pristine
+/// map the rule passes without looking.
 #[derive(Debug)]
 struct DefectAvoidance(RuleInfo);
 
@@ -396,9 +396,10 @@ impl Rule for DefectAvoidance {
     }
 
     fn check(&self, input: &VerifyInput<'_>) -> Vec<Diagnostic> {
-        let Some(defects) = input.defects() else {
+        let defects = input.defects;
+        if defects.is_pristine() {
             return Vec::new();
-        };
+        }
         let mut out = Vec::new();
         let mut push = |message: String, location: Location| {
             out.push(diag(self.0.id, self.0.severity, message, location));

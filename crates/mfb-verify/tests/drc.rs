@@ -27,17 +27,15 @@ fn run_drc(
     sol: &Solution,
     registry: &RuleRegistry,
 ) -> VerifyReport {
-    let w = wash();
-    let input = VerifyInput::new(
+    let pristine = DefectMap::pristine();
+    sol.drc_with(
         g,
         comps,
-        &sol.schedule,
-        &sol.placement,
-        &sol.routing,
-        &w,
+        &wash(),
+        &pristine,
         RouterConfig::paper(),
-    );
-    registry.run(&input)
+        registry,
+    )
 }
 
 /// Rebuilds a schedule from its parts so tests can corrupt single fields.
@@ -250,6 +248,7 @@ fn registry_findings_superset_legacy_checkers() {
     sol.routing.paths[pi].cells[1] = CellPos::new(grid.width - 1, grid.height - 1);
 
     let w = wash();
+    let pristine = DefectMap::pristine();
     let input = VerifyInput::new(
         &g,
         &comps,
@@ -258,6 +257,7 @@ fn registry_findings_superset_legacy_checkers() {
         &sol.routing,
         &w,
         RouterConfig::paper(),
+        &pristine,
     );
     let report = RuleRegistry::with_all_rules().run(&input);
     let legacy_sched = mfb_sched::prelude::validate(&sol.schedule, &g, &comps);
@@ -292,4 +292,95 @@ fn diagnostic_serde_round_trip() {
     let json = serde_json::to_string(&report).unwrap();
     let back: VerifyReport = serde_json::from_str(&json).unwrap();
     assert_eq!(report, back);
+}
+
+/// PCR as the paper flow synthesizes it.
+fn pcr() -> (SequencingGraph, ComponentSet, Solution) {
+    let b = mfb_bench_suite::benchmark_by_name("PCR").expect("PCR is a Table-I benchmark");
+    let comps = b.components(&ComponentLibrary::default());
+    let sol = Synthesizer::paper_dcsa()
+        .synthesize(&b.graph, &comps, &wash())
+        .expect("PCR synthesizes");
+    (b.graph, comps, sol)
+}
+
+#[test]
+fn drc_with_checks_the_passed_defect_map() {
+    let (g, comps, sol) = pcr();
+    let registry = RuleRegistry::with_all_rules();
+    let crossed = sol.routing.paths[0].cells[0];
+    let mut defects = DefectMap::pristine();
+    defects.block_cell(crossed);
+    let report = sol.drc_with(
+        &g,
+        &comps,
+        &wash(),
+        &defects,
+        RouterConfig::paper(),
+        &registry,
+    );
+    assert!(
+        report
+            .by_rule("DRC-FAULT-001")
+            .any(|d| d.location == Location::Cell(crossed)),
+        "a path over a blocked cell must trip DRC-FAULT-001: {:?}",
+        report.diagnostics
+    );
+    // The same solution on a pristine chip has nothing to report.
+    let clean = sol.drc(&g, &comps, &wash());
+    assert_eq!(clean.by_rule("DRC-FAULT-001").count(), 0);
+}
+
+#[test]
+fn wash_plan_routes_flushes_around_blocked_cells() {
+    let (g, comps, sol) = pcr();
+    let w = wash();
+    let input = |defects| {
+        VerifyInput::new(
+            &g,
+            &comps,
+            &sol.schedule,
+            &sol.placement,
+            &sol.routing,
+            &w,
+            RouterConfig::paper(),
+            defects,
+        )
+    };
+    let pristine = DefectMap::pristine();
+    let undamaged = input(&pristine);
+    let plan = undamaged.wash_plan().expect("PCR is checkable");
+    assert_eq!(plan.flushes.len(), 5, "PCR plans five buffer flushes");
+
+    // A flush cell that no routed path and no component uses: blocking it
+    // leaves the solution itself legal.
+    let grid = sol.placement.grid();
+    let used = |c: CellPos| {
+        sol.routing.paths.iter().any(|p| p.cells.contains(&c))
+            || sol.placement.rects().iter().any(|r| r.contains(c))
+    };
+    let blocked = plan
+        .flushes
+        .iter()
+        .flat_map(|f| f.cells.iter().copied())
+        .find(|&c| grid.contains(c) && !used(c))
+        .expect("some flush runs through an otherwise unused cell");
+    let mut defects = DefectMap::pristine();
+    defects.block_cell(blocked);
+
+    let damaged = input(&defects);
+    let plan = damaged.wash_plan().expect("PCR is checkable");
+    for f in &plan.flushes {
+        assert!(
+            !f.cells.contains(&blocked),
+            "flush for {} crosses blocked cell {blocked}",
+            f.wash.cell
+        );
+    }
+    let registry = RuleRegistry::with_all_rules();
+    assert_eq!(
+        registry.run(&damaged).by_rule("DRC-FAULT-001").count(),
+        0,
+        "the blocked cell is unused by the solution"
+    );
 }

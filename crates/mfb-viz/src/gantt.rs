@@ -87,7 +87,7 @@ mod tests {
 
     #[test]
     fn gantt_shows_ops_and_washes() {
-        let wash = LogLinearWash::paper_calibrated();
+        let (wash, pristine) = (LogLinearWash::paper_calibrated(), DefectMap::pristine());
         let d = |secs: f64| wash.coefficient_for(Duration::from_secs_f64(secs));
         let mut b = SequencingGraph::builder();
         // Two independent mixes on one mixer: eviction wash in between.
@@ -96,7 +96,7 @@ mod tests {
         let _ = (o0, o1);
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 0, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa(), &pristine).unwrap();
         let chart = render_gantt(&s, &comps);
         assert!(chart.contains("mixer"));
         assert!(chart.contains('['), "operation blocks missing:\n{chart}");
@@ -105,7 +105,7 @@ mod tests {
 
     #[test]
     fn gantt_marks_channel_cache() {
-        let wash = LogLinearWash::paper_calibrated();
+        let (wash, pristine) = (LogLinearWash::paper_calibrated(), DefectMap::pristine());
         let d = |secs: f64| wash.coefficient_for(Duration::from_secs_f64(secs));
         let mut b = SequencingGraph::builder();
         // One mixer: o0's fluid is evicted by o1 and cached until o2.
@@ -115,7 +115,7 @@ mod tests {
         b.edge(o0, o2).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 0, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa(), &pristine).unwrap();
         assert!(s.total_cache_time() > Duration::ZERO);
         let chart = render_gantt(&s, &comps);
         assert!(chart.contains('='), "cache row missing:\n{chart}");
@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn long_schedules_compress() {
-        let wash = LogLinearWash::paper_calibrated();
+        let (wash, pristine) = (LogLinearWash::paper_calibrated(), DefectMap::pristine());
         let d = DiffusionCoefficient::PROTEIN;
         let mut b = SequencingGraph::builder();
         let mut prev = b.operation(OperationKind::Mix, Duration::from_secs(60), d);
@@ -134,7 +134,7 @@ mod tests {
         }
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 0, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa(), &pristine).unwrap();
         let chart = render_gantt(&s, &comps);
         for line in chart.lines() {
             assert!(line.len() <= MAX_COLS + 20, "line too wide: {}", line.len());

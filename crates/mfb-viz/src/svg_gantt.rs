@@ -106,7 +106,14 @@ mod tests {
         let _ = (o0, o1);
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 0, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(
+            &g,
+            &comps,
+            &wash,
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         let svg = render_svg_gantt(&s, &comps);
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));

@@ -106,6 +106,7 @@ fn run_case(text: &str) -> Result<(), String> {
                 &file.graph,
                 &comps,
                 &wash,
+                &file.defects,
                 router,
                 &RuleRegistry::with_all_rules(),
             );

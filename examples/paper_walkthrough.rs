@@ -18,6 +18,8 @@ fn main() {
     let bench = motivating_example();
     let graph = &bench.graph;
     let comps = bench.components(&ComponentLibrary::default());
+    // Every stage takes the chip's defects; this chip has none.
+    let defects = DefectMap::pristine();
 
     println!("== 0. The bioassay (paper Fig. 2(a)) ==");
     println!("{graph}");
@@ -39,7 +41,8 @@ fn main() {
     );
 
     println!("\n== 2. Binding & scheduling (Algorithm 1) ==");
-    let sched = schedule(graph, &comps, &wash, &SchedulerConfig::paper_dcsa()).expect("schedules");
+    let sched_cfg = SchedulerConfig::paper_dcsa();
+    let sched = schedule(graph, &comps, &wash, &sched_cfg, &defects).expect("schedules");
     println!(
         "  completes {} | {} in-place (Case I), {} transports, cache {}",
         sched.completion_time(),
@@ -54,16 +57,29 @@ fn main() {
     for n in nets.nets() {
         println!("  {n}");
     }
-    let placement = place_sa_auto(&comps, &nets, &SaConfig::paper()).expect("places");
+    let (grid, sa) = (auto_grid(&comps), SaConfig::paper());
+    let (placement, stats) =
+        place_sa(&comps, &nets, grid, &sa, &defects, &Budget::unlimited()).expect("places");
     println!(
-        "  energy {:.1} on {}",
+        "  energy {:.1} on {} ({} of {} proposals accepted)",
         energy(&placement, &nets),
-        placement.grid()
+        placement.grid(),
+        stats.accepted,
+        stats.proposals
     );
 
     println!("\n== 4. Conflict-free routing (Eq. (5)) ==");
-    let routing =
-        route_dcsa(&sched, graph, &placement, &wash, &RouterConfig::paper()).expect("routes");
+    let router = RouterConfig::paper();
+    let routing = route_dcsa(
+        &sched,
+        graph,
+        &placement,
+        &wash,
+        &router,
+        &defects,
+        &Budget::unlimited(),
+    )
+    .expect("routes");
     println!("  {routing}");
     println!("{}", render_ascii(&placement, &comps, Some(&routing)));
 

@@ -49,7 +49,14 @@ fn synthesize_json(file: &AssayFile) -> String {
 
     let sim = solution.verify(&file.graph, &comps, &wash);
     assert!(sim.is_valid(), "corpus solution must replay valid");
-    let drc = solution.drc(&file.graph, &comps, &wash);
+    let drc = solution.drc_with(
+        &file.graph,
+        &comps,
+        &wash,
+        &file.defects,
+        synth.config().router,
+        &RuleRegistry::with_all_rules(),
+    );
     assert!(drc.is_clean(), "corpus solution must pass DRC: {drc:?}");
 
     serde_json::to_string(&solution).expect("Solution serializes")

@@ -43,7 +43,15 @@ fn pipeline_survives(text: &str) -> Result<(), String> {
             if !sim.is_valid() {
                 return Err("accepted program replayed invalid".into());
             }
-            if !solution.drc(&file.graph, &comps, &wash).is_clean() {
+            let drc = solution.drc_with(
+                &file.graph,
+                &comps,
+                &wash,
+                &file.defects,
+                synth.config().router,
+                &RuleRegistry::with_all_rules(),
+            );
+            if !drc.is_clean() {
                 return Err("accepted program failed DRC".into());
             }
             Ok(())

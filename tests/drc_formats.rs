@@ -50,6 +50,7 @@ fn corrupted_example_reports_rule_ids_in_all_formats() {
         &g,
         &comps,
         &wash(),
+        &DefectMap::pristine(),
         mfb_route::prelude::RouterConfig::paper(),
         &registry,
     );

@@ -86,3 +86,49 @@ fn storage_aware_flow_uses_case1() {
         "the running example is built to reward Case-I reuse"
     );
 }
+
+/// The "Measured" column of EXPERIMENTS.md's running-example table, as
+/// printed from the synthesized solutions, one table row per line.
+fn measured_rows() -> String {
+    let b = motivating_example();
+    let comps = b.components(&ComponentLibrary::default());
+    let prio = b.graph.priority_values(Duration::from_secs(2))[0];
+    let o1_wash = wash().wash_time(b.graph.op(OpId::new(0)).output_diffusion());
+    let flow = |synth: Synthesizer| {
+        let sol = synth.synthesize(&b.graph, &comps, &wash()).unwrap();
+        let m = SolutionMetrics::of(&sol, &comps);
+        format!(
+            "{:.0} s / {:.1} %",
+            m.execution_time.as_secs_f64(),
+            m.utilization * 100.0
+        )
+    };
+    format!(
+        "| priority value of `o1` at `t_c = 2 s` | 21 s | **{:.0} s** (pinned by test) |\n\
+         | wash time of `o1` residue | 10 s | **{:.0} s** (pinned by test) |\n\
+         | storage-aware schedule: makespan / `U_r` | 24 s / 82 % | **{}** |\n\
+         | baseline-style schedule: makespan / `U_r` | 37 s / 62 % | **{}** |\n",
+        prio.as_secs_f64(),
+        o1_wash.as_secs_f64(),
+        flow(Synthesizer::paper_dcsa()),
+        flow(Synthesizer::paper_baseline()),
+    )
+}
+
+#[test]
+fn published_running_example_matches_the_printer() {
+    let doc = include_str!("../EXPERIMENTS.md");
+    let section = &doc[doc.find("## Running example").expect("section exists")..];
+    let table = &section[section.find("| Quantity |").expect("the table exists")..];
+    let rows: String = table
+        .lines()
+        .skip(2) // header and separator
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(
+        rows,
+        measured_rows(),
+        "EXPERIMENTS.md's running example is stale: regenerate it with `mfb motivating`"
+    );
+}

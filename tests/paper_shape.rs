@@ -7,17 +7,76 @@
 use mfb_bench_suite::table1_benchmarks;
 use mfb_core::prelude::*;
 use mfb_model::prelude::*;
+use std::sync::OnceLock;
 
-fn rows() -> Vec<ComparisonRow> {
-    let lib = ComponentLibrary::default();
-    let wash = LogLinearWash::paper_calibrated();
-    table1_benchmarks()
-        .into_iter()
-        .map(|b| {
-            ComparisonRow::compare(b.name, &b.graph, b.allocation, &lib, &wash)
-                .unwrap_or_else(|e| panic!("{}: {e}", b.name))
+/// The Table-I comparison, synthesized once for every test in this file.
+fn rows() -> &'static [ComparisonRow] {
+    static ROWS: OnceLock<Vec<ComparisonRow>> = OnceLock::new();
+    ROWS.get_or_init(|| {
+        let lib = ComponentLibrary::default();
+        let wash = LogLinearWash::paper_calibrated();
+        table1_benchmarks()
+            .into_iter()
+            .map(|b| {
+                ComparisonRow::compare(b.name, &b.graph, b.allocation, &lib, &wash)
+                    .unwrap_or_else(|e| panic!("{}: {e}", b.name))
+            })
+            .collect()
+    })
+}
+
+/// The first fenced block after the EXPERIMENTS.md heading `heading`.
+fn published_block(heading: &str) -> &'static str {
+    let doc = include_str!("../EXPERIMENTS.md");
+    let section = &doc[doc
+        .find(heading)
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has no `{heading}` section"))..];
+    let body = &section[section.find("```\n").expect("a fenced block follows") + 4..];
+    &body[..body.find("```").expect("the fenced block closes")]
+}
+
+/// Table I's last segment holds the two CPU-second columns, wall-clock
+/// times that differ run to run: masked wherever every token is a number.
+fn mask_cpu_seconds(table: &str) -> String {
+    table
+        .lines()
+        .map(|line| match line.rsplit_once('|') {
+            Some((head, cpu))
+                if !cpu.trim().is_empty()
+                    && cpu.split_whitespace().all(|t| t.parse::<f64>().is_ok()) =>
+            {
+                format!("{head}| <cpu seconds>\n")
+            }
+            _ => format!("{line}\n"),
         })
         .collect()
+}
+
+#[test]
+fn published_table1_matches_the_printer() {
+    assert_eq!(
+        mask_cpu_seconds(published_block("## Table I")),
+        mask_cpu_seconds(&table1_text(rows())),
+        "EXPERIMENTS.md Table I is stale: regenerate it with `mfb table1`"
+    );
+}
+
+#[test]
+fn published_fig8_matches_the_printer() {
+    assert_eq!(
+        published_block("## Fig. 8"),
+        fig8_text(rows()),
+        "EXPERIMENTS.md Fig. 8 is stale: regenerate it with `mfb fig8`"
+    );
+}
+
+#[test]
+fn published_fig9_matches_the_printer() {
+    assert_eq!(
+        published_block("## Fig. 9"),
+        fig9_text(rows()),
+        "EXPERIMENTS.md Fig. 9 is stale: regenerate it with `mfb fig9`"
+    );
 }
 
 #[test]
@@ -25,7 +84,7 @@ fn table1_execution_time_shape() {
     // Paper: 0.0 %–10.5 % improvement, never a regression; small
     // benchmarks tie or nearly tie, larger ones gain.
     let rows = rows();
-    for r in &rows {
+    for r in rows {
         assert!(
             r.ours.execution_time <= r.baseline.execution_time,
             "{}: ours must never lose on execution time ({} vs {})",
@@ -54,7 +113,7 @@ fn table1_utilization_shape() {
     // Paper: +12.5 % average; every improving benchmark improves
     // utilization too, with the biggest gains on the biggest assays.
     let rows = rows();
-    for r in &rows {
+    for r in rows {
         assert!(
             r.ours.utilization >= r.baseline.utilization - 1e-9,
             "{}: utilization must not regress",
@@ -84,7 +143,7 @@ fn table1_channel_length_shape() {
         avg > 0.0,
         "average channel-length gain must be positive: {avg:.1}%"
     );
-    for r in &rows {
+    for r in rows {
         assert!(
             r.channel_improvement_pct() > -15.0,
             "{}: channel length should not regress badly ({:.1}%)",
@@ -99,7 +158,7 @@ fn fig8_cache_time_shape() {
     // Paper Fig. 8: total channel-cache time reduced, "particularly in the
     // benchmarks with large scale input".
     let rows = rows();
-    for r in &rows {
+    for r in rows {
         assert!(
             r.ours.cache_time <= r.baseline.cache_time,
             "{}: cache time must not regress ({} vs {})",
@@ -137,7 +196,7 @@ fn cpu_time_stays_interactive() {
     // Paper Table I: both flows finish in hundredths of a second. Our
     // substrate differs, so just require "clearly interactive".
     let rows = rows();
-    for r in &rows {
+    for r in rows {
         assert!(
             r.ours_cpu.as_secs_f64() < 5.0 && r.baseline_cpu.as_secs_f64() < 5.0,
             "{}: synthesis should stay interactive ({:?} / {:?})",
@@ -154,7 +213,7 @@ fn baseline_pays_routing_delays_somewhere() {
     // transports; the paper's narrative depends on those delays existing.
     // We only require that the machinery reports zero delay for ours.
     let rows = rows();
-    for r in &rows {
+    for r in rows {
         assert_eq!(
             r.ours.total_delay,
             Duration::ZERO,

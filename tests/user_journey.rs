@@ -48,11 +48,11 @@ fn author_synthesize_audit_archive_reload() {
     assert!(area.occupied_mm2 > 0.0);
     let plan = plan_washes(
         &solution.routing,
-        &solution.schedule,
         &assay.graph,
         &solution.placement,
         &wash(),
         &RouterConfig::paper(),
+        &DefectMap::pristine(),
     );
     assert!(plan.coverage() > 0.99, "every wash should be flushable");
     let control =
