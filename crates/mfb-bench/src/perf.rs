@@ -6,6 +6,10 @@
 //! run: `end_to_end_ms` is the best of `repeats` untraced runs (tracing
 //! compiled in but no collector installed), and one extra traced run
 //! supplies the attempt counts, per-stage span timings and counter totals.
+//! A row that synthesizes also times its checkers: `check_ms` is the best
+//! of `repeats` runs of `Solution::drc` plus `Solution::analyze` on the
+//! row's solution, and the traced run checks once, so the checkers' spans
+//! and counters (`route.wash_plan`, `washplan.*`) land in the same trace.
 //! The runs use the ambient `MFB_THREADS` limit, so the placement attempt
 //! fan-out is part of what is timed; the solution digest does not depend
 //! on it.
@@ -14,7 +18,7 @@ use std::time::Instant as WallClock; // the model prelude has its own Instant
 
 use mfb_bench_suite::families::scalability_series;
 use mfb_bench_suite::{dense_benchmark, table1_benchmarks};
-use mfb_core::flow::Synthesizer;
+use mfb_core::flow::{Solution, Synthesizer};
 use mfb_model::hash::StableHasher;
 use mfb_model::prelude::*;
 use serde::Serialize;
@@ -40,6 +44,11 @@ pub struct PerfRow {
     /// succeeds.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub solution_fnv64: Option<String>,
+    /// Best-of-`repeats` wall time of `Solution::drc` plus
+    /// `Solution::analyze` on the solution, in milliseconds, when the run
+    /// succeeds. Not part of `end_to_end_ms`.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub check_ms: Option<f64>,
     /// Placement attempts the traced run started (`stage.place` spans).
     pub attempts_run: u64,
     /// Placement attempts the returned solution accounts for
@@ -117,11 +126,24 @@ fn perf_row(graph: &SequencingGraph, allocation: Allocation, repeats: u32) -> Pe
     let wash = LogLinearWash::paper_calibrated();
     let synth = Synthesizer::paper_dcsa();
     let run = || synth.synthesize(graph, &comps, &wash);
+    let check = |solution: &Solution| {
+        let drc = solution.drc(graph, &comps, &wash);
+        let analysis = solution.analyze(graph, &comps, &wash);
+        (drc, analysis)
+    };
 
     let (seconds, result) = best_of(repeats, run);
+    let check_ms = result
+        .as_ref()
+        .ok()
+        .map(|solution| best_of(repeats, || check(solution)).0 * 1e3);
 
     let collector = mfb_obs::TraceCollector::new();
-    let _ = mfb_obs::with_collector(&collector, run);
+    mfb_obs::with_collector(&collector, || {
+        if let Ok(solution) = run() {
+            check(&solution);
+        }
+    });
     let events = collector.finish().events;
     let attempts_run = events
         .iter()
@@ -146,6 +168,7 @@ fn perf_row(graph: &SequencingGraph, allocation: Allocation, repeats: u32) -> Pe
         error,
         end_to_end_ms: seconds * 1e3,
         solution_fnv64,
+        check_ms,
         attempts_run,
         attempts_used,
         wasted_attempts: attempts_run.saturating_sub(attempts_used),
@@ -188,7 +211,7 @@ pub fn perf_text(report: &PerfReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<12} {:>4} {:>5} {:>10} {:>8} {:>7} {:>9} {:>9} {:>9}",
+        "{:<12} {:>4} {:>5} {:>10} {:>8} {:>7} {:>9} {:>9} {:>9} {:>9}",
         "benchmark",
         "ops",
         "comps",
@@ -197,12 +220,13 @@ pub fn perf_text(report: &PerfReport) -> String {
         "failed",
         "wasted",
         "place_ms",
-        "route_ms"
+        "route_ms",
+        "check_ms"
     );
     for r in &report.rows {
         let _ = writeln!(
             out,
-            "{:<12} {:>4} {:>5} {:>10.2} {:>8} {:>7} {:>9} {:>9.2} {:>9.2}{}",
+            "{:<12} {:>4} {:>5} {:>10.2} {:>8} {:>7} {:>9} {:>9.2} {:>9.2} {:>9}{}",
             r.benchmark,
             r.ops,
             r.components,
@@ -212,6 +236,8 @@ pub fn perf_text(report: &PerfReport) -> String {
             r.wasted_attempts,
             r.span_ms("stage.place"),
             r.span_ms("stage.route"),
+            r.check_ms
+                .map_or_else(|| "-".to_string(), |ms| format!("{ms:.2}")),
             match &r.error {
                 Some(e) => format!("  failed: {e}"),
                 None => String::new(),
@@ -265,6 +291,7 @@ mod tests {
         for row in &r.rows {
             assert!(row.ok && row.error.is_none(), "{}", row.benchmark);
             assert!(row.end_to_end_ms > 0.0, "{}", row.benchmark);
+            assert!(row.check_ms.is_some_and(|ms| ms > 0.0), "{}", row.benchmark);
             assert!(row.attempts_used >= 1, "{}", row.benchmark);
             assert_eq!(
                 row.wasted_attempts,
@@ -287,6 +314,12 @@ mod tests {
                 assert!(
                     row.trace_counters.iter().any(|c| c.name == "sa.proposals"),
                     "traced run records SA counters"
+                );
+                assert!(
+                    row.trace_counters
+                        .iter()
+                        .any(|c| c.name == "washplan.visited" && c.total > 0),
+                    "traced run checks the solution and plans its washes"
                 );
             }
         } else {

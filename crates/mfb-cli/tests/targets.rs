@@ -14,6 +14,33 @@ fn mfb(args: &[&str]) -> Output {
         .expect("mfb runs")
 }
 
+/// The first fenced block after the EXPERIMENTS.md heading `heading`.
+fn published_block(heading: &str) -> &'static str {
+    let doc = include_str!("../../../EXPERIMENTS.md");
+    let section = &doc[doc
+        .find(heading)
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has no `{heading}` section"))..];
+    let body = &section[section.find("```\n").expect("a fenced block follows") + 4..];
+    &body[..body.find("```").expect("the fenced block closes")]
+}
+
+/// The scalability table with every row's `Wall(ms)` value masked: wall
+/// time differs run to run. The five columns before it are fixed-width
+/// (51 characters); any error text after it is kept.
+fn mask_wall_ms(table: &str) -> String {
+    table
+        .lines()
+        .enumerate()
+        .map(|(i, line)| match line.get(51..) {
+            Some(rest) if i >= 2 => {
+                let after = rest.trim_start().split_once(' ').map_or("", |(_, t)| t);
+                format!("{} <wall ms> {after}\n", &line[..51])
+            }
+            _ => format!("{line}\n"),
+        })
+        .collect()
+}
+
 fn assert_success(args: &[&str]) -> String {
     let out = mfb(args);
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
@@ -96,6 +123,11 @@ fn stability_table_is_pinned() {
          Synthetic3       53 /   53 /   53         1960 /  2230 /  2900   (10 ok)\n\
          Synthetic4       62 /   62 /   62         2910 /  3190 /  3400   (10 ok)\n"
     );
+    assert_eq!(
+        stdout,
+        published_block("## Seed stability"),
+        "EXPERIMENTS.md Seed stability is stale: regenerate it with `mfb stability`"
+    );
 }
 
 /// The scalability table reports the paper flow only: sizes it routes
@@ -126,5 +158,25 @@ fn scalability_reports_the_paper_flow_or_its_error() {
     assert!(
         last.contains("failed: routing failed after 24 placement attempts"),
         "{last}"
+    );
+    assert_eq!(
+        mask_wall_ms(&stdout),
+        mask_wall_ms(published_block("## Scalability")),
+        "EXPERIMENTS.md Scalability is stale: regenerate it with `mfb scalability`"
+    );
+}
+
+/// The published ablation table is the printer's, minus its one-line
+/// preamble.
+#[test]
+fn published_ablations_match_the_printer() {
+    let text = mfb_bench::ablation_text();
+    let (_, table) = text
+        .split_once("\n\n")
+        .expect("a preamble precedes the table");
+    assert_eq!(
+        published_block("## Ablations"),
+        table,
+        "EXPERIMENTS.md Ablations is stale: regenerate it with `mfb ablation`"
     );
 }
